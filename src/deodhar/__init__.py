@@ -10,14 +10,9 @@ from .cells import (
     FiltrationOrder,
     ReducedWord,
     Subexpression,
-    cell_shape,
     enumerate_distinguished,
     filtration,
-    index_sets,
-    is_distinguished,
-    phi_gamma,
     preceq,
-    subexpression,
     subexpressions,
     unique_IJ_equal,
 )
@@ -59,14 +54,7 @@ from .rootdata import (
     WeylElement,
     bruhat_leq,
     build_root_system,
-    inverse,
-    left_descents,
-    length,
-    longest_element,
-    multiply,
     reduced_words,
-    right_descents,
-    simple_reflection,
     word_str,
 )
 

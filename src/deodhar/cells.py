@@ -104,13 +104,11 @@ class Subexpression:
         self.partials = _partials
         self.end = _partials[-1]
         self.I = frozenset(i + 1 for i, b in enumerate(bits) if b)
-        # beta~_i = gamma^i(-beta_i); column `letters[i]` of the partial, negated
-        tilde = []
-        for i in range(word.r):
-            col = word.letters[i]
-            m = _partials[i + 1].matrix
-            tilde.append(tuple(-m[row][col] for row in range(sys.rank)))
-        self.tilde_betas = tuple(tilde)
+        # beta~_i = gamma^i(-beta_i)
+        self.tilde_betas = tuple(
+            _partials[i + 1].act(tuple(-c for c in word.simple_root(i)))
+            for i in range(word.r)
+        )
         j_sign = frozenset(
             i + 1 for i in range(word.r) if sys.is_positive(self.tilde_betas[i])
         )
@@ -188,87 +186,58 @@ class Subexpression:
         return f"Subexpression{self.display}"
 
 
-def subexpression(word: ReducedWord, bits: Iterable[int]) -> Subexpression:
-    return Subexpression(word, bits)
-
-
-def subexpressions(word: ReducedWord) -> list[Subexpression]:
-    """All 2^r subexpressions, in lexicographic bit order."""
-    if word.r > MAX_WORD_LENGTH:
-        raise BudgetError(
-            f"word length {word.r} exceeds the enumeration cap {MAX_WORD_LENGTH}"
-        )
-    sys = word.system
-    out: list[Subexpression] = []
-
-    def rec(i: int, bits: list[int], partials: list[WeylElement]) -> None:
-        if i == word.r:
-            out.append(Subexpression(word, tuple(bits), tuple(partials)))
-            return
-        s = sys.simple_reflection(word.letters[i])
-        for b in (0, 1):
-            bits.append(b)
-            partials.append(partials[-1] * s if b else partials[-1])
-            rec(i + 1, bits, partials)
-            bits.pop()
-            partials.pop()
-
-    rec(0, [], [sys.identity()])
-    return out
-
-
-def index_sets(gamma: Subexpression) -> tuple[frozenset[int], frozenset[int]]:
-    return gamma.I, gamma.J
-
-
-def is_distinguished(gamma: Subexpression) -> bool:
-    return gamma.is_distinguished
-
-
-def cell_shape(gamma: Subexpression) -> CellShape:
-    return gamma.cell_shape()
-
-
-def phi_gamma(gamma: Subexpression) -> tuple[Root, ...]:
-    return gamma.phi_roots()
-
-
-def enumerate_distinguished(
-    word: ReducedWord, v: Optional[WeylElement] = None
+def _walk(
+    word: ReducedWord, prune: bool, end: Optional[WeylElement] = None
 ) -> list[Subexpression]:
-    """Distinguished subexpressions, restricted to those ending at v if given.
+    """Depth-first walk over the subexpressions of word, in lexicographic bit order.
 
-    Enumerated by a pruned search: whenever the running partial product has
-    the next letter as a right descent, taking the letter is forced.
+    With prune, a letter that is a right descent of the running partial
+    product must be taken, so only distinguished subexpressions are reached.
+    Only leaves ending at end are kept when end is given.
     """
     if word.r > MAX_WORD_LENGTH:
         raise BudgetError(
             f"word length {word.r} exceeds the enumeration cap {MAX_WORD_LENGTH}"
         )
     sys = word.system
-    if v is not None and v.system is not sys:
-        raise ConfigError("v belongs to a different root system")
     out: list[Subexpression] = []
 
     def rec(i: int, bits: list[int], partials: list[WeylElement]) -> None:
         if i == word.r:
-            if v is None or partials[-1] == v:
+            if end is None or partials[-1] == end:
                 out.append(Subexpression(word, tuple(bits), tuple(partials)))
             return
-        s = sys.simple_reflection(word.letters[i])
-        taken = partials[-1] * s
-        forced = taken.length < partials[-1].length
-        choices = (1,) if forced else (0, 1)
-        for b in choices:
+        prev = partials[-1]
+        taken = prev * sys.simple_reflection(word.letters[i])
+        forced = prune and taken.length < prev.length
+        for b in (1,) if forced else (0, 1):
             bits.append(b)
-            partials.append(taken if b else partials[-1])
+            partials.append(taken if b else prev)
             rec(i + 1, bits, partials)
             bits.pop()
             partials.pop()
 
     rec(0, [], [sys.identity()])
-    out.sort(key=lambda g: g.bits)
     return out
+
+
+def subexpressions(word: ReducedWord) -> list[Subexpression]:
+    """All 2^r subexpressions, in lexicographic bit order."""
+    return _walk(word, prune=False)
+
+
+def enumerate_distinguished(
+    word: ReducedWord, v: Optional[WeylElement] = None
+) -> list[Subexpression]:
+    """Distinguished subexpressions in lexicographic bit order, restricted to
+    those ending at v if given.
+
+    Enumerated by a pruned search: whenever the running partial product has
+    the next letter as a right descent, taking the letter is forced.
+    """
+    if v is not None and v.system is not word.system:
+        raise ConfigError("v belongs to a different root system")
+    return _walk(word, prune=True, end=v)
 
 
 def unique_IJ_equal(word: ReducedWord, v: WeylElement) -> Subexpression:

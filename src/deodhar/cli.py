@@ -194,6 +194,8 @@ def _cmd_verify(args) -> int:
             rows.extend(group)
     except BudgetError as exc:
         budget_note = str(exc)
+    if not rows and budget_note is None:
+        raise ConfigError(f"suite {args.suite!r} ran zero checks with these parameters")
     failures = [r for r in rows if not r["match"]]
     status = "PASS" if not failures else "FAIL"
     if budget_note is not None:

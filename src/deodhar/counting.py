@@ -167,7 +167,7 @@ def r_polynomial(
     memo = sys.cache("r_polynomial") if _descent is None else {}
 
     def rec(v: WeylElement, w: WeylElement) -> IntPolynomial:
-        key = (v.matrix, w.matrix)
+        key = (v, w)
         got = memo.get(key)
         if got is not None:
             return got

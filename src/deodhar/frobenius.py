@@ -193,7 +193,11 @@ class RegularCharacter:
 
 
 def is_regular(psi: RegularCharacter, od: OrbitData) -> bool:
-    """True when psi has a nontrivial component on every phi-orbit."""
+    """True when psi has a nontrivial component on every phi-orbit.
+
+    Raises ConfigError unless psi tags exactly the orbit representatives,
+    each with a multiplier that is a code of F_{q_a}, i.e. in 0..q_a-1.
+    """
     reps = set(od.representatives)
     tagged = {r for r, _ in psi.components}
     if tagged != reps:
@@ -201,6 +205,13 @@ def is_regular(psi: RegularCharacter, od: OrbitData) -> bool:
             f"character components {sorted(tagged)} do not match orbit "
             f"representatives {sorted(reps)}"
         )
+    for rep, c in psi.components:
+        q_a = od.q_alpha(rep)
+        if not 0 <= c < q_a:
+            raise ConfigError(
+                f"multiplier {c} on the orbit of alpha_{od.system.letter(rep)} "
+                f"is not an element code of F_{q_a} (0..{q_a - 1})"
+            )
     return all(psi.multiplier(rep) != 0 for rep in od.representatives)
 
 

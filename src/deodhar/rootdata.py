@@ -2,9 +2,14 @@
 
 Roots are integer coordinate vectors in the simple-root basis, so reflections,
 lengths and Bruhat comparisons are all exact integer computations; no floating
-point appears anywhere.  A Weyl group element is canonically its action matrix
-on the root lattice (columns are the images of the simple roots).  The cached
-lexicographically-least reduced word is only used for display and tie-breaks.
+point appears anywhere.  No supported Weyl group has more than 192 elements,
+so each root system tabulates its group once, when it is built: for every
+element its permutation of the roots, its length (the number of positive roots
+it sends to negative ones), its canonical word, its inverse, its products with
+each simple reflection on either side, its left and right descent sets and its
+lower Bruhat interval as an int bitset.  A Weyl group element is an index into
+these tables.  Indices run in (length, canonical word) order, where the
+canonical word is the lexicographically least reduced word.
 
 Supported Cartan types: A1..A4, B2, B3, C2, C3, D4, G2.  Rank is capped at 4
 because downstream cell enumeration is exponential in the word length.
@@ -16,7 +21,8 @@ so that the simple reflection acts by ``s_i(a_j) = a_j - C[i][j] a_i``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Optional
+from operator import mul
+from typing import Iterable
 
 from .errors import ConfigError
 
@@ -53,24 +59,8 @@ def _cartan_matrix(type_label: str, rank: int) -> Matrix:
     return tuple(tuple(row) for row in c)
 
 
-def _identity_matrix(rank: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_vec(m: Matrix, v: Root) -> Root:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 class RootSystem:
-    """Root system of a finite Weyl group, with all arithmetic caches.
+    """Root system of a finite Weyl group, with the group's lookup tables.
 
     Use :func:`build_root_system` to obtain the interned instance for a
     type/rank pair; Weyl elements compare systems by identity.
@@ -86,98 +76,132 @@ class RootSystem:
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(int(i == j) for j in range(rank)) for i in range(rank)
         )
-        self._simple_matrices = tuple(self._reflection_matrix(i) for i in range(rank))
-        self._id_matrix = _identity_matrix(rank)
-        self.roots, self.positive_roots = self._generate_roots()
+        self.roots, self.positive_roots, images = self._generate_roots()
         self._positive_set = frozenset(self.positive_roots)
-        self._root_set = frozenset(self.roots)
-        # per-matrix caches, filled lazily
-        self._length: dict[Matrix, int] = {self._id_matrix: 0}
-        self._canonical: dict[Matrix, tuple[int, ...]] = {self._id_matrix: ()}
-        self._inverse: dict[Matrix, Matrix] = {}
-        self._bruhat: dict[tuple[Matrix, Matrix], bool] = {}
-        self._elements: Optional[tuple["WeylElement", ...]] = None
-        self._w0: Optional["WeylElement"] = None
+        self._root_index = {r: k for k, r in enumerate(self.roots)}
+        self._build_tables(
+            [tuple(self._root_index[img[r]] for r in self.roots) for img in images]
+        )
         self._op_caches: dict[str, dict] = {}
 
     # -- construction ----------------------------------------------------
 
-    def _reflection_matrix(self, i: int) -> Matrix:
-        rows = [list(row) for row in _identity_matrix(self.rank)]
-        for j in range(self.rank):
-            rows[i][j] = (1 if i == j else 0) - self.cartan_matrix[i][j]
-        return tuple(tuple(row) for row in rows)
-
-    def _generate_roots(self) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
+    def _generate_roots(
+        self,
+    ) -> tuple[tuple[Root, ...], tuple[Root, ...], list[dict[Root, Root]]]:
+        """All roots (negatives first), the positive roots, and each s_i as a map on roots."""
+        images: list[dict[Root, Root]] = [{} for _ in range(self.rank)]
         roots = set(self.simple_roots)
-        frontier = set(self.simple_roots)
+        frontier = list(self.simple_roots)
         while frontier:
-            new = set()
+            new = []
             for r in frontier:
-                for m in self._simple_matrices:
-                    img = _mat_vec(m, r)
+                for i, row in enumerate(self.cartan_matrix):
+                    # s_i(r) = r - <r, a_i^vee> a_i: only coordinate i changes
+                    img = list(r)
+                    img[i] -= sum(map(mul, row, r))
+                    img = images[i][r] = tuple(img)
                     if img not in roots:
-                        new.add(img)
-            roots |= new
+                        roots.add(img)
+                        new.append(img)
             frontier = new
         pos = sorted(r for r in roots if all(c >= 0 for c in r))
         neg = sorted(r for r in roots if all(c <= 0 for c in r))
         if len(pos) + len(neg) != len(roots) or len(pos) != len(neg):
             raise ConfigError("root generation produced mixed-sign vectors")
-        return tuple(sorted(roots)), tuple(pos)
+        # the same order as sorted(roots): every negative root sorts first
+        return tuple(neg + pos), tuple(pos), images
+
+    def _build_tables(self, reflections: list[tuple[int, ...]]) -> None:
+        """Intern every element and tabulate the group, once.
+
+        ``reflections[i][k]`` is the index of s_i(roots[k]).  Elements are
+        found level by level: level L+1 is s_i (level L) for the i that raise
+        the length.  Scanning letters in the outer loop and level L in
+        canonical-word order means the first time an element is reached is
+        through its least left descent, so the new level comes out in
+        lexicographic order of canonical words and each element's index is
+        its position in (length, canonical word) order.
+        """
+        n_neg = len(self.roots) - len(self.positive_roots)
+        negative = frozenset(range(n_neg))
+        start = tuple(range(len(self.roots)))
+        perms = [start]
+        words: list[tuple[int, ...]] = [()]
+        index = {start: 0}
+        lmul: list[dict[int, int]] = [{} for _ in range(self.rank)]
+        level = [0]
+        while level:
+            nxt = []
+            for i, refl in enumerate(reflections):
+                row = lmul[i]
+                for k in level:
+                    img = tuple([refl[x] for x in perms[k]])
+                    j = index.get(img)
+                    if j is None:
+                        j = index[img] = len(perms)
+                        perms.append(img)
+                        words.append((i,) + words[k])
+                        nxt.append(j)
+                    row[k] = j
+            level = nxt
+        order = len(perms)
+        self._perms = tuple(perms)
+        self._words = tuple(words)
+        self._lmul = tuple(tuple(row[k] for k in range(order)) for row in lmul)
+        # l(w) = #{positive roots sent to negative roots}
+        self._lengths = tuple(len(negative.intersection(p[n_neg:])) for p in perms)
+        inverse = []
+        for p in perms:
+            q = list(p)
+            for k, x in enumerate(p):
+                q[x] = k
+            inverse.append(index[tuple(q)])
+        self._inverses = tuple(inverse)
+        # w s_i = (s_i w^{-1})^{-1}
+        self._rmul = tuple(
+            tuple([inverse[row[inverse[k]]] for k in range(order)]) for row in self._lmul
+        )
+        # s_i is a right descent of w iff w(a_i) < 0, a left descent iff w^{-1}(a_i) < 0
+        simple = [self._root_index[a] for a in self.simple_roots]
+        right = tuple(
+            frozenset([i for i, a in enumerate(simple) if p[a] < n_neg]) for p in perms
+        )
+        self._right_descents = right
+        self._left_descents = tuple(right[k] for k in inverse)
+        # [e, w] = [e, sw] u s[e, sw] for a left descent s of w; one int bitset each
+        intervals = [{0}]
+        for k in range(1, order):
+            row = self._lmul[words[k][0]]
+            below = intervals[row[k]]
+            intervals.append(below.union(map(row.__getitem__, below)))
+        self._bruhat = tuple(sum(map((1).__lshift__, iv)) for iv in intervals)
+        self._elements = tuple(WeylElement(self, k) for k in range(order))
 
     # -- elements ---------------------------------------------------------
 
     def identity(self) -> "WeylElement":
-        return WeylElement(self, self._id_matrix)
+        return self._elements[0]
 
     def simple_reflection(self, i: int) -> "WeylElement":
         if not 0 <= i < self.rank:
             raise ConfigError(f"simple index {i} out of range for rank {self.rank}")
-        return WeylElement(self, self._simple_matrices[i])
+        return self._elements[self._lmul[i][0]]
 
     def element_from_word(self, letters: Iterable[int]) -> "WeylElement":
-        m = self._id_matrix
+        k = 0
         for i in letters:
             if not 0 <= i < self.rank:
                 raise ConfigError(f"simple index {i} out of range for rank {self.rank}")
-            m = _mat_mul(m, self._simple_matrices[i])
-        return WeylElement(self, m)
+            k = self._rmul[i][k]
+        return self._elements[k]
 
     def weyl_elements(self) -> tuple["WeylElement", ...]:
         """All group elements, sorted by (length, canonical word)."""
-        if self._elements is None:
-            seen = {self._id_matrix}
-            frontier = [self._id_matrix]
-            while frontier:
-                nxt = []
-                for m in frontier:
-                    for s in self._simple_matrices:
-                        ms = _mat_mul(m, s)
-                        if ms not in seen:
-                            seen.add(ms)
-                            nxt.append(ms)
-                frontier = nxt
-            els = [WeylElement(self, m) for m in seen]
-            els.sort(key=lambda w: (w.length, w.canonical_word))
-            self._elements = tuple(els)
         return self._elements
 
     def longest_element(self) -> "WeylElement":
-        if self._w0 is None:
-            w = self.identity()
-            rising = True
-            while rising:
-                rising = False
-                for i in range(self.rank):
-                    if w.act(self.simple_roots[i]) in self._positive_set:
-                        w = w * self.simple_reflection(i)
-                        rising = True
-                        break
-            if w.length != len(self.positive_roots):
-                raise ConfigError("longest element search failed")
-            self._w0 = w
-        return self._w0
+        return self._elements[-1]
 
     def cache(self, name: str) -> dict:
         """Named per-system scratch cache for other modules."""
@@ -214,176 +238,91 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 
 
 class WeylElement:
-    """Element of a Weyl group, canonically its root-lattice action matrix."""
+    """Element of a Weyl group: an index into its root system's tables.
 
-    __slots__ = ("system", "matrix", "_hash")
+    Indices follow (length, canonical word) order, so index 0 is the
+    identity and the last index is the longest element.
+    """
 
-    def __init__(self, system: RootSystem, matrix: Matrix):
+    __slots__ = ("system", "index")
+
+    def __init__(self, system: RootSystem, index: int):
         self.system = system
-        self.matrix = matrix
-        self._hash = hash(matrix)
+        self.index = index
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WeylElement)
             and self.system is other.system
-            and self.matrix == other.matrix
+            and self.index == other.index
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.index)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.system is not other.system:
+        sys = self.system
+        if sys is not other.system:
             raise ConfigError("cannot multiply elements of different root systems")
-        return WeylElement(self.system, _mat_mul(self.matrix, other.matrix))
+        k = self.index
+        for i in sys._words[other.index]:
+            k = sys._rmul[i][k]
+        return sys._elements[k]
 
     def act(self, root: Root) -> Root:
-        return _mat_vec(self.matrix, root)
+        sys = self.system
+        k = sys._root_index.get(root)
+        if k is None:
+            raise ConfigError(f"{root} is not a root of {sys}")
+        return sys.roots[sys._perms[self.index][k]]
 
     def inverse(self) -> "WeylElement":
-        sys = self.system
-        inv = sys._inverse.get(self.matrix)
-        if inv is None:
-            # invert the induced permutation of the (finite) root set
-            preimage = {self.act(r): r for r in sys.roots}
-            cols = [preimage[a] for a in sys.simple_roots]
-            inv = tuple(
-                tuple(cols[j][i] for j in range(sys.rank)) for i in range(sys.rank)
-            )
-            sys._inverse[self.matrix] = inv
-        return WeylElement(sys, inv)
+        return self.system._elements[self.system._inverses[self.index]]
 
     @property
     def length(self) -> int:
-        sys = self.system
-        cached = sys._length.get(self.matrix)
-        if cached is None:
-            cached = sum(
-                1 for r in sys.positive_roots if self.act(r) not in sys._positive_set
-            )
-            sys._length[self.matrix] = cached
-        return cached
+        return self.system._lengths[self.index]
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == self.system._id_matrix
+        return self.index == 0
 
     @property
     def canonical_word(self) -> tuple[int, ...]:
         """Lexicographically least reduced word (greedy smallest left descent)."""
-        sys = self.system
-        cached = sys._canonical.get(self.matrix)
-        if cached is None:
-            letters = []
-            w = self
-            while not w.is_identity:
-                for i in range(sys.rank):
-                    sw = sys.simple_reflection(i) * w
-                    if sw.length < w.length:
-                        letters.append(i)
-                        w = sw
-                        break
-            cached = tuple(letters)
-            sys._canonical[self.matrix] = cached
-        return cached
+        return self.system._words[self.index]
 
     @property
     def word_str(self) -> str:
-        word = self.canonical_word
-        return "".join(LETTERS[i] for i in word) if word else "e"
+        return word_str(self.canonical_word)
 
     def left_descents(self) -> frozenset[int]:
-        # s_i w < w  iff  w^{-1}(a_i) is negative
-        winv = self.inverse()
-        sys = self.system
-        return frozenset(
-            i
-            for i in range(sys.rank)
-            if winv.act(sys.simple_roots[i]) not in sys._positive_set
-        )
+        return self.system._left_descents[self.index]
 
     def right_descents(self) -> frozenset[int]:
-        sys = self.system
-        return frozenset(
-            i
-            for i in range(sys.rank)
-            if self.act(sys.simple_roots[i]) not in sys._positive_set
-        )
+        return self.system._right_descents[self.index]
 
     def __repr__(self) -> str:
         return f"<{self.word_str} in {self.system.type_label}{self.system.rank}>"
 
 
-# -- free functions mirroring the library surface --------------------------
-
-
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return rs.simple_reflection(i)
-
-
-def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
-    return a * b
-
-
-def inverse(a: WeylElement) -> WeylElement:
-    return a.inverse()
-
-
-def length(w: WeylElement) -> int:
-    return w.length
-
-
-def longest_element(rs: RootSystem) -> WeylElement:
-    return rs.longest_element()
-
-
-def left_descents(w: WeylElement) -> frozenset[int]:
-    return w.left_descents()
-
-
-def right_descents(w: WeylElement) -> frozenset[int]:
-    return w.right_descents()
-
-
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order, by the standard descent recursion.
+    """Bruhat order, read from the lower-interval bitset of w.
 
     Equivalent to the subword characterisation: v <= w iff some (equivalently
     any) reduced word of w contains some reduced word of v as a subword.
     """
     if v.system is not w.system:
         raise ConfigError("cannot compare elements of different root systems")
-    sys = v.system
-    key = (v.matrix, w.matrix)
-    cached = sys._bruhat.get(key)
-    if cached is not None:
-        return cached
-    if v.length > w.length:
-        result = False
-    elif v == w:
-        result = True
-    elif w.is_identity:
-        result = False
-    else:
-        i = min(w.left_descents())
-        s = sys.simple_reflection(i)
-        sw = s * w
-        sv = s * v
-        if sv.length < v.length:
-            result = bruhat_leq(sv, sw)
-        else:
-            result = bruhat_leq(v, sw)
-    sys._bruhat[key] = result
-    return result
+    return bool(v.system._bruhat[w.index] >> v.index & 1)
 
 
 def reduced_words(w: WeylElement) -> tuple[tuple[int, ...], ...]:
     """All reduced words of w, sorted lexicographically."""
-    memo: dict[Matrix, tuple[tuple[int, ...], ...]] = {}
+    memo: dict[WeylElement, tuple[tuple[int, ...], ...]] = {}
 
     def rec(u: WeylElement) -> tuple[tuple[int, ...], ...]:
-        got = memo.get(u.matrix)
+        got = memo.get(u)
         if got is not None:
             return got
         if u.is_identity:
@@ -394,7 +333,7 @@ def reduced_words(w: WeylElement) -> tuple[tuple[int, ...], ...]:
                 su = u.system.simple_reflection(i) * u
                 acc.extend((i,) + rest for rest in rec(su))
             words = tuple(acc)
-        memo[u.matrix] = words
+        memo[u] = words
         return words
 
     return tuple(sorted(rec(w)))

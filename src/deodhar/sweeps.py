@@ -55,7 +55,7 @@ def _grouped_cell_polys(word: cells.ReducedWord) -> dict:
     groups: dict = {}
     for gamma in cells.enumerate_distinguished(word):
         poly = counting.cell_count_poly(gamma.cell_shape())
-        key = gamma.end.matrix
+        key = gamma.end
         groups[key] = groups.get(key, IntPolynomial.zero()) + poly
     return groups
 
@@ -65,14 +65,14 @@ def _element_rows(args: tuple[str, int, tuple[int, ...]]) -> list[dict]:
     rs = build_root_system(type_label, rank)
     w = rs.element_from_word(w_word)
     below = [v for v in rs.weyl_elements() if bruhat_leq(v, w)]
-    rpolys = {v.matrix: counting.r_polynomial(v, w) for v in below}
+    rpolys = {v: counting.r_polynomial(v, w) for v in below}
     rows = []
     for letters in reduced_words(w):
         word = cells.ReducedWord.from_letters(rs, letters)
         groups = _grouped_cell_polys(word)
         for v in below:
-            dp = groups.get(v.matrix, IntPolynomial.zero())
-            rp = rpolys[v.matrix]
+            dp = groups.get(v, IntPolynomial.zero())
+            rp = rpolys[v]
             rows.append(
                 _row(
                     "deodhar-vs-rpoly",
@@ -147,7 +147,7 @@ def double_cell_rows(n: int, q: int) -> list[dict]:
                 (flags.permutation_of(w), flags.permutation_of(v)), 0
             )
             rp = counting.r_polynomial(v, w)(q)
-            dp = groups.get(v.matrix, IntPolynomial.zero())(q)
+            dp = groups.get(v, IntPolynomial.zero())(q)
             params = {"n": n, "q": q, "w": w.word_str, "v": v.word_str}
             rows.append(_row("double-cell-vs-rpoly", params, brute, rp))
             rows.append(_row("double-cell-vs-deodhar", params, brute, dp))
@@ -195,8 +195,8 @@ def gl3_rows(q: int, k: int) -> list[dict]:
     params = {"q": q, "k": k}
     od = frobenius.orbit_data(rs, frobenius.TwistData.split(2, q))
     word = cells.ReducedWord.from_letters(rs, (0, 1, 0))
-    closed_gamma = cells.subexpression(word, (1, 0, 1))
-    open_gamma = cells.subexpression(word, (0, 0, 0))
+    closed_gamma = cells.Subexpression(word, (1, 0, 1))
+    open_gamma = cells.Subexpression(word, (0, 0, 0))
     inv = frobenius.cell_invariants(closed_gamma, od)
     rows = [
         _row("gl3-unipotent-vs-flags", params, counts.x_full, dl),

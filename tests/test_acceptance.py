@@ -7,7 +7,7 @@ lines; every criterion also enforces its runtime bound.
 import time
 
 from deodhar import sweeps
-from deodhar.cells import CellShape, ReducedWord, subexpressions
+from deodhar.cells import CellShape, ReducedWord, Subexpression, subexpressions
 from deodhar.cyclo import all_linear_characters, e_psi_check, linear_character, unitriangular_group
 from deodhar.flags import dl_piece_count, enumerate_flags, gl3_example_counts
 from deodhar.frobenius import TwistData, cell_invariants, orbit_data, quotient_model
@@ -120,9 +120,7 @@ def test_criterion_6_gl3_worked_example():
         rs = build_root_system("A", 2)
         od = orbit_data(rs, TwistData.split(2, 2))
         word = ReducedWord.from_letters(rs, (0, 1, 0))
-        from deodhar.cells import subexpression
-
-        closed = subexpression(word, (1, 0, 1))
+        closed = Subexpression(word, (1, 0, 1))
         inv = cell_invariants(closed, od)
         assert inv.n == {0: 0, 1: 1} and inv.m == {0: 0, 1: 0}
         assert (inv.n_bar, inv.m_bar) == (0, 1)

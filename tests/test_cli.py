@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from deodhar.cli import main
 
 
@@ -148,6 +150,18 @@ def test_verify_xq_models_small(capsys):
     assert json.loads(out)["status"] == "PASS"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("xq-models", "--max-nm", "-1"), ("vanishing", "--max-rank", "0")],
+)
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_verify_zero_checks_is_config_error(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, "verify", *argv, "--format", fmt)
+    assert code == 2
+    assert "PASS" not in out
+    assert "zero checks" in err
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "gl3-example", "--q", "2", "--k", "1", "--format", "csv"
@@ -246,6 +260,16 @@ def test_predict_rejects_nonregular_character(capsys):
     )
     assert code == 2
     assert "alpha_t" in err
+
+
+@pytest.mark.parametrize("psi", ["s=2,t=1", "s=-1,t=1"])
+def test_predict_rejects_multiplier_outside_field(capsys, psi):
+    code, out, err = run_cli(
+        capsys, "predict", "A", "2", "--word", "sts", "--q", "2", "--psi", psi
+    )
+    assert code == 2
+    assert out == ""
+    assert "0..1" in err
 
 
 def test_predict_twisted_a2(capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from deodhar.cells import ReducedWord, enumerate_distinguished, subexpression
+from deodhar.cells import ReducedWord, Subexpression, enumerate_distinguished
 from deodhar.errors import ConfigError, EmptyCellError, PreconditionError
 from deodhar.frobenius import (
     RegularCharacter,
@@ -103,38 +103,38 @@ def test_vanishing_witness_iff_not_longest(type_label, rank):
 def test_cell_invariants_examples():
     rs, od = _split_a2()
     word = ReducedWord.from_letters(rs, (0, 1, 0))
-    inv = cell_invariants(subexpression(word, (1, 0, 1)), od)
+    inv = cell_invariants(Subexpression(word, (1, 0, 1)), od)
     assert inv.n == {0: 0, 1: 1}
     assert inv.m == {0: 0, 1: 0}
     assert (inv.n_bar, inv.m_bar) == (0, 1)
 
-    inv0 = cell_invariants(subexpression(word, (0, 0, 0)), od)
+    inv0 = cell_invariants(Subexpression(word, (0, 0, 0)), od)
     assert inv0.n == {0: 0, 1: 0}
     assert inv0.m == {0: 1, 1: 2}
     assert (inv0.n_bar, inv0.m_bar) == (0, 0)
 
-    full = cell_invariants(subexpression(word, (1, 1, 1)), od)
+    full = cell_invariants(Subexpression(word, (1, 1, 1)), od)
     assert full.n == {0: 0, 1: 0}
     assert full.m == {0: 0, 1: 0}
     assert (full.n_bar, full.m_bar) == (0, 0)
 
     with pytest.raises(EmptyCellError):
-        cell_invariants(subexpression(word, (1, 0, 0)), od)
+        cell_invariants(Subexpression(word, (1, 0, 0)), od)
 
 
 def test_quotient_model_examples():
     rs, od = _split_a2()
     word = ReducedWord.from_letters(rs, (0, 1, 0))
-    closed = quotient_model(subexpression(word, (1, 0, 1)), od)
+    closed = quotient_model(Subexpression(word, (1, 0, 1)), od)
     assert str(closed) == "(Gm)^1 x X_2(0,0) x X_2(1,0)"
     assert closed.dimension == 2
-    open_ = quotient_model(subexpression(word, (0, 0, 0)), od)
+    open_ = quotient_model(Subexpression(word, (0, 0, 0)), od)
     assert str(open_) == "X_2(0,1) x X_2(0,2)"
-    point = quotient_model(subexpression(word, (1, 1, 1)), od)
+    point = quotient_model(Subexpression(word, (1, 1, 1)), od)
     assert str(point) == "X_2(0,0) x X_2(0,0)"
     assert point.point_count(1) == 4  # two copies of F_q
     twisted = orbit_data(rs, TwistData.twisted((1, 0), 2))
-    model = quotient_model(subexpression(word, (0, 0, 0)), twisted)
+    model = quotient_model(Subexpression(word, (0, 0, 0)), twisted)
     with pytest.raises(ConfigError):
         model.point_count(1)
 
@@ -192,23 +192,30 @@ def test_regular_characters():
     assert not is_regular(partial, od)
     with pytest.raises(ConfigError):
         is_regular(RegularCharacter.from_mapping({0: 1}), od)
+    # multipliers are element codes of F_{q_a} = F_2
+    for bad in (2, -1):
+        with pytest.raises(ConfigError, match="0..1"):
+            is_regular(RegularCharacter.from_mapping({0: bad, 1: 1}), od)
+    # the twisted orbit {s, t} has q_a = 4, so 2 is a valid code there
+    twisted = orbit_data(rs, TwistData.twisted((1, 0), 2))
+    assert is_regular(RegularCharacter.from_mapping({0: 2}), twisted)
 
 
 def test_isotypic_predictions():
     rs, od = _split_a2()
     word = ReducedWord.from_letters(rs, (0, 1, 0))
     psi = RegularCharacter.regular_default(od)
-    surviving = isotypic_prediction(subexpression(word, (0, 0, 0)), psi, od)
+    surviving = isotypic_prediction(Subexpression(word, (0, 0, 0)), psi, od)
     assert not surviving.vanishes
     assert surviving.shift == 3
     assert "regular module" in surviving.module_description
-    gone = isotypic_prediction(subexpression(word, (1, 0, 1)), psi, od)
+    gone = isotypic_prediction(Subexpression(word, (1, 0, 1)), psi, od)
     assert gone.vanishes and gone.shift is None
     with pytest.raises(PreconditionError):
-        isotypic_prediction(subexpression(word, (1, 1, 1)), psi, od)  # ends at w0
+        isotypic_prediction(Subexpression(word, (1, 1, 1)), psi, od)  # ends at w0
     with pytest.raises(PreconditionError):
         isotypic_prediction(
-            subexpression(word, (0, 0, 0)),
+            Subexpression(word, (0, 0, 0)),
             RegularCharacter.from_mapping({0: 0, 1: 1}),
             od,
         )
@@ -306,7 +313,7 @@ def test_all_skip_shift_is_length(type_label, rank):
         od = orbit_data(rs, TwistData.twisted(phi, 2))
         for w in rs.weyl_elements():
             word = ReducedWord.from_letters(rs, w.canonical_word)
-            gamma = subexpression(word, (0,) * word.r)
+            gamma = Subexpression(word, (0,) * word.r)
             inv = cell_invariants(gamma, od)
             assert sum(inv.m.values()) == w.length
             assert all(c == 0 for c in inv.n.values())

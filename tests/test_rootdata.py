@@ -38,12 +38,79 @@ ROOT_COUNTS = {
     ("G", 2): 12,
 }
 
+WEYL_ORDERS = {
+    ("A", 1): 2,
+    ("A", 2): 6,
+    ("A", 3): 24,
+    ("A", 4): 120,
+    ("B", 2): 8,
+    ("B", 3): 48,
+    ("C", 2): 8,
+    ("C", 3): 48,
+    ("D", 4): 192,
+    ("G", 2): 12,
+}
+
+
+def _sample_pairs(elements, count=60):
+    n = len(elements)
+    return [(elements[(7 * i + 3) % n], elements[(11 * i + 5) % n]) for i in range(count)]
+
 
 @pytest.mark.parametrize("type_label,rank", ALL_TYPES)
 def test_root_counts(type_label, rank):
     rs = build_root_system(type_label, rank)
     assert len(rs.roots) == ROOT_COUNTS[(type_label, rank)]
     assert len(rs.positive_roots) == len(rs.roots) // 2
+
+
+@pytest.mark.parametrize("type_label,rank", ALL_TYPES)
+def test_weyl_group_order(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    elements = rs.weyl_elements()
+    assert len(elements) == len(set(elements)) == WEYL_ORDERS[(type_label, rank)]
+    assert [w.index for w in elements] == list(range(len(elements)))
+    keys = [(w.length, w.canonical_word) for w in elements]
+    assert keys == sorted(keys)
+    assert elements[0] == rs.identity() and rs.identity().is_identity
+    assert elements[-1] == rs.longest_element()
+    assert rs.longest_element().length == len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("type_label,rank", ALL_TYPES)
+def test_product_acts_as_composition(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    for x, y in _sample_pairs(rs.weyl_elements()):
+        for r in rs.roots:
+            assert (x * y).act(r) == x.act(y.act(r))
+
+
+@pytest.mark.parametrize("type_label,rank", ALL_TYPES)
+def test_tables_agree_with_action(type_label, rank):
+    """Length, descents and inverse, recomputed from the action on roots."""
+    rs = build_root_system(type_label, rank)
+    for w in rs.weyl_elements():
+        inversions = sum(1 for r in rs.positive_roots if not rs.is_positive(w.act(r)))
+        assert w.length == inversions
+        winv = w.inverse()
+        assert {winv.act(w.act(r)) for r in rs.roots} == set(rs.roots)
+        assert all(winv.act(w.act(r)) == r for r in rs.roots)
+        assert w.right_descents() == {
+            i for i, a in enumerate(rs.simple_roots) if not rs.is_positive(w.act(a))
+        }
+        assert w.left_descents() == {
+            i for i, a in enumerate(rs.simple_roots) if not rs.is_positive(winv.act(a))
+        }
+
+
+@pytest.mark.parametrize("type_label,rank", ALL_TYPES)
+def test_act_rejects_non_roots(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    w = rs.longest_element()
+    with pytest.raises(ConfigError):
+        w.act((0,) * rank)
+    with pytest.raises(ConfigError):
+        w.act(tuple(2 * c for c in rs.simple_roots[0]))
 
 
 @pytest.mark.parametrize("type_label,rank", ALL_TYPES)
@@ -106,7 +173,7 @@ def test_lengths():
     assert inv == 2
 
 
-@pytest.mark.parametrize("type_label,rank", SMALL_TYPES)
+@pytest.mark.parametrize("type_label,rank", ALL_TYPES)
 def test_length_symmetries(type_label, rank):
     rs = build_root_system(type_label, rank)
     w0 = rs.longest_element()
@@ -191,6 +258,16 @@ def test_bruhat_subword_property_word_independent(type_label, rank):
         expected = {v for v in elements if bruhat_leq(v, w)}
         for letters in reduced_words(w):
             assert _subword_products(rs, letters) == expected
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 4), ("D", 4)])
+def test_bruhat_subword_property_rank4(type_label, rank):
+    """v <= w iff the canonical word of w has a reduced subword multiplying to v."""
+    rs = build_root_system(type_label, rank)
+    elements = rs.weyl_elements()
+    for w in elements:
+        expected = {v for v in elements if bruhat_leq(v, w)}
+        assert _subword_products(rs, w.canonical_word) == expected
 
 
 def test_poincare_counts_a2():
