@@ -1,7 +1,9 @@
 """Golden CLI outputs: the sha256 of stdout for small invocations in every format.
 
 The digests were recorded before the Weyl-group representation was changed
-from action matrices to table indices; any refactor of the library must keep
+from action matrices to table indices; the ``xq-models``, ``flags`` and
+``gl3-example`` digests were recorded before field subtraction and
+multiplication became table lookups.  Any refactor of the library must keep
 every one of these outputs byte-identical.
 """
 
@@ -56,6 +58,21 @@ GOLDEN = {
         "table": "742ebe56df1718702e3b57f1dd3c561702110101bbbb4552f5c87a021ea04464",
         "csv": "4f294a3eb53b139c8225f690516a4027ff8522700fcc23c0d369cf16b0d053fd",
         "json": "0f0ff3da3bf75a677e24daa4302fd75aef108570582c0a8bd5fd41565b658cd0",
+    },
+    ("verify", "xq-models", "--max-qk", "27", "--max-nm", "2"): {
+        "table": "d2f39ab777c626a93e38004898d5be8aebacfcc40e81f22c5d17beed1e1920a6",
+        "csv": "e2d35bf8cef63f42550e5757acc7177af7d5ec3ca03a64183209a76930a5dc76",
+        "json": "87e1b4adc67c57b1a588a6f86e56ea848d927eef87e74ffcf82e14b4259d0452",
+    },
+    ("verify", "flags", "--n", "3", "--q", "3"): {
+        "table": "a94552b865c21d17a107786dc62ccffb71e561ee492b9c4d52955e713812440b",
+        "csv": "a7f64e6e07d59b99254f1ecb5b8ca74508b28f78463c569fe9b3a91d0dcc13e4",
+        "json": "a18ae750d5363c285961c332dcb6480392f3e96ce1bbd7f4747a8eb764f1b95b",
+    },
+    ("verify", "gl3-example", "--q", "2", "--k", "2"): {
+        "table": "8f592f2a13594e6bb13e958750af38ecdfc057d91d30ab61bf2875fc06a90c8b",
+        "csv": "beec0a83212b47e995f28a4360cd400fb44f2dc5677bdb183af5cf3eb6bd69f5",
+        "json": "488c9b4979a36b20bf39665c0123355dddf8cef48d66f34e432f406ee84e4240",
     },
 }
 
