@@ -176,6 +176,8 @@ def _verify_row_groups(args):
         yield sweeps.flag_census_rows(args.n, args.q)
         yield sweeps.double_cell_rows(args.n, args.q)
     elif suite == "gl3-example":
+        if args.k < 1:
+            raise ConfigError(f"--k must satisfy k >= 1, got {args.k}")
         yield sweeps.gl3_rows(args.q, args.k)
     elif suite == "vanishing":
         yield sweeps.vanishing_rows(args.max_rank)

@@ -103,6 +103,7 @@ def mat_mul(f: FqField, a: Rows, b: Rows) -> Rows:
 
 
 def mat_inverse(f: FqField, a: Rows) -> Rows:
+    sub, mul = f.sub_table(), f.mul_table()
     n = len(a)
     aug = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
@@ -110,12 +111,12 @@ def mat_inverse(f: FqField, a: Rows) -> Rows:
         if pivot is None:
             raise ZeroDivisionError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = f.inv(aug[col][col])
-        aug[col] = [f.mul(inv, x) for x in aug[col]]
+        mul_inv = mul[f.inv(aug[col][col])]
+        aug[col] = [mul_inv[x] for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(aug[r], aug[col])]
+                mul_c = mul[aug[r][col]]
+                aug[r] = [sub[x][mul_c[y]] for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
 
 
@@ -124,6 +125,7 @@ def mat_frobenius(f: FqField, a: Rows, q: int) -> Rows:
 
 
 def mat_rank(f: FqField, rows: list[list[int]]) -> int:
+    sub, mul = f.sub_table(), f.mul_table()
     rows = [list(r) for r in rows]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -132,12 +134,12 @@ def mat_rank(f: FqField, rows: list[list[int]]) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = f.inv(rows[rank][col])
-        rows[rank] = [f.mul(inv, x) for x in rows[rank]]
+        mul_inv = mul[f.inv(rows[rank][col])]
+        rows[rank] = [mul_inv[x] for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
-                c = rows[r][col]
-                rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
+                mul_c = mul[rows[r][col]]
+                rows[r] = [sub[x][mul_c[y]] for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -160,18 +162,20 @@ class Flag:
 
 def canonical_flag(f: FqField, rows: Rows) -> Flag:
     """Column-reduce an invertible matrix to the unique flag representative."""
+    sub, mul = f.sub_table(), f.mul_table()
     n = len(rows)
     cols = [[rows[i][j] for i in range(n)] for j in range(n)]
     pivots = []
     for j in range(n):
         col = cols[j]
         p = max(i for i in range(n) if col[i] != 0)
-        inv = f.inv(col[p])
-        cols[j] = [f.mul(inv, x) for x in col]
+        mul_inv = mul[f.inv(col[p])]
+        cols[j] = [mul_inv[x] for x in col]
         for j2 in range(j + 1, n):
             c = cols[j2][p]
             if c != 0:
-                cols[j2] = [f.sub(x, f.mul(c, y)) for x, y in zip(cols[j2], cols[j])]
+                mul_c = mul[c]
+                cols[j2] = [sub[x][mul_c[y]] for x, y in zip(cols[j2], cols[j])]
         pivots.append(p)
     matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     return Flag(f.order, matrix, tuple(pivots))

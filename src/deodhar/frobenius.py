@@ -29,17 +29,10 @@ from typing import Mapping, Optional
 
 from . import cells
 from .errors import BudgetError, ConfigError, EmptyCellError, PreconditionError
-from .gf import MAX_FIELD_ORDER, field
+from .gf import MAX_FIELD_ORDER, _factor_prime_power, field
 from .rootdata import RootSystem, WeylElement
 
 MAX_MODEL_TUPLES = 4 * 10**6
-
-
-def _prime_of(q: int) -> int:
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            return p
-    raise ConfigError(f"{q} is not a power of a supported prime")
 
 
 def _is_power_of(q: int, p: int) -> bool:
@@ -67,11 +60,11 @@ class TwistData:
 
     @classmethod
     def split(cls, rank: int, q: int) -> "TwistData":
-        return cls(tuple(range(rank)), (q,) * rank, _prime_of(q))
+        return cls(tuple(range(rank)), (q,) * rank, _factor_prime_power(q)[0])
 
     @classmethod
     def twisted(cls, phi: tuple[int, ...], q: int) -> "TwistData":
-        return cls(tuple(phi), (q,) * len(phi), _prime_of(q))
+        return cls(tuple(phi), (q,) * len(phi), _factor_prime_power(q)[0])
 
     @property
     def is_split(self) -> bool:
@@ -298,7 +291,7 @@ def yqs_point_count(q: int, s: int, n: int, m: int, k: int = 1) -> int:
     """
     if s < 1:
         raise ConfigError("the covering exponent s must be a positive integer")
-    p = _prime_of(q)
+    p = _factor_prime_power(q)[0]
     if s % p == 0:
         raise ConfigError(f"s={s} must be coprime to the characteristic {p}")
     if n < 0 or m < 0 or k < 1:
@@ -315,20 +308,22 @@ def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
     if m >= 1 and qk * (qk - 1) ** (m - 1) > MAX_MODEL_TUPLES:
         raise BudgetError("brute-force model count exceeds the tuple budget")
     f = field(qk)
-    count = 0
+    sub = f.sub_table()
+    targets = [f.sub(f.pow(z, q), z) for z in f.elements()]
     if m == 0:
-        count = sum(1 for z in f.elements() if f.sub(f.pow(z, q), z) == 0)
+        count = targets.count(0)
     else:
+        powers = [f.pow(lam, power) for lam in f.nonzero()]
         # number of nonzero lambda with lambda^power equal to each value
         power_fibre = [0] * qk
-        for lam in f.nonzero():
-            power_fibre[f.pow(lam, power)] += 1
-        for z in f.elements():
-            target = f.sub(f.pow(z, q), z)
-            for lams in itertools.product(f.nonzero(), repeat=m - 1):
+        for x in powers:
+            power_fibre[x] += 1
+        count = 0
+        for target in targets:
+            for lams in itertools.product(powers, repeat=m - 1):
                 acc = target
-                for lam in lams:
-                    acc = f.sub(acc, f.pow(lam, power))
+                for x in lams:
+                    acc = sub[acc][x]
                 count += power_fibre[acc]
     if count % q:
         raise AssertionError("Artin-Schreier count is not divisible by q")

@@ -25,7 +25,11 @@ count in this repository is bit-for-bit reproducible:
 
 Each modulus is re-verified irreducible at construction time.  Multiplication
 runs through discrete-log tables over the smallest generator; addition is
-XOR in characteristic 2 and digit arithmetic otherwise.
+XOR in characteristic 2 and digit arithmetic otherwise.  Subtraction and
+multiplication also have q x q lookup tables, ``sub_table()`` and
+``mul_table()``, built lazily from ``add``/``neg`` and the log tables on
+first use and kept on the interned field: ``sub`` is one lookup, and the
+brute-force oracles index table rows in their inner loops.
 """
 
 from __future__ import annotations
@@ -57,8 +61,9 @@ _MODULUS: dict[int, tuple[int, ...]] = {
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, e >= 1 and p in _PRIMES; ConfigError otherwise."""
     for p in _PRIMES:
-        if q % p == 0:
+        if q >= 2 and q % p == 0:
             e = 0
             m = q
             while m % p == 0:
@@ -146,6 +151,8 @@ class FqField:
             _verify_irreducible(self.modulus, p)
         self._digits = [self._decode(a) for a in range(q)]
         self._add_table: list[list[int]] | None = None
+        self._sub_table: list[list[int]] | None = None
+        self._mul_table: list[list[int]] | None = None
         self._build_log_tables()
 
     # -- encoding ---------------------------------------------------------
@@ -227,7 +234,24 @@ class FqField:
         return self._encode([(-d) % p for d in self._digits[a]])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.sub_table()[a][b]
+
+    def sub_table(self) -> list[list[int]]:
+        """Rows ``t[a][b] == a - b``, built from ``add`` and ``neg``."""
+        if self._sub_table is None:
+            negs = [self.neg(b) for b in range(self.order)]
+            self._sub_table = [
+                [self.add(a, nb) for nb in negs] for a in range(self.order)
+            ]
+        return self._sub_table
+
+    def mul_table(self) -> list[list[int]]:
+        """Rows ``t[a][b] == a * b``, built from the log-table ``mul``."""
+        if self._mul_table is None:
+            self._mul_table = [
+                [self.mul(a, b) for b in range(self.order)] for a in range(self.order)
+            ]
+        return self._mul_table
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

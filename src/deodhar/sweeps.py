@@ -16,6 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import cells, counting, flags, frobenius
 from .counting import IntPolynomial
+from .errors import ConfigError
+from .gf import _factor_prime_power, field
 from .rootdata import build_root_system, bruhat_leq, reduced_words
 
 RANK_LE_3_TYPES = (
@@ -42,10 +44,15 @@ def _row(test: str, parameters: dict, lhs, rhs) -> dict:
 
 
 def worker_count() -> int:
+    """DEODHAR_WORKERS (default 1), capped at the machine's cpu count."""
+    raw = os.environ.get("DEODHAR_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("DEODHAR_WORKERS", "1")))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ConfigError(f"DEODHAR_WORKERS must be an integer >= 1, got {raw!r}")
+    return min(n, os.cpu_count() or 1)
 
 
 # -- oracle triangle ----------------------------------------------------------
@@ -247,20 +254,25 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
             continue
         rs = build_root_system(type_label, rank)
         e = rs.identity()
+        # one bucket of rows per twist, so each word's Gamma_e is enumerated
+        # once and the rows still come out twist by twist
+        twists = []
         for phi in frobenius.diagram_automorphisms(rs):
             od = frobenius.orbit_data(rs, frobenius.TwistData.twisted(phi, 2))
             psi = frobenius.RegularCharacter.regular_default(od)
-            for w in rs.weyl_elements():
-                for letters in reduced_words(w):
-                    word = cells.ReducedWord.from_letters(rs, letters)
-                    dist = cells.enumerate_distinguished(word, e)
-                    nontrivial = [g for g in dist if any(g.bits)]
+            twists.append((phi, od, psi, []))
+        for w in rs.weyl_elements():
+            for letters in reduced_words(w):
+                word = cells.ReducedWord.from_letters(rs, letters)
+                dist = cells.enumerate_distinguished(word, e)
+                nontrivial = [g for g in dist if any(g.bits)]
+                all_skip = [g for g in dist if not any(g.bits)]
+                for phi, od, psi, bucket in twists:
                     with_witness = 0
                     for gamma in nontrivial:
                         inv = frobenius.cell_invariants(gamma, od)
                         if any(c > 0 for c in inv.n.values()):
                             with_witness += 1
-                    all_skip = [g for g in dist if not any(g.bits)]
                     shift = None
                     clean = False
                     if len(all_skip) == 1:
@@ -280,7 +292,7 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
                         "w": w.word_str,
                         "word": word.display,
                     }
-                    rows.append(
+                    bucket.append(
                         _row(
                             "vanishing-nontrivial",
                             params,
@@ -288,7 +300,7 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
                             len(nontrivial),
                         )
                     )
-                    rows.append(
+                    bucket.append(
                         _row(
                             "vanishing-survivor",
                             params,
@@ -296,6 +308,8 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
                             [1, True, w.length],
                         )
                     )
+        for *_, bucket in twists:
+            rows.extend(bucket)
     return rows
 
 
@@ -370,16 +384,6 @@ def unique_torus_rows(type_label: str, rank: int) -> list[dict]:
 # -- Artin-Schreier models ------------------------------------------------------
 
 
-def _prime_powers_upto(bound: int) -> list[int]:
-    out = []
-    for p in (2, 3, 5, 7):
-        q = p
-        while q <= bound:
-            out.append(q)
-            q *= p
-    return sorted(out)
-
-
 def xq_brute_count(q: int, n: int, m: int, k: int = 1) -> int:
     """Exhaustive count of X_q(n, m)(F_{q^k}), independent of the closed form.
 
@@ -387,53 +391,57 @@ def xq_brute_count(q: int, n: int, m: int, k: int = 1) -> int:
     completions: the last affine coordinate always completes uniquely, a last
     torus coordinate completes when the solved value is nonzero.
     """
-    from .gf import field
-
     f = field(q**k)
+    sub = f.sub_table()
+    elements, nonzero = f.elements(), f.nonzero()
+    free_n = n - 1 if m == 0 else n
+    free_m = m - 1 if m >= 1 else 0
     count = 0
-    for zeta in f.elements():
+    for zeta in elements:
         target = f.sub(f.pow(zeta, q), zeta)
         if n == 0 and m == 0:
-            count += int(target == 0)
+            count += target == 0
             continue
-        free_n = n - 1 if m == 0 else n
-        free_m = m - 1 if m >= 1 else 0
-        for mus in itertools.product(f.elements(), repeat=free_n):
+        for mus in itertools.product(elements, repeat=free_n):
             acc = target
             for mu in mus:
-                acc = f.sub(acc, mu)
-            for lams in itertools.product(f.nonzero(), repeat=free_m):
+                acc = sub[acc][mu]
+            for lams in itertools.product(nonzero, repeat=free_m):
                 s = acc
                 for lam in lams:
-                    s = f.sub(s, lam)
+                    s = sub[s][lam]
                 # the remaining coordinate is s itself
-                count += 1 if m == 0 else int(s != 0)
+                count += 1 if m == 0 else s != 0
     return count
 
 
 def xq_full_product_count(q: int, n: int, m: int, k: int = 1) -> int:
     """Naive full-product enumeration, affordable only for tiny fields."""
-    from .gf import field
-
     f = field(q**k)
+    sub = f.sub_table()
+    elements, nonzero = f.elements(), f.nonzero()
     count = 0
-    for zeta in f.elements():
+    for zeta in elements:
         target = f.sub(f.pow(zeta, q), zeta)
-        for mus in itertools.product(f.elements(), repeat=n):
-            for lams in itertools.product(f.nonzero(), repeat=m):
-                s = target
-                for mu in mus:
-                    s = f.sub(s, mu)
+        for mus in itertools.product(elements, repeat=n):
+            acc = target
+            for mu in mus:
+                acc = sub[acc][mu]
+            for lams in itertools.product(nonzero, repeat=m):
+                s = acc
                 for lam in lams:
-                    s = f.sub(s, lam)
-                if s == 0:
-                    count += 1
+                    s = sub[s][lam]
+                count += s == 0
     return count
 
 
 def xq_model_rows(max_qk: int = 64, max_nm: int = 3) -> list[dict]:
     rows = []
-    for q in _prime_powers_upto(max_qk):
+    for q in range(2, max_qk + 1):
+        try:
+            _factor_prime_power(q)
+        except ConfigError:
+            continue
         k = 1
         while q**k <= max_qk:
             qk = q**k

@@ -146,7 +146,7 @@ def test_criterion_6_gl3_worked_example():
 
 
 def test_criterion_7_artin_schreier_models():
-    with _Timer(120.0) as t:
+    with _Timer(60.0) as t:
         rows = sweeps.xq_model_rows(max_qk=64, max_nm=3)
         total = _assert_rows(rows)
     _report(

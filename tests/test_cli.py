@@ -1,10 +1,13 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
+from deodhar import sweeps
 from deodhar.cli import main
+from deodhar.errors import ConfigError
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +121,24 @@ def test_verify_gl3_example(capsys):
     )
     assert code == 0
     assert json.loads(out)["status"] == "PASS"
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_verify_gl3_example_rejects_k_below_one(capsys, k):
+    code, out, err = run_cli(capsys, "verify", "gl3-example", "--q", "2", "--k", k)
+    assert code == 2
+    assert out == ""
+    assert "--k" in err and "k >= 1" in err
+    assert "power of a prime" not in err
+
+
+@pytest.mark.parametrize("q", ["0", "1", "12"])
+def test_field_order_not_a_prime_power_is_config_error(capsys, q):
+    code, out, err = run_cli(capsys, "verify", "gl3-example", "--q", q)
+    assert code == 2 and out == ""
+    assert "not a power of a prime" in err
+    code, out, err = run_cli(capsys, "predict", "A", "2", "--word", "sts", "--q", q)
+    assert code == 2 and out == ""
 
 
 def test_verify_budget_exit_code(capsys):
@@ -307,9 +328,36 @@ def test_verify_deterministic(capsys):
 
 
 def test_workers_env_does_not_change_results(capsys, monkeypatch):
-    from deodhar import sweeps
-
     serial = sweeps.oracle_triangle_rows("A", 2)
     monkeypatch.setenv("DEODHAR_WORKERS", "2")
     parallel = sweeps.oracle_triangle_rows("A", 2)
     assert serial == parallel
+
+
+def test_worker_count_default_is_one(monkeypatch):
+    monkeypatch.delenv("DEODHAR_WORKERS", raising=False)
+    assert sweeps.worker_count() == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-3"])
+def test_worker_count_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("DEODHAR_WORKERS", value)
+    with pytest.raises(ConfigError, match="DEODHAR_WORKERS"):
+        sweeps.worker_count()
+
+
+@pytest.mark.parametrize("cpus,expected", [(2, 2), (8, 5), (None, 1)])
+def test_worker_count_capped_at_cpu_count(monkeypatch, cpus, expected):
+    monkeypatch.setenv("DEODHAR_WORKERS", "5")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert sweeps.worker_count() == expected
+
+
+def test_bad_workers_env_exits_2_before_any_work(capsys, monkeypatch):
+    monkeypatch.setenv("DEODHAR_WORKERS", "abc")
+    code, out, err = run_cli(
+        capsys, "verify", "deodhar-vs-rpoly", "--type", "A", "--rank", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "DEODHAR_WORKERS" in err

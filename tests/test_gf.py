@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deodhar.errors import ConfigError
-from deodhar.gf import _MODULUS, field
+from deodhar.frobenius import xq_point_count
+from deodhar.gf import _MODULUS, _factor_prime_power, field
+from deodhar.sweeps import xq_brute_count, xq_full_product_count
 
 ALL_ORDERS = sorted(
     {2, 3, 5, 7} | set(_MODULUS.keys())
@@ -97,6 +99,41 @@ def test_axioms_sampled_large(q, data):
     if a != 0:
         assert f.mul(a, f.inv(a)) == 1
     assert f.pow(a, q) == a
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_tables_agree_with_reference_operations(q):
+    f = field(q)
+    sub, mul = f.sub_table(), f.mul_table()
+    assert len(sub) == len(mul) == q
+    for a in f.elements():
+        assert sub[a] == [f.add(a, f.neg(b)) for b in f.elements()]
+        assert mul[a] == [f.mul(a, b) for b in f.elements()]
+        assert [f.sub(a, b) for b in f.elements()] == sub[a]
+    # built once and kept on the interned field
+    assert field(q).sub_table() is sub and field(q).mul_table() is mul
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_xq_brute_counts_match_point_count_odd_extensions(q):
+    for n in range(3):
+        for m in range(3 - n):
+            expected = xq_point_count(q, n, m)
+            assert xq_brute_count(q, n, m) == expected
+            assert xq_full_product_count(q, n, m) == expected
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12, 11, -4])
+def test_factor_prime_power_rejects(q):
+    with pytest.raises(ConfigError):
+        _factor_prime_power(q)
+
+
+def test_factor_prime_power_examples():
+    assert _factor_prime_power(2) == (2, 1)
+    assert _factor_prime_power(512) == (2, 9)
+    assert _factor_prime_power(343) == (7, 3)
+    assert _factor_prime_power(729) == (3, 6)
 
 
 def test_zero_division():
