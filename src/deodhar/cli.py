@@ -22,14 +22,7 @@ import json
 import sys
 
 from . import cells, counting, flags, frobenius, sweeps
-from .errors import (
-    BudgetError,
-    ConfigError,
-    DeodharError,
-    EmptyCellError,
-    NotComparableError,
-    PreconditionError,
-)
+from .errors import BudgetError, ConfigError, DeodharError
 from .rootdata import build_root_system, bruhat_leq
 
 SCHEMA = "deodhar.v1"
@@ -433,9 +426,6 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, NotComparableError, EmptyCellError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DeodharError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,7 +12,11 @@ which the polynomial formulas are checked.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import BudgetError, ConfigError
 from .gf import FqField, field
@@ -40,11 +44,6 @@ def adjacent_transposition(n: int, i: int) -> Perm:
     out = list(range(n))
     out[i], out[i + 1] = out[i + 1], out[i]
     return tuple(out)
-
-
-def inversions(sigma: Perm) -> int:
-    n = len(sigma)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
 
 
 def permutation_of(w: WeylElement) -> Perm:
@@ -89,16 +88,21 @@ def _type_a_system(n: int) -> RootSystem:
 
 
 def mat_mul(f: FqField, a: Rows, b: Rows) -> Rows:
-    n = len(a)
+    # sum_k a_ik b_kj is accumulated as 0 - sum_k (-a_ik) b_kj, so each term
+    # is one mul-row lookup and one sub-row lookup
+    sub, mul = f.sub_table(), f.mul_table()
+    neg = sub[0]
+    cols = list(zip(*b))
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
+    for row in a:
+        neg_rows = [mul[neg[x]] for x in row]
+        out_row = []
+        for col in cols:
             acc = 0
-            for k in range(n):
-                acc = f.add(acc, f.mul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
+            for mul_x, y in zip(neg_rows, col):
+                acc = sub[acc][mul_x[y]]
+            out_row.append(acc)
+        out.append(tuple(out_row))
     return tuple(out)
 
 
@@ -259,14 +263,17 @@ def bruhat_cell(flag: Flag) -> WeylElement:
     return weyl_from_permutation(_type_a_system(flag.n), flag.pivots)
 
 
+def _opposite_perm(f: FqField, flag: Flag) -> Perm:
+    """Permutation v with the flag in B^- v . B: reverse the rows, reduce, flip."""
+    n = flag.n
+    tau = bruhat_word(f, flag.matrix[::-1])
+    return tuple(n - 1 - t for t in tau)
+
+
 def opposite_cell(flag: Flag) -> WeylElement:
     """The v with the flag inside the opposite cell B^- v . B."""
-    f = field(flag.field_order)
-    n = flag.n
-    reversed_rows = tuple(flag.matrix[n - 1 - i] for i in range(n))
-    tau = bruhat_word(f, reversed_rows)
-    v = tuple(n - 1 - tau[j] for j in range(n))
-    return weyl_from_permutation(_type_a_system(n), v)
+    v = _opposite_perm(field(flag.field_order), flag)
+    return weyl_from_permutation(_type_a_system(flag.n), v)
 
 
 # -- cell counting oracles ----------------------------------------------------
@@ -274,31 +281,26 @@ def opposite_cell(flag: Flag) -> WeylElement:
 
 def double_cell_count(n: int, q: int, w: WeylElement, v: WeylElement) -> int:
     """Number of F_q flags in the double cell (Bruhat cell w, opposite cell v)."""
-    w_perm = permutation_of(w)
+    f = field(q)
     v_perm = permutation_of(v)
-    f = field(q)
-    count = 0
-    for flag in _cell_flags(f, w_perm):
-        n_ = flag.n
-        reversed_rows = tuple(flag.matrix[n_ - 1 - i] for i in range(n_))
-        tau = bruhat_word(f, reversed_rows)
-        if tuple(n_ - 1 - tau[j] for j in range(n_)) == v_perm:
-            count += 1
-    return count
+    cell = _cell_flags(f, permutation_of(w))
+    return sum(1 for flag in cell if _opposite_perm(f, flag) == v_perm)
 
 
-def double_cell_census(n: int, q: int) -> dict[tuple[Perm, Perm], int]:
-    """Counts of every (Bruhat cell, opposite cell) pair over all flags."""
+@lru_cache(maxsize=None)
+def double_cell_census(n: int, q: int) -> Mapping[tuple[Perm, Perm], int]:
+    """Counts of every (Bruhat cell, opposite cell) pair over all flags.
+
+    Interned per (n, q) and read-only; a pair with no flags reads 0.
+    """
     f = field(q)
-    census: dict[tuple[Perm, Perm], int] = {}
-    for flag in enumerate_flags(n, q):
-        n_ = flag.n
-        reversed_rows = tuple(flag.matrix[n_ - 1 - i] for i in range(n_))
-        tau = bruhat_word(f, reversed_rows)
-        v = tuple(n_ - 1 - tau[j] for j in range(n_))
-        key = (flag.pivots, v)
-        census[key] = census.get(key, 0) + 1
-    return census
+    pairs = ((flag.pivots, _opposite_perm(f, flag)) for flag in enumerate_flags(n, q))
+    return MappingProxyType(Counter(pairs))
+
+
+def _lang_perm(f: FqField, g: Rows, q: int) -> Perm:
+    """Bruhat cell of the Lang image g^{-1} F(g), F the entrywise q-power."""
+    return bruhat_word(f, mat_mul(f, mat_inverse(f, g), mat_frobenius(f, g, q)))
 
 
 def dl_piece_count(n: int, q: int, w: WeylElement, x: WeylElement, k: int = 1) -> int:
@@ -313,14 +315,8 @@ def dl_piece_count(n: int, q: int, w: WeylElement, x: WeylElement, k: int = 1) -
         raise BudgetError("Deligne-Lusztig piece enumeration exceeds the flag budget")
     f = field(qk)
     w_perm = permutation_of(w)
-    x_perm = permutation_of(x)
-    count = 0
-    for flag in _cell_flags(f, x_perm):
-        g = flag.matrix
-        h = mat_mul(f, mat_inverse(f, g), mat_frobenius(f, g, q))
-        if bruhat_word(f, h) == w_perm:
-            count += 1
-    return count
+    cell = _cell_flags(f, permutation_of(x))
+    return sum(1 for flag in cell if _lang_perm(f, flag.matrix, q) == w_perm)
 
 
 def dl_total_count(n: int, q: int, w: WeylElement, k: int = 1) -> int:
@@ -328,13 +324,8 @@ def dl_total_count(n: int, q: int, w: WeylElement, k: int = 1) -> int:
     qk = q**k
     f = field(qk)
     w_perm = permutation_of(w)
-    count = 0
-    for flag in enumerate_flags(n, qk):
-        g = flag.matrix
-        h = mat_mul(f, mat_inverse(f, g), mat_frobenius(f, g, q))
-        if bruhat_word(f, h) == w_perm:
-            count += 1
-    return count
+    all_flags = enumerate_flags(n, qk)
+    return sum(1 for flag in all_flags if _lang_perm(f, flag.matrix, q) == w_perm)
 
 
 # -- the GL_3 worked example --------------------------------------------------
@@ -382,21 +373,19 @@ def gl3_example_counts(q: int, k: int = 1) -> Gl3ExampleCounts:
     if qk**3 > 2 * 10**6:
         raise BudgetError("GL_3 example enumeration exceeds the triple budget")
     f = field(qk)
-
-    def lang(x: int) -> int:
-        return f.sub(f.pow(x, q), x)
+    sub = f.sub_table()
+    frob = [f.pow(x, q) for x in f.elements()]
+    lang = [sub[frob[x]][x] for x in f.elements()]  # x^q - x
 
     x_full = 0
     closed_rational = 0
     for a in f.elements():
-        la = lang(a)
-        aq = f.pow(a, q)
-        for b in f.elements():
-            lb = lang(b)
+        la = lang[a]
+        aq = frob[a]
+        for lb in lang:
             t1 = f.mul(a, lb)
             t2 = f.mul(aq, lb)
-            for c in f.elements():
-                lc = lang(c)
+            for lc in lang:
                 if lc != t1 and lc != t2:
                     x_full += 1
                     if la == 0:
@@ -406,10 +395,9 @@ def gl3_example_counts(q: int, k: int = 1) -> Gl3ExampleCounts:
 
     closed_points = 0
     open_points = 0
-    for a in f.elements():
-        la = lang(a)
-        for b in f.elements():
-            t = f.mul(la, lang(b))
+    for la in lang:
+        for lb in lang:
+            t = f.mul(la, lb)
             for big_c in f.nonzero():
                 if big_c != t:
                     if la == 0:

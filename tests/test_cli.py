@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from deodhar import sweeps
+from deodhar import flags, sweeps
 from deodhar.cli import main
 from deodhar.errors import ConfigError
 
@@ -113,6 +113,21 @@ def test_verify_flags(capsys):
     assert payload["status"] == "PASS"
     census = [r for r in payload["rows"] if r["test"] == "flag-census-total"]
     assert census[0]["lhs"] == 21
+
+
+def test_verify_flags_enumerates_flag_variety_once(capsys, monkeypatch):
+    calls = []
+    enumerate_flags = flags.enumerate_flags
+
+    def counted(n, q):
+        calls.append((n, q))
+        return enumerate_flags(n, q)
+
+    flags.double_cell_census.cache_clear()
+    monkeypatch.setattr(flags, "enumerate_flags", counted)
+    code, _, _ = run_cli(capsys, "verify", "flags", "--n", "3", "--q", "2")
+    assert code == 0
+    assert calls == [(3, 2)]
 
 
 def test_verify_gl3_example(capsys):

@@ -153,6 +153,26 @@ def test_double_cell_census_cross_foot():
             assert sum(c for (a, _), c in census.items() if a == wp) == q**w.length
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_double_cell_count_matches_census(q):
+    # the per-cell route and the all-flags route share the opposite-cell
+    # reduction; pin them against each other on every pair, zeros included
+    rs = build_root_system("A", 2)
+    census = double_cell_census(3, q)
+    for w in rs.weyl_elements():
+        for v in rs.weyl_elements():
+            key = (permutation_of(w), permutation_of(v))
+            assert double_cell_count(3, q, w, v) == census[key]
+
+
+def test_double_cell_census_is_read_only():
+    census = double_cell_census(3, 2)
+    key = next(iter(census))
+    with pytest.raises(TypeError):
+        census[key] = 0
+    assert double_cell_census(3, 2) is census
+
+
 def test_dl_piece_counts():
     rs = build_root_system("A", 2)
     w0 = rs.longest_element()

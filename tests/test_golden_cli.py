@@ -1,10 +1,12 @@
 """Golden CLI outputs: the sha256 of stdout for small invocations in every format.
 
 The digests were recorded before the Weyl-group representation was changed
-from action matrices to table indices; the ``xq-models``, ``flags`` and
+from action matrices to table indices; the first ``xq-models``, ``flags`` and
 ``gl3-example`` digests were recorded before field subtraction and
-multiplication became table lookups.  Any refactor of the library must keep
-every one of these outputs byte-identical.
+multiplication became table lookups, and the last three (``flags`` on GL_4
+over F_2 and GL_2 over F_5, ``gl3-example`` over F_3) before the flag oracles
+were made to build the double-cell census once.  Any refactor of the library
+must keep every one of these outputs byte-identical.
 """
 
 import hashlib
@@ -73,6 +75,21 @@ GOLDEN = {
         "table": "8f592f2a13594e6bb13e958750af38ecdfc057d91d30ab61bf2875fc06a90c8b",
         "csv": "beec0a83212b47e995f28a4360cd400fb44f2dc5677bdb183af5cf3eb6bd69f5",
         "json": "488c9b4979a36b20bf39665c0123355dddf8cef48d66f34e432f406ee84e4240",
+    },
+    ("verify", "flags", "--n", "4", "--q", "2"): {
+        "table": "a49560f44afa7d1967b9c4e1d6bfd8a952cce697ff67a6021526c89c024ef35a",
+        "csv": "9c3e00681283bb48f7beaed6b181157c981b3bc3949b110b142f47ce21f8d5ed",
+        "json": "4b5eb8c899084a9995c91a2108db129ca87c1e6817e5ee9f9f18703cb1b9c0c9",
+    },
+    ("verify", "flags", "--n", "2", "--q", "5"): {
+        "table": "ca62d1b776c13549ed3708ac4e14545bba47e8bd2e39f36a42adc86f03771545",
+        "csv": "6e08ac5d2200ab303e2d38365bb6dbce4a5010dca133ef89edb328b96110abd6",
+        "json": "ba9860eb8a3959b7d518c717041069936eccfb1038f91a09b7ceb6c0c9a460f5",
+    },
+    ("verify", "gl3-example", "--q", "3", "--k", "1"): {
+        "table": "eb28539806db2996eb41e53d6e94e24adc0450804a998895ab412d367571b30e",
+        "csv": "9dbbe558b3ae4a95c01b3b40c44f13e7f8c258710a7d3f518db388c63792228b",
+        "json": "ef0bd032c5d9786e8faa902dd6ff5e3cebb8884dbfb657a2e5f7c3d60c90d9a8",
     },
 }
 
