@@ -1,13 +1,12 @@
 """Deodhar decomposition of double Schubert cells for finite Weyl groups,
 with twisted-Frobenius cell invariants and exhaustive finite-geometry oracles.
 
-Every value type in this package is immutable after construction and safe to
-share between workers; all operations are deterministic pure functions.
+Every value type in this package is immutable after construction; all
+operations are deterministic pure functions.
 """
 
 from .cells import (
     CellShape,
-    FiltrationOrder,
     ReducedWord,
     Subexpression,
     enumerate_distinguished,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import BudgetError, ConfigError, EmptyCellError, NotComparableError
 from .rootdata import Root, RootSystem, WeylElement, bruhat_leq, word_str
@@ -268,24 +268,6 @@ def preceq(delta: Subexpression, gamma: Subexpression) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FiltrationOrder:
-    """Linear extension of the closure order on Gamma_v, maximal cell first."""
-
-    word: ReducedWord
-    v: WeylElement
-    sequence: tuple[Subexpression, ...]
-
-    def __iter__(self) -> Iterator[Subexpression]:
-        return iter(self.sequence)
-
-    def __len__(self) -> int:
-        return len(self.sequence)
-
-    def __getitem__(self, i: int) -> Subexpression:
-        return self.sequence[i]
-
-
 def _filtration_sequence(dist: list[Subexpression]) -> tuple[Subexpression, ...]:
     # Kahn's algorithm from the top of the closure order; ties broken by
     # (descending cell dimension, lexicographically smallest bits).
@@ -317,33 +299,10 @@ def _filtration_sequence(dist: list[Subexpression]) -> tuple[Subexpression, ...]
     return tuple(order)
 
 
-def filtration(word: ReducedWord, v: WeylElement) -> FiltrationOrder:
+def filtration(word: ReducedWord, v: WeylElement) -> tuple[Subexpression, ...]:
     """Numbering of Gamma_v refining the closure order, maximal cell first."""
     if not bruhat_leq(v, word.target):
         raise NotComparableError(
             f"{v.word_str} is not below {word.target.word_str} in Bruhat order"
         )
-    dist = enumerate_distinguished(word, v)
-    return FiltrationOrder(word, v, _filtration_sequence(dist))
-
-
-def decomposition_record(gamma: Subexpression) -> dict:
-    """JSON-ready record for one subexpression row."""
-    rec = {
-        "word": gamma.word.display,
-        "v": gamma.end.word_str,
-        "gamma": gamma.display,
-        "gamma_bits": list(gamma.bits),
-        "I": sorted(gamma.I),
-        "J": sorted(gamma.J),
-        "distinguished": gamma.is_distinguished,
-    }
-    if gamma.is_distinguished:
-        shape = gamma.cell_shape()
-        rec["n"] = shape.n_affine
-        rec["m"] = shape.m_torus
-    else:
-        rec["n"] = None
-        rec["m"] = None
-        rec["violation_index"] = gamma.violation_index()
-    return rec
+    return _filtration_sequence(enumerate_distinguished(word, v))

@@ -7,10 +7,10 @@ Three subcommands:
   on any mismatch;
 * ``predict`` prints the per-piece regular-isotypic prediction table.
 
-Exit codes: 0 pass, 1 identity failure, 2 configuration error, 3 budget
-exceeded.  Identical configurations produce byte-identical output; the only
-environment influence is DEODHAR_WORKERS, which partitions sweeps without
-changing their result.
+Every command builds one JSON-ready payload and hands it to ``_emit``, which
+prints it in the chosen format.  Exit codes: 0 pass, 1 identity failure,
+2 configuration error, 3 budget exceeded.  Identical configurations produce
+byte-identical output; no environment variable changes it.
 """
 
 from __future__ import annotations
@@ -32,39 +32,49 @@ EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _emit_csv(rows: list[dict], columns: list[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(c)) for c in columns])
-    sys.stdout.write(buf.getvalue())
+SUITES = ("deodhar-vs-rpoly", "flags", "gl3-example", "vanishing", "xq-models")
+FORMATS = ("table", "json", "csv")
 
 
-def _csv_cell(value):
+def _emit(fmt: str, payload: dict, columns, flat, lines=None) -> None:
+    """Print payload in one output format.
+
+    json prints the payload itself; csv writes the rows flat(payload) under
+    the header columns(payload); table prints lines(payload), or the csv
+    cells aligned in columns when lines is None.  Only the projection of the
+    chosen format runs.
+    """
+    if fmt == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    if lines is not None and fmt == "table":
+        for line in lines(payload):
+            print(line)
+        return
+    names = columns(payload)
+    text = [[_cell_text(row.get(c)) for c in names] for row in flat(payload)]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(text)
+        sys.stdout.write(buf.getvalue())
+        return
+    widths = [
+        max([len(c)] + [len(row[i]) for row in text]) for i, c in enumerate(names)
+    ]
+    print("  ".join(c.ljust(w) for c, w in zip(names, widths)))
+    print("  ".join("-" * w for w in widths))
+    for row in text:
+        print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
+
+
+def _cell_text(value) -> str:
     if isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
     if value is None:
         return ""
-    return value
-
-
-def _emit_table(rows: list[dict], columns: list[str]) -> None:
-    cells_text = [[str(_csv_cell(r.get(c))) for c in columns] for r in rows]
-    widths = [
-        max([len(c)] + [len(row[i]) for row in cells_text])
-        for i, c in enumerate(columns)
-    ]
-    header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
-    print(header)
-    print("  ".join("-" * w for w in widths))
-    for row in cells_text:
-        print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
+    return str(value)
 
 
 # -- decompose -----------------------------------------------------------------
@@ -85,36 +95,61 @@ _DECOMPOSE_COLUMNS = [
 ]
 
 
+# fields only a cell (a distinguished subexpression) has; null for candidates
+_CELL_ONLY = (
+    "n", "m", "cell_poly", "cell_poly_coeffs", "filtration_index", "preceq_below"
+)
+
+
 def _decompose_rows_for_v(
     word: cells.ReducedWord, v, include_candidates: bool = True
 ) -> list[dict]:
+    def record(gamma: cells.Subexpression, **fields) -> dict:
+        return {
+            "word": gamma.word.display,
+            "v": gamma.end.word_str,
+            "gamma": gamma.display,
+            "gamma_bits": list(gamma.bits),
+            "I": sorted(gamma.I),
+            "J": sorted(gamma.J),
+            "distinguished": gamma.is_distinguished,
+            **fields,
+        }
+
     order = cells.filtration(word, v)
     rows = []
     for idx, gamma in enumerate(order):
-        rec = cells.decomposition_record(gamma)
-        rec["cell_poly"] = str(counting.cell_count_poly(gamma.cell_shape()))
-        rec["cell_poly_coeffs"] = list(
-            counting.cell_count_poly(gamma.cell_shape()).coeffs
-        )
-        rec["filtration_index"] = idx
-        rec["preceq_below"] = [
+        shape = gamma.cell_shape()
+        poly = counting.cell_count_poly(shape)
+        below = [
             j
             for j, other in enumerate(order)
             if other is not gamma and cells.preceq(other, gamma)
         ]
-        rec["rule"] = "deodhar-cell"
-        rows.append(rec)
+        rows.append(
+            record(
+                gamma,
+                n=shape.n_affine,
+                m=shape.m_torus,
+                cell_poly=str(poly),
+                cell_poly_coeffs=list(poly.coeffs),
+                filtration_index=idx,
+                preceq_below=below,
+                rule="deodhar-cell",
+            )
+        )
     if include_candidates:
         # non-distinguished candidates ending at v, flagged with the violation
         for gamma in cells.subexpressions(word):
             if gamma.end == v and not gamma.is_distinguished:
-                rec = cells.decomposition_record(gamma)
-                rec["cell_poly"] = None
-                rec["cell_poly_coeffs"] = None
-                rec["filtration_index"] = None
-                rec["preceq_below"] = None
-                rec["rule"] = "empty-cell-candidate"
-                rows.append(rec)
+                rows.append(
+                    record(
+                        gamma,
+                        **dict.fromkeys(_CELL_ONLY),
+                        violation_index=gamma.violation_index(),
+                        rule="empty-cell-candidate",
+                    )
+                )
     return rows
 
 
@@ -148,12 +183,7 @@ def _cmd_decompose(args) -> int:
         "word": word.display,
         "rows": rows,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(rows, _DECOMPOSE_COLUMNS)
-    else:
-        _emit_table(rows, _DECOMPOSE_COLUMNS)
+    _emit(args.format, payload, lambda _: _DECOMPOSE_COLUMNS, lambda p: p["rows"])
     return EXIT_OK
 
 
@@ -177,8 +207,35 @@ def _verify_row_groups(args):
         yield sweeps.witness_rows(args.max_rank)
     elif suite == "xq-models":
         yield sweeps.xq_model_rows(args.max_qk, args.max_nm)
-    else:
-        raise ConfigError(f"unknown verification suite {suite!r}")
+
+
+def _verify_columns(payload: dict) -> list[str]:
+    keys = sorted({k for r in payload["rows"] for k in r["parameters"]})
+    return ["test", *keys, "lhs", "rhs", "match"]
+
+
+def _verify_flat(payload: dict) -> list[dict]:
+    return [
+        {
+            "test": r["test"],
+            **r["parameters"],
+            "lhs": json.dumps(r["lhs"]),
+            "rhs": json.dumps(r["rhs"]),
+            "match": r["match"],
+        }
+        for r in payload["rows"]
+    ]
+
+
+def _verify_lines(payload: dict):
+    for r in payload["rows"]:
+        mark = "ok " if r["match"] else "FAIL"
+        params = json.dumps(r["parameters"], sort_keys=True)
+        yield f"{mark} {r['test']} {params} lhs={r['lhs']} rhs={r['rhs']}"
+    yield (
+        f"{payload['status']}: {payload['checks']} checks, "
+        f"{payload['failures']} failures"
+    )
 
 
 def _cmd_verify(args) -> int:
@@ -206,27 +263,7 @@ def _cmd_verify(args) -> int:
     }
     if budget_note is not None:
         payload["budget_exceeded"] = budget_note
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        keys = sorted({k for r in rows for k in r["parameters"]})
-        flat = [
-            {
-                "test": r["test"],
-                **{k: r["parameters"].get(k) for k in keys},
-                "lhs": json.dumps(r["lhs"]),
-                "rhs": json.dumps(r["rhs"]),
-                "match": r["match"],
-            }
-            for r in rows
-        ]
-        _emit_csv(flat, ["test"] + keys + ["lhs", "rhs", "match"])
-    else:
-        for r in rows:
-            mark = "ok " if r["match"] else "FAIL"
-            params = json.dumps(r["parameters"], sort_keys=True)
-            print(f"{mark} {r['test']} {params} lhs={r['lhs']} rhs={r['rhs']}")
-        print(f"{status}: {len(rows)} checks, {len(failures)} failures")
+    _emit(args.format, payload, _verify_columns, _verify_flat, _verify_lines)
     if budget_note is not None:
         print(f"budget exceeded: {budget_note}", file=sys.stderr)
         return EXIT_BUDGET
@@ -308,6 +345,42 @@ def _prediction_payload(table: frobenius.PredictionTable, args) -> dict:
     return payload
 
 
+_PREDICT_COLUMNS = ["x", "prediction", "witness_root", "surviving_gamma", "shift"]
+
+
+def _predict_flat(payload: dict) -> list[dict]:
+    s = payload["survivor"]
+    survivor = {"surviving_gamma": s["gamma"], "shift": s["shift"]}
+    return [
+        {
+            "x": row["x"],
+            "prediction": row["prediction"],
+            "witness_root": row.get("witness_root"),
+            **(survivor if row["prediction"] != "zero" else {}),
+        }
+        for row in payload["rows"]
+    ]
+
+
+def _predict_lines(payload: dict):
+    for row in payload["rows"]:
+        if row["prediction"] == "zero":
+            yield f"x={row['x']}: zero (witness {row['witness_root']})"
+            continue
+        yield f"x={row['x']}: regular-torus-module"
+        for g in row["gamma_table"]:
+            status = "vanishes" if g["vanishes"] else f"survives with shift {g['shift']}"
+            yield (
+                f"  gamma={g['gamma']} n_alpha={g['n_alpha']} "
+                f"m_alpha={g['m_alpha']} {status}"
+            )
+    s = payload["survivor"]
+    line = f"survivor: x={s['x']} gamma={s['gamma']} shift={s['shift']}"
+    if "torus_order" in s:
+        line += f" torus_order={s['torus_order']}"
+    yield line
+
+
 def _cmd_predict(args) -> int:
     rs = build_root_system(args.type, args.rank)
     word = cells.ReducedWord.from_letters(rs, rs.parse_word(args.word))
@@ -316,48 +389,9 @@ def _cmd_predict(args) -> int:
     psi = _parse_psi(args.psi, od, rs)
     table = frobenius.theorem_table(word, od, psi, q=args.q)
     payload = _prediction_payload(table, args)
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        flat = []
-        for row in payload["rows"]:
-            flat.append(
-                {
-                    "x": row["x"],
-                    "prediction": row["prediction"],
-                    "witness_root": row.get("witness_root"),
-                    "surviving_gamma": payload["survivor"]["gamma"]
-                    if row["prediction"] != "zero"
-                    else None,
-                    "shift": payload["survivor"]["shift"]
-                    if row["prediction"] != "zero"
-                    else None,
-                }
-            )
-        _emit_csv(flat, ["x", "prediction", "witness_root", "surviving_gamma", "shift"])
-    else:
-        for row in payload["rows"]:
-            if row["prediction"] == "zero":
-                print(f"x={row['x']}: zero (witness {row['witness_root']})")
-            else:
-                print(f"x={row['x']}: regular-torus-module")
-                for g in row["gamma_table"]:
-                    status = (
-                        "vanishes"
-                        if g["vanishes"]
-                        else f"survives with shift {g['shift']}"
-                    )
-                    print(
-                        f"  gamma={g['gamma']} n_alpha={g['n_alpha']} "
-                        f"m_alpha={g['m_alpha']} {status}"
-                    )
-        s = payload["survivor"]
-        line = (
-            f"survivor: x={s['x']} gamma={s['gamma']} shift={s['shift']}"
-        )
-        if "torus_order" in s:
-            line += f" torus_order={s['torus_order']}"
-        print(line)
+    _emit(
+        args.format, payload, lambda _: _PREDICT_COLUMNS, _predict_flat, _predict_lines
+    )
     return EXIT_OK
 
 
@@ -379,14 +413,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group = dec.add_mutually_exclusive_group(required=True)
     group.add_argument("--v", help="opposite-cell element, word or 'e'")
     group.add_argument("--all-v", action="store_true")
-    dec.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    dec.add_argument("--format", choices=FORMATS, default="table")
     dec.set_defaults(func=_cmd_decompose)
 
     ver = sub.add_parser("verify", help="run an exhaustive identity suite")
-    ver.add_argument(
-        "suite",
-        choices=["deodhar-vs-rpoly", "flags", "gl3-example", "vanishing", "xq-models"],
-    )
+    ver.add_argument("suite", choices=SUITES)
     ver.add_argument("--type", choices=list("ABCDG"), default="A")
     ver.add_argument("--rank", type=int, default=2)
     ver.add_argument("--n", type=int, default=3)
@@ -395,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-rank", type=int, default=3)
     ver.add_argument("--max-qk", type=int, default=64)
     ver.add_argument("--max-nm", type=int, default=3)
-    ver.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    ver.add_argument("--format", choices=FORMATS, default="table")
     ver.set_defaults(func=_cmd_verify)
 
     pre = sub.add_parser("predict", help="regular-isotypic prediction table")
@@ -413,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="default",
         help="'default' (all components nontrivial) or 'letter=int,...'",
     )
-    pre.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    pre.add_argument("--format", choices=FORMATS, default="table")
     pre.set_defaults(func=_cmd_predict)
     return parser
 

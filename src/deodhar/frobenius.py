@@ -60,7 +60,7 @@ class TwistData:
 
     @classmethod
     def split(cls, rank: int, q: int) -> "TwistData":
-        return cls(tuple(range(rank)), (q,) * rank, _factor_prime_power(q)[0])
+        return cls.twisted(range(rank), q)
 
     @classmethod
     def twisted(cls, phi: tuple[int, ...], q: int) -> "TwistData":
@@ -71,15 +71,19 @@ class TwistData:
         return self.phi == tuple(range(len(self.phi)))
 
 
-def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:
-    """All Cartan-preserving permutations of the simple roots."""
+def _preserves_cartan(rs: RootSystem, sigma: tuple[int, ...]) -> bool:
     c = rs.cartan_matrix
     n = rs.rank
-    out = []
-    for sigma in itertools.permutations(range(n)):
-        if all(c[sigma[i]][sigma[j]] == c[i][j] for i in range(n) for j in range(n)):
-            out.append(sigma)
-    return out
+    return all(c[sigma[i]][sigma[j]] == c[i][j] for i in range(n) for j in range(n))
+
+
+def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:
+    """All Cartan-preserving permutations of the simple roots."""
+    return [
+        sigma
+        for sigma in itertools.permutations(range(rs.rank))
+        if _preserves_cartan(rs, sigma)
+    ]
 
 
 @dataclass(frozen=True)
@@ -122,9 +126,8 @@ def orbit_data(rs: RootSystem, twist: TwistData) -> OrbitData:
     n = rs.rank
     if len(twist.phi) != n:
         raise ConfigError("twist rank does not match the root system")
-    c = rs.cartan_matrix
     phi = twist.phi
-    if any(c[phi[i]][phi[j]] != c[i][j] for i in range(n) for j in range(n)):
+    if not _preserves_cartan(rs, phi):
         raise ConfigError("phi does not preserve the Cartan matrix")
     seen = set()
     orbits = []
@@ -208,11 +211,15 @@ def is_regular(psi: RegularCharacter, od: OrbitData) -> bool:
     return all(psi.multiplier(rep) != 0 for rep in od.representatives)
 
 
-def violated_orbit(psi: RegularCharacter, od: OrbitData) -> Optional[int]:
-    for rep in od.representatives:
-        if psi.multiplier(rep) == 0:
-            return rep
-    return None
+def _require_regular(psi: RegularCharacter, od: OrbitData) -> None:
+    """PreconditionError naming the first orbit on which psi is trivial."""
+    if is_regular(psi, od):
+        return
+    rep = next(r for r in od.representatives if psi.multiplier(r) == 0)
+    raise PreconditionError(
+        f"character is trivial on the orbit of alpha_{od.system.letter(rep)}; "
+        "the prediction requires a regular character"
+    )
 
 
 # -- cell invariants ----------------------------------------------------------
@@ -427,12 +434,7 @@ def isotypic_prediction(
     all-skip subexpression contributes the regular torus module in degree
     l(w).
     """
-    if not is_regular(psi, od):
-        rep = violated_orbit(psi, od)
-        raise PreconditionError(
-            f"character is trivial on the orbit of alpha_{od.system.letter(rep)}; "
-            "the prediction requires a regular character"
-        )
+    _require_regular(psi, od)
     if not gamma.end.is_identity:
         raise PreconditionError(
             "the prediction applies to subexpressions ending at the identity"
@@ -483,12 +485,7 @@ def theorem_table(
     order of the torus T^{wF} is included via the GL_n diagonal model.
     """
     sys = word.system
-    if not is_regular(psi, od):
-        rep = violated_orbit(psi, od)
-        raise PreconditionError(
-            f"character is trivial on the orbit of alpha_{sys.letter(rep)}; "
-            "the table requires a regular character"
-        )
+    _require_regular(psi, od)
     w0 = sys.longest_element()
     rows = []
     survivor = None

@@ -2,17 +2,13 @@
 
 Every function returns a list of comparison rows
 ``{"test", "parameters", "lhs", "rhs", "match"}`` in a canonical order, so
-identical configurations produce byte-identical reports.  The oracle-triangle
-sweep can be partitioned across processes (environment variable
-DEODHAR_WORKERS); results are merged and re-sorted, so the output does not
-depend on scheduling.
+identical configurations produce byte-identical reports.  Every sweep runs
+serially in the calling process.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 from . import cells, counting, flags, frobenius
 from .counting import IntPolynomial
@@ -43,18 +39,6 @@ def _row(test: str, parameters: dict, lhs, rhs) -> dict:
     }
 
 
-def worker_count() -> int:
-    """DEODHAR_WORKERS (default 1), capped at the machine's cpu count."""
-    raw = os.environ.get("DEODHAR_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(f"DEODHAR_WORKERS must be an integer >= 1, got {raw!r}")
-    return min(n, os.cpu_count() or 1)
-
-
 # -- oracle triangle ----------------------------------------------------------
 
 
@@ -67,36 +51,6 @@ def _grouped_cell_polys(word: cells.ReducedWord) -> dict:
     return groups
 
 
-def _element_rows(args: tuple[str, int, tuple[int, ...]]) -> list[dict]:
-    type_label, rank, w_word = args
-    rs = build_root_system(type_label, rank)
-    w = rs.element_from_word(w_word)
-    below = [v for v in rs.weyl_elements() if bruhat_leq(v, w)]
-    rpolys = {v: counting.r_polynomial(v, w) for v in below}
-    rows = []
-    for letters in reduced_words(w):
-        word = cells.ReducedWord.from_letters(rs, letters)
-        groups = _grouped_cell_polys(word)
-        for v in below:
-            dp = groups.get(v, IntPolynomial.zero())
-            rp = rpolys[v]
-            rows.append(
-                _row(
-                    "deodhar-vs-rpoly",
-                    {
-                        "type": type_label,
-                        "rank": rank,
-                        "w": w.word_str,
-                        "word": word.display,
-                        "v": v.word_str,
-                    },
-                    list(dp.coeffs),
-                    list(rp.coeffs),
-                )
-            )
-    return rows
-
-
 def _row_sort_key(row: dict):
     params = row["parameters"]
     return (row["test"], tuple(sorted((k, str(v)) for k, v in params.items())))
@@ -105,14 +59,25 @@ def _row_sort_key(row: dict):
 def oracle_triangle_rows(type_label: str, rank: int) -> list[dict]:
     """deodhar_poly == r_polynomial for every v <= w and every reduced word."""
     rs = build_root_system(type_label, rank)
-    args = [(type_label, rank, w.canonical_word) for w in rs.weyl_elements()]
-    n = worker_count()
-    if n > 1:
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            chunks = list(pool.map(_element_rows, args))
-    else:
-        chunks = [_element_rows(a) for a in args]
-    rows = [r for chunk in chunks for r in chunk]
+    rows = []
+    for w in rs.weyl_elements():
+        below = [v for v in rs.weyl_elements() if bruhat_leq(v, w)]
+        rpolys = {v: counting.r_polynomial(v, w) for v in below}
+        for letters in reduced_words(w):
+            word = cells.ReducedWord.from_letters(rs, letters)
+            groups = _grouped_cell_polys(word)
+            for v in below:
+                dp = groups.get(v, IntPolynomial.zero())
+                params = {
+                    "type": type_label,
+                    "rank": rank,
+                    "w": w.word_str,
+                    "word": word.display,
+                    "v": v.word_str,
+                }
+                lhs, rhs = list(dp.coeffs), list(rpolys[v].coeffs)
+                rows.append(_row("deodhar-vs-rpoly", params, lhs, rhs))
+    # rows come out w-major; the report is ordered by stringified parameters
     rows.sort(key=_row_sort_key)
     return rows
 

@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from deodhar import flags, sweeps
+import deodhar
+from deodhar import flags
 from deodhar.cli import main
-from deodhar.errors import ConfigError
 
 
 def run_cli(capsys, *argv):
@@ -342,37 +345,25 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
-def test_workers_env_does_not_change_results(capsys, monkeypatch):
-    serial = sweeps.oracle_triangle_rows("A", 2)
-    monkeypatch.setenv("DEODHAR_WORKERS", "2")
-    parallel = sweeps.oracle_triangle_rows("A", 2)
-    assert serial == parallel
-
-
-def test_worker_count_default_is_one(monkeypatch):
+def test_workers_env_is_ignored(capsys, monkeypatch):
+    args = ["verify", "deodhar-vs-rpoly", "--type", "A", "--rank", "2"]
     monkeypatch.delenv("DEODHAR_WORKERS", raising=False)
-    assert sweeps.worker_count() == 1
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-3"])
-def test_worker_count_rejects_bad_values(monkeypatch, value):
-    monkeypatch.setenv("DEODHAR_WORKERS", value)
-    with pytest.raises(ConfigError, match="DEODHAR_WORKERS"):
-        sweeps.worker_count()
-
-
-@pytest.mark.parametrize("cpus,expected", [(2, 2), (8, 5), (None, 1)])
-def test_worker_count_capped_at_cpu_count(monkeypatch, cpus, expected):
-    monkeypatch.setenv("DEODHAR_WORKERS", "5")
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert sweeps.worker_count() == expected
-
-
-def test_bad_workers_env_exits_2_before_any_work(capsys, monkeypatch):
+    _, plain, _ = run_cli(capsys, *args)
     monkeypatch.setenv("DEODHAR_WORKERS", "abc")
-    code, out, err = run_cli(
-        capsys, "verify", "deodhar-vs-rpoly", "--type", "A", "--rank", "1"
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    assert err == ""
+    assert out == plain
+
+
+def test_cli_import_loads_no_process_pool():
+    probe = (
+        "import sys, deodhar.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
     )
-    assert code == 2
-    assert out == ""
-    assert "DEODHAR_WORKERS" in err
+    env = dict(os.environ, PYTHONPATH=str(Path(deodhar.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

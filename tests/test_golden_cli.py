@@ -8,15 +8,17 @@ over F_2 and GL_2 over F_5, ``gl3-example`` over F_3) before the flag oracles
 were made to build the double-cell census once.  The last two cases, an empty
 ``decompose`` table and the partial report of a ``verify`` run that exceeds
 its budget (exit 3), were recorded before the CLI got a single output
-emitter.  Each case carries its expected exit code.  Any refactor of the
-library must keep every one of these outputs byte-identical.
+emitter.  Each case carries its expected exit code, and every subcommand and
+every ``verify`` suite must be pinned in every output format.  Any refactor
+of the library must keep every one of these outputs byte-identical.
 """
 
+import argparse
 import hashlib
 
 import pytest
 
-from deodhar.cli import main
+from deodhar.cli import FORMATS, SUITES, _build_parser, main
 
 GOLDEN = {
     ("decompose", "A", "3", "--word", "stust", "--v", "s"): {
@@ -123,11 +125,11 @@ GOLDEN = {
     },
 }
 
-FORMATS = ("table", "csv", "json")
 CASES = [
-    (argv, fmt, golden["exit"], golden[fmt])
+    (argv, fmt, golden["exit"], digest)
     for argv, golden in GOLDEN.items()
-    for fmt in FORMATS
+    for fmt, digest in golden.items()
+    if fmt != "exit"
 ]
 
 
@@ -141,3 +143,16 @@ def test_golden_stdout(capsys, argv, fmt, exit_code, digest):
     out = capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_command_and_suite_is_pinned_in_every_format():
+    commands = next(
+        action.choices
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for argv, golden in GOLDEN.items():
+        assert set(golden) == {"exit", *FORMATS}, argv
+    pinned = {argv[0] for argv in GOLDEN}
+    pinned |= {argv[1] for argv in GOLDEN if argv[0] == "verify"}
+    assert {*commands, *SUITES} <= pinned
