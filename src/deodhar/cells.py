@@ -200,15 +200,17 @@ def _walk(
             f"word length {word.r} exceeds the enumeration cap {MAX_WORD_LENGTH}"
         )
     sys = word.system
+    r = word.r
+    reflections = [sys.simple_reflection(i) for i in word.letters]
     out: list[Subexpression] = []
 
     def rec(i: int, bits: list[int], partials: list[WeylElement]) -> None:
-        if i == word.r:
+        if i == r:
             if end is None or partials[-1] == end:
                 out.append(Subexpression(word, tuple(bits), tuple(partials)))
             return
         prev = partials[-1]
-        taken = prev * sys.simple_reflection(word.letters[i])
+        taken = prev * reflections[i]
         forced = prune and taken.length < prev.length
         for b in (1,) if forced else (0, 1):
             bits.append(b)

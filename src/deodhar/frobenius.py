@@ -439,7 +439,14 @@ def isotypic_prediction(
         raise PreconditionError(
             "the prediction applies to subexpressions ending at the identity"
         )
-    inv = cell_invariants(gamma, od)
+    return _prediction_from_invariants(gamma, cell_invariants(gamma, od))
+
+
+def _prediction_from_invariants(
+    gamma: cells.Subexpression, inv: CellInvariants
+) -> IsotypicPrediction:
+    """isotypic_prediction from gamma's invariants, for a gamma ending at the
+    identity and a character already checked to be regular."""
     if any(c > 0 for c in inv.n.values()):
         return IsotypicPrediction(True, None, "zero")
     if any(gamma.bits):
@@ -495,7 +502,7 @@ def theorem_table(
             gamma_rows = []
             for gamma in cells.filtration(word, sys.identity()):
                 inv = cell_invariants(gamma, od)
-                pred = isotypic_prediction(gamma, psi, od)
+                pred = _prediction_from_invariants(gamma, inv)
                 gamma_rows.append((gamma, inv, pred))
                 if not pred.vanishes:
                     survivor = gamma

@@ -14,7 +14,13 @@ from . import cells, counting, flags, frobenius
 from .counting import IntPolynomial
 from .errors import ConfigError
 from .gf import _factor_prime_power, field
-from .rootdata import build_root_system, bruhat_leq, reduced_words
+from .rootdata import (
+    RootSystem,
+    build_root_system,
+    bruhat_leq,
+    reduced_words,
+    word_str,
+)
 
 RANK_LE_3_TYPES = (
     ("A", 1),
@@ -42,13 +48,82 @@ def _row(test: str, parameters: dict, lhs, rhs) -> dict:
 # -- oracle triangle ----------------------------------------------------------
 
 
-def _grouped_cell_polys(word: cells.ReducedWord) -> dict:
-    groups: dict = {}
-    for gamma in cells.enumerate_distinguished(word):
-        poly = counting.cell_count_poly(gamma.cell_shape())
-        key = gamma.end
-        groups[key] = groups.get(key, IntPolynomial.zero()) + poly
-    return groups
+def word_tree_polys(rs: RootSystem) -> dict:
+    """Deodhar polynomial of every reduced word of W at every end v.
+
+    Returns ``{letters: {v: deodhar_poly(word, v)}}`` for every reduced word
+    of every element, with only the nonzero polynomials kept.  Every prefix
+    of a reduced word is reduced, so the words form one tree rooted at the
+    empty word; it is walked once per root system and the result is kept in
+    ``rs.cache("word_tree_polys")``.
+
+    Each node carries, for every end x of its distinguished subexpressions,
+    the histogram of cell shapes (n, m).  Appending a letter s reads Deodhar's
+    cell structure left to right: if l(xs) < l(x) the letter is forced and
+    goes to xs with n + 1; otherwise it is either skipped (stay at x, m + 1)
+    or taken (go to xs, shape unchanged).  A node's polynomial at x is
+    sum c q^n (q-1)^m over its histogram.  Enumerating the subexpressions
+    (``counting.deodhar_poly``) is the cross-check route.
+    """
+    cached = rs.cache("word_tree_polys")
+    if cached:
+        return cached
+    lengths, rmul, right = rs._lengths, rs._rmul, rs._right_descents
+    elements = rs.weyl_elements()
+    # the descent test and the root-sign test of J must agree on every edge
+    down = []
+    for i, row in enumerate(rmul):
+        forced = tuple(lengths[row[x]] < lengths[x] for x in range(len(elements)))
+        for x, flag in enumerate(forced):
+            if flag != (i in right[x]):
+                raise AssertionError(
+                    f"descent and root-sign tests disagree on "
+                    f"{elements[x].word_str} * {rs.letter(i)}"
+                )
+        down.append(forced)
+    shape_coeffs: dict = {}
+    polys: dict = {}  # histogram -> polynomial
+
+    def poly(hist: dict) -> IntPolynomial:
+        key = frozenset(hist.items())
+        p = polys.get(key)
+        if p is None:
+            acc = [0] * (max(n + m for n, m in hist) + 1)
+            for shape, c in hist.items():
+                coeffs = shape_coeffs.get(shape)
+                if coeffs is None:
+                    cell = cells.CellShape(*shape)
+                    coeffs = counting.cell_count_poly(cell).coeffs
+                    shape_coeffs[shape] = coeffs
+                for j, a in enumerate(coeffs):
+                    acc[j] += c * a
+            p = polys[key] = IntPolynomial.from_coeffs(acc)
+        return p
+
+    out: dict = {}
+    stack = [((), 0, {0: {(0, 0): 1}})]
+    while stack:
+        letters, w, states = stack.pop()
+        out[letters] = {elements[x]: poly(hist) for x, hist in states.items()}
+        for i, row in enumerate(rmul):
+            forced = down[i]
+            if forced[w]:
+                continue
+            child: dict = {}
+            for x, hist in states.items():
+                xs = row[x]
+                to = child.setdefault(xs, {})
+                if forced[x]:
+                    for (n, m), c in hist.items():
+                        to[n + 1, m] = to.get((n + 1, m), 0) + c
+                else:
+                    stay = child.setdefault(x, {})
+                    for (n, m), c in hist.items():
+                        stay[n, m + 1] = stay.get((n, m + 1), 0) + c
+                        to[n, m] = to.get((n, m), 0) + c
+            stack.append((letters + (i,), row[w], child))
+    cached.update(out)
+    return cached
 
 
 def _row_sort_key(row: dict):
@@ -59,37 +134,45 @@ def _row_sort_key(row: dict):
 def oracle_triangle_rows(type_label: str, rank: int) -> list[dict]:
     """deodhar_poly == r_polynomial for every v <= w and every reduced word."""
     rs = build_root_system(type_label, rank)
+    tree = word_tree_polys(rs)
+    zero = IntPolynomial.zero()
     rows = []
     for w in rs.weyl_elements():
-        below = [v for v in rs.weyl_elements() if bruhat_leq(v, w)]
-        rpolys = {v: counting.r_polynomial(v, w) for v in below}
+        below = [(v, v.word_str) for v in rs.weyl_elements() if bruhat_leq(v, w)]
+        rpolys = {v: counting.r_polynomial(v, w).coeffs for v, _ in below}
+        w_str = w.word_str
         for letters in reduced_words(w):
-            word = cells.ReducedWord.from_letters(rs, letters)
-            groups = _grouped_cell_polys(word)
-            for v in below:
-                dp = groups.get(v, IntPolynomial.zero())
+            groups = tree[letters]
+            display = word_str(letters)
+            for v, v_str in below:
                 params = {
                     "type": type_label,
                     "rank": rank,
-                    "w": w.word_str,
-                    "word": word.display,
-                    "v": v.word_str,
+                    "w": w_str,
+                    "word": display,
+                    "v": v_str,
                 }
-                lhs, rhs = list(dp.coeffs), list(rpolys[v].coeffs)
-                rows.append(_row("deodhar-vs-rpoly", params, lhs, rhs))
-    # rows come out w-major; the report is ordered by stringified parameters
-    rows.sort(key=_row_sort_key)
+                lhs = list(groups.get(v, zero).coeffs)
+                rows.append(_row("deodhar-vs-rpoly", params, lhs, list(rpolys[v])))
+    # rows come out w-major; the report is ordered by stringified parameters,
+    # and with type and rank fixed that is the order of (v, w, word)
+    rows.sort(key=_triangle_sort_key)
     return rows
+
+
+def _triangle_sort_key(row: dict):
+    params = row["parameters"]
+    return (params["v"], params["w"], params["word"])
 
 
 def partition_rows(type_label: str, rank: int) -> list[dict]:
     """sum_v deodhar_poly(word, v) == q^{l(w)} symbolically, canonical words."""
     rs = build_root_system(type_label, rank)
+    tree = word_tree_polys(rs)
     rows = []
     for w in rs.weyl_elements():
-        word = cells.ReducedWord.from_letters(rs, w.canonical_word)
         total = IntPolynomial.zero()
-        for poly in _grouped_cell_polys(word).values():
+        for poly in tree[w.canonical_word].values():
             total = total + poly
         rows.append(
             _row(
@@ -110,10 +193,10 @@ def double_cell_rows(n: int, q: int) -> list[dict]:
     rs = build_root_system("A", n - 1)
     census = flags.double_cell_census(n, q)
     rows = []
+    tree = word_tree_polys(rs)
     elements = rs.weyl_elements()
     for w in elements:
-        word = cells.ReducedWord.from_letters(rs, w.canonical_word)
-        groups = _grouped_cell_polys(word)
+        groups = tree[w.canonical_word]
         for v in elements:
             brute = census[(flags.permutation_of(w), flags.permutation_of(v))]
             rp = counting.r_polynomial(v, w)(q)
@@ -213,15 +296,17 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
         twists = []
         for phi in frobenius.diagram_automorphisms(rs):
             od = frobenius.orbit_data(rs, frobenius.TwistData.twisted(phi, 2))
-            psi = frobenius.RegularCharacter.regular_default(od)
-            twists.append((phi, od, psi, []))
+            frobenius._require_regular(
+                frobenius.RegularCharacter.regular_default(od), od
+            )
+            twists.append((phi, od, []))
         for w in rs.weyl_elements():
             for letters in reduced_words(w):
                 word = cells.ReducedWord.from_letters(rs, letters)
                 dist = cells.enumerate_distinguished(word, e)
                 nontrivial = [g for g in dist if any(g.bits)]
                 all_skip = [g for g in dist if not any(g.bits)]
-                for phi, od, psi, bucket in twists:
+                for phi, od, bucket in twists:
                     with_witness = 0
                     for gamma in nontrivial:
                         inv = frobenius.cell_invariants(gamma, od)
@@ -231,7 +316,9 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
                     clean = False
                     if len(all_skip) == 1:
                         inv0 = frobenius.cell_invariants(all_skip[0], od)
-                        pred = frobenius.isotypic_prediction(all_skip[0], psi, od)
+                        pred = frobenius._prediction_from_invariants(
+                            all_skip[0], inv0
+                        )
                         clean = (
                             all(c == 0 for c in inv0.n.values())
                             and inv0.n_bar == 0

@@ -6,7 +6,7 @@ lines; every criterion also enforces its runtime bound.
 
 import time
 
-from deodhar import sweeps
+from deodhar import counting, sweeps
 from deodhar.cells import CellShape, ReducedWord, Subexpression, subexpressions
 from deodhar.cyclo import all_linear_characters, e_psi_check, linear_character, unitriangular_group
 from deodhar.flags import dl_piece_count, enumerate_flags, gl3_example_counts
@@ -73,6 +73,33 @@ def test_criterion_2_oracle_triangle():
         f"{total} polynomial identities over every reduced word, "
         f"{brute} brute-force double-cell comparisons",
     )
+
+
+def test_a4_oracle_triangle_and_partition(monkeypatch):
+    # both sweeps read one reduced-word tree, kept in the system's cache
+    with _Timer(30.0) as t:
+        rows = sweeps.oracle_triangle_rows("A", 4)
+        assert len(rows) == 256_005
+        _assert_rows(rows)
+    _report("a4 oracle-triangle", t, f"{len(rows)} polynomial identities")
+    del rows
+    tree = build_root_system("A", 4).cache("word_tree_polys")
+    assert len(tree) == 3061
+    walks = []
+    cell_count_poly = counting.cell_count_poly
+
+    def counted(shape):
+        walks.append(shape)
+        return cell_count_poly(shape)
+
+    monkeypatch.setattr(counting, "cell_count_poly", counted)
+    with _Timer(5.0) as t:
+        rows = sweeps.partition_rows("A", 4)
+        assert len(rows) == 120
+        _assert_rows(rows)
+    assert walks == []
+    assert build_root_system("A", 4).cache("word_tree_polys") is tree
+    _report("a4 cell-partition", t, f"{len(rows)} symbolic partitions, no second walk")
 
 
 def test_criterion_3_partition_cross_foot():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import deodhar
-from deodhar import flags
+from deodhar import flags, frobenius
 from deodhar.cli import main
 
 
@@ -282,6 +282,26 @@ def test_predict_identity_word(capsys):
     payload = json.loads(out)
     assert payload["survivor"]["shift"] == 0
     assert payload["survivor"]["gamma"] == "()"
+
+
+def test_cell_invariants_computed_once_per_subexpression(capsys, monkeypatch):
+    calls = []
+    cell_invariants = frobenius.cell_invariants
+
+    def counted(gamma, od):
+        calls.append(gamma)
+        return cell_invariants(gamma, od)
+
+    monkeypatch.setattr(frobenius, "cell_invariants", counted)
+    code, _, _ = run_cli(capsys, "predict", "A", "3", "--word", "stutst")
+    assert code == 0
+    # Gamma_e of stutst has 5 subexpressions
+    assert len(calls) == len(set(calls)) == 5
+    calls.clear()
+    code, _, _ = run_cli(capsys, "verify", "vanishing", "--max-rank", "1")
+    assert code == 0
+    # A1 has one twist; the words e and s each have only the all-skip Gamma_e
+    assert len(calls) == 2
 
 
 def test_predict_rejects_nonregular_character(capsys):

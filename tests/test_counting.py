@@ -11,8 +11,9 @@ from deodhar.counting import (
     r_polynomial,
     schubert_cell_poly,
 )
+from deodhar import sweeps
 from deodhar.flags import double_cell_count
-from deodhar.rootdata import build_root_system, bruhat_leq
+from deodhar.rootdata import RootSystem, build_root_system, bruhat_leq, reduced_words
 
 coeff_lists = st.lists(st.integers(-50, 50), max_size=6)
 
@@ -130,8 +131,6 @@ def test_r_polynomial_degree_and_positivity(type_label, rank):
 @pytest.mark.parametrize("type_label,rank", [("C", 2), ("C", 3)])
 def test_oracle_triangle_type_c(type_label, rank):
     # the B/C pairs share a Weyl group but exercise transposed Cartan data
-    from deodhar import sweeps
-
     rows = sweeps.oracle_triangle_rows(type_label, rank)
     assert rows and all(r["match"] for r in rows)
 
@@ -142,3 +141,35 @@ def test_schubert_cell_poly():
     assert schubert_cell_poly(rs.longest_element()).coeffs == (0, 0, 0, 1)
     assert sum(schubert_cell_poly(w)(2) for w in rs.weyl_elements()) == 21
     assert sum(schubert_cell_poly(w)(3) for w in rs.weyl_elements()) == 52
+
+
+@pytest.mark.parametrize("type_label,rank", sweeps.RANK_LE_3_TYPES)
+def test_word_tree_equals_enumeration(type_label, rank):
+    # the tree walk against the enumeration route, word by word and v by v
+    rs = build_root_system(type_label, rank)
+    tree = sweeps.word_tree_polys(rs)
+    zero = IntPolynomial.zero()
+    words = 0
+    for w in rs.weyl_elements():
+        for letters in reduced_words(w):
+            words += 1
+            word = ReducedWord.from_letters(rs, letters)
+            polys = tree[letters]
+            for v in rs.weyl_elements():
+                assert polys.get(v, zero) == deodhar_poly(word, v), (letters, v)
+    assert len(tree) == words
+    assert sweeps.word_tree_polys(rs) is tree
+
+
+def test_word_tree_corrupted_length_trips_j_check():
+    # a fresh system, so the interned one and its cache are never touched
+    rs = RootSystem("A", 2)
+    lengths = list(rs._lengths)
+    s = rs.simple_reflection(0).index
+    lengths[s] = 0  # now l(s * s) < l(s) fails although s is a right descent of s
+    rs._lengths = tuple(lengths)
+    with pytest.raises(AssertionError, match="descent and root-sign"):
+        sweeps.word_tree_polys(rs)
+    assert rs.cache("word_tree_polys") == {}
+    assert build_root_system("A", 2)._lengths[s] == 1
+    assert len(sweeps.word_tree_polys(RootSystem("A", 2))) == 7
