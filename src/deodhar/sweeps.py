@@ -192,8 +192,8 @@ def double_cell_rows(n: int, q: int) -> list[dict]:
     """Flag-variety double-cell counts against both polynomial routes."""
     rs = build_root_system("A", n - 1)
     census = flags.double_cell_census(n, q)
-    rows = []
     tree = word_tree_polys(rs)
+    rows = []
     elements = rs.weyl_elements()
     for w in elements:
         groups = tree[w.canonical_word]

@@ -1,8 +1,10 @@
-"""Point-count polynomials: hand-unrolled values and the oracle triangle."""
+"""Point-count polynomials: hand-unrolled values, the oracle triangle and the
+reduced-word tree against enumeration."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from deodhar import sweeps
 from deodhar.cells import CellShape, ReducedWord
 from deodhar.counting import (
     IntPolynomial,
@@ -11,7 +13,6 @@ from deodhar.counting import (
     r_polynomial,
     schubert_cell_poly,
 )
-from deodhar import sweeps
 from deodhar.flags import double_cell_count
 from deodhar.rootdata import RootSystem, build_root_system, bruhat_leq, reduced_words
 
