@@ -10,9 +10,14 @@ gamma^i for the i-th partial product, the two index sets
 drive everything: gamma is distinguished (indexes a non-empty cell of the
 double Schubert cell decomposition) iff J(gamma) is contained in I(gamma),
 equivalently iff no forced letter was skipped, and the cell is then a product
-of |I|-|J| affine lines and r-|I| tori.  J is computed both by the descent
-test and by the sign of the twisted roots beta~_i = gamma^i(-beta_i); the two
-characterisations must agree and this is asserted on every construction.
+of |I|-|J| affine lines and r-|I| tori.
+
+Whether a letter s is forced after a partial product x, l(x s) < l(x), is
+read from one table per root system (``_forced_letters``), checked entry by
+entry against the root-sign test x(alpha_s) < 0 when it is built.  J, the
+first violation of a subexpression and the pruning of the walk all read that
+table; every ``Subexpression`` also asserts that its J equals the set of
+positions whose twisted root beta~_i = gamma^i(-beta_i) is positive.
 """
 
 from __future__ import annotations
@@ -82,54 +87,37 @@ class Subexpression:
 
     __slots__ = ("word", "bits", "partials", "end", "I", "J", "tilde_betas")
 
-    def __init__(
-        self,
-        word: ReducedWord,
-        bits: Iterable[int],
-        _partials: Optional[tuple[WeylElement, ...]] = None,
-    ):
+    def __init__(self, word: ReducedWord, bits: Iterable[int]):
         bits = tuple(int(b) for b in bits)
         if len(bits) != word.r or any(b not in (0, 1) for b in bits):
             raise ConfigError("bits must be a 0/1 vector matching the word length")
         self.word = word
         self.bits = bits
         sys = word.system
-        if _partials is None:
-            parts = [sys.identity()]
-            for i, b in enumerate(bits):
-                parts.append(
-                    parts[-1] * sys.simple_reflection(word.letters[i]) if b else parts[-1]
-                )
-            _partials = tuple(parts)
-        self.partials = _partials
-        self.end = _partials[-1]
+        parts = [sys.identity()]
+        for i, b in enumerate(bits):
+            parts.append(
+                parts[-1] * sys.simple_reflection(word.letters[i]) if b else parts[-1]
+            )
+        self.partials = tuple(parts)
+        self.end = parts[-1]
         self.I = frozenset(i + 1 for i, b in enumerate(bits) if b)
         # beta~_i = gamma^i(-beta_i)
         self.tilde_betas = tuple(
-            _partials[i + 1].act(tuple(-c for c in word.simple_root(i)))
+            parts[i + 1].act(tuple(-c for c in word.simple_root(i)))
             for i in range(word.r)
+        )
+        forced = _forced_letters(sys)
+        self.J = frozenset(
+            i + 1 for i, s in enumerate(word.letters) if forced[s][parts[i + 1].index]
         )
         j_sign = frozenset(
             i + 1 for i in range(word.r) if sys.is_positive(self.tilde_betas[i])
         )
-        j_descent = frozenset(
-            i + 1
-            for i in range(word.r)
-            if self._partial_times_letter(i).length < _partials[i + 1].length
-        )
-        if j_sign != j_descent:
+        if self.J != j_sign:
             raise AssertionError(
                 f"descent and root-sign computations of J disagree on {self}"
             )
-        self.J = j_sign
-
-    def _partial_times_letter(self, i: int) -> WeylElement:
-        """gamma^i * s_i (1-based position i+1); reuses gamma^{i-1} when taken."""
-        if self.bits[i]:
-            return self.partials[i]
-        return self.partials[i + 1] * self.word.system.simple_reflection(
-            self.word.letters[i]
-        )
 
     # -- derived data ------------------------------------------------------
 
@@ -143,14 +131,7 @@ class Subexpression:
 
     def violation_index(self) -> Optional[int]:
         """First 1-based position where a forced letter was skipped, if any."""
-        for i in range(self.r):
-            if self.bits[i]:
-                continue
-            prev = self.partials[i]
-            s = self.word.system.simple_reflection(self.word.letters[i])
-            if (prev * s).length < prev.length:
-                return i + 1
-        return None
+        return min(self.J - self.I, default=None)
 
     def cell_shape(self) -> CellShape:
         if not self.is_distinguished:
@@ -186,14 +167,41 @@ class Subexpression:
         return f"Subexpression{self.display}"
 
 
+def _forced_letters(rs: RootSystem) -> dict[int, tuple[bool, ...]]:
+    """forced[s][x] = l(x s) < l(x), for every letter s and element index x.
+
+    The one place Deodhar's forced-letter rule is decided: after a partial
+    product x the letter s must be taken exactly when this holds.  Built once
+    per root system and kept in ``rs.cache("forced_letters")``; every entry
+    is asserted equal to the root-sign test (s is a right descent of x, i.e.
+    x(alpha_s) < 0) before anything is cached.
+    """
+    cached = rs.cache("forced_letters")
+    if cached:
+        return cached
+    lengths, right = rs._lengths, rs._right_descents
+    table = {}
+    for s, row in enumerate(rs._rmul):
+        forced = tuple([lengths[xs] < lengths[x] for x, xs in enumerate(row)])
+        for x, flag in enumerate(forced):
+            if flag != (s in right[x]):
+                raise AssertionError(
+                    f"descent and root-sign tests disagree on "
+                    f"{rs.weyl_elements()[x].word_str} * {rs.letter(s)}"
+                )
+        table[s] = forced
+    cached.update(table)
+    return cached
+
+
 def _walk(
     word: ReducedWord, prune: bool, end: Optional[WeylElement] = None
 ) -> list[Subexpression]:
     """Depth-first walk over the subexpressions of word, in lexicographic bit order.
 
-    With prune, a letter that is a right descent of the running partial
-    product must be taken, so only distinguished subexpressions are reached.
-    Only leaves ending at end are kept when end is given.
+    With prune, a forced letter (one the running partial product has as a
+    right descent) must be taken, so only distinguished subexpressions are
+    reached.  Only leaves ending at end are kept when end is given.
     """
     if word.r > MAX_WORD_LENGTH:
         raise BudgetError(
@@ -201,25 +209,23 @@ def _walk(
         )
     sys = word.system
     r = word.r
-    reflections = [sys.simple_reflection(i) for i in word.letters]
+    letters = word.letters
+    rmul, forced = sys._rmul, _forced_letters(sys)
     out: list[Subexpression] = []
 
-    def rec(i: int, bits: list[int], partials: list[WeylElement]) -> None:
+    def rec(i: int, bits: list[int], x: int) -> None:
         if i == r:
-            if end is None or partials[-1] == end:
-                out.append(Subexpression(word, tuple(bits), tuple(partials)))
+            if end is None or x == end.index:
+                out.append(Subexpression(word, bits))
             return
-        prev = partials[-1]
-        taken = prev * reflections[i]
-        forced = prune and taken.length < prev.length
-        for b in (1,) if forced else (0, 1):
+        s = letters[i]
+        xs = rmul[s][x]
+        for b in (1,) if prune and forced[s][x] else (0, 1):
             bits.append(b)
-            partials.append(taken if b else prev)
-            rec(i + 1, bits, partials)
+            rec(i + 1, bits, xs if b else x)
             bits.pop()
-            partials.pop()
 
-    rec(0, [], [sys.identity()])
+    rec(0, [], 0)
     return out
 
 

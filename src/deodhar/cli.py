@@ -101,9 +101,12 @@ _CELL_ONLY = (
 )
 
 
-def _decompose_rows_for_v(
-    word: cells.ReducedWord, v, include_candidates: bool = True
+def _decompose_rows(
+    order: tuple[cells.Subexpression, ...], candidates=()
 ) -> list[dict]:
+    """Rows for the cells of one Gamma_v in filtration order, then the
+    non-distinguished candidates ending at v, flagged with their violation."""
+
     def record(gamma: cells.Subexpression, **fields) -> dict:
         return {
             "word": gamma.word.display,
@@ -116,7 +119,6 @@ def _decompose_rows_for_v(
             **fields,
         }
 
-    order = cells.filtration(word, v)
     rows = []
     for idx, gamma in enumerate(order):
         shape = gamma.cell_shape()
@@ -138,18 +140,15 @@ def _decompose_rows_for_v(
                 rule="deodhar-cell",
             )
         )
-    if include_candidates:
-        # non-distinguished candidates ending at v, flagged with the violation
-        for gamma in cells.subexpressions(word):
-            if gamma.end == v and not gamma.is_distinguished:
-                rows.append(
-                    record(
-                        gamma,
-                        **dict.fromkeys(_CELL_ONLY),
-                        violation_index=gamma.violation_index(),
-                        rule="empty-cell-candidate",
-                    )
-                )
+    for gamma in candidates:
+        rows.append(
+            record(
+                gamma,
+                **dict.fromkeys(_CELL_ONLY),
+                violation_index=gamma.violation_index(),
+                rule="empty-cell-candidate",
+            )
+        )
     return rows
 
 
@@ -157,13 +156,13 @@ def _cmd_decompose(args) -> int:
     rs = build_root_system(args.type, args.rank)
     word = cells.ReducedWord.from_letters(rs, rs.parse_word(args.word))
     if args.all_v:
+        # one walk, grouped by end; ends in element-index (length, word) order
+        groups: dict[int, list] = {}
+        for gamma in cells.enumerate_distinguished(word):
+            groups.setdefault(gamma.end.index, []).append(gamma)
         rows = []
-        targets = sorted(
-            {g.end for g in cells.enumerate_distinguished(word)},
-            key=lambda v: (v.length, v.canonical_word),
-        )
-        for v in targets:
-            rows.extend(_decompose_rows_for_v(word, v, include_candidates=False))
+        for k in sorted(groups):
+            rows.extend(_decompose_rows(cells._filtration_sequence(groups[k])))
     else:
         v = rs.element_from_word(rs.parse_word(args.v))
         if not bruhat_leq(v, word.target):
@@ -174,7 +173,12 @@ def _cmd_decompose(args) -> int:
             )
             rows = []
         else:
-            rows = _decompose_rows_for_v(word, v)
+            candidates = [
+                g
+                for g in cells.subexpressions(word)
+                if g.end == v and not g.is_distinguished
+            ]
+            rows = _decompose_rows(cells.filtration(word, v), candidates)
     payload = {
         "schema": SCHEMA,
         "command": "decompose",
@@ -203,6 +207,12 @@ def _verify_row_groups(args):
             raise ConfigError(f"--k must satisfy k >= 1, got {args.k}")
         yield sweeps.gl3_rows(args.q, args.k)
     elif suite == "vanishing":
+        top = max(rank for _, rank in sweeps.RANK_LE_3_TYPES)
+        if args.max_rank > top:
+            raise ConfigError(
+                f"--max-rank must be at most {top}, the largest rank swept; "
+                f"got {args.max_rank}"
+            )
         yield sweeps.vanishing_rows(args.max_rank)
         yield sweeps.witness_rows(args.max_rank)
     elif suite == "xq-models":
@@ -278,11 +288,15 @@ def _parse_psi(spec: str, od: frobenius.OrbitData, rs) -> frobenius.RegularChara
         return frobenius.RegularCharacter.regular_default(od)
     components = {}
     for part in spec.split(","):
-        if "=" not in part:
-            raise ConfigError(f"bad character component {part!r}; use letter=int")
-        letter, value = part.split("=", 1)
+        letter, _, value = part.partition("=")
+        try:
+            value = int(value)
+        except ValueError:
+            raise ConfigError(
+                f"bad character component {part!r}; use letter=int"
+            ) from None
         idx = rs.letter_index(letter.strip())
-        components[od.representative_of(idx)] = int(value)
+        components[od.representative_of(idx)] = value
     return frobenius.RegularCharacter.from_mapping(components)
 
 

@@ -283,6 +283,7 @@ def xq_point_count(q: int, n: int, m: int, k: int = 1) -> int:
     (G_a)^{n+1} x (G_m)^m.  With n >= 1 the closed form q^{nk} (q^k - 1)^m
     applies (solve for mu_1); with n = 0 the count is exhaustive.
     """
+    _factor_prime_power(q)
     if n < 0 or m < 0 or k < 1:
         raise ConfigError("n, m must be nonnegative and k positive")
     if n >= 1:

@@ -61,26 +61,17 @@ def word_tree_polys(rs: RootSystem) -> dict:
     the histogram of cell shapes (n, m).  Appending a letter s reads Deodhar's
     cell structure left to right: if l(xs) < l(x) the letter is forced and
     goes to xs with n + 1; otherwise it is either skipped (stay at x, m + 1)
-    or taken (go to xs, shape unchanged).  A node's polynomial at x is
+    or taken (go to xs, shape unchanged).  The forced test is read from the
+    one table ``cells._forced_letters``, which checks every entry against the
+    root-sign test when it is built.  A node's polynomial at x is
     sum c q^n (q-1)^m over its histogram.  Enumerating the subexpressions
     (``counting.deodhar_poly``) is the cross-check route.
     """
     cached = rs.cache("word_tree_polys")
     if cached:
         return cached
-    lengths, rmul, right = rs._lengths, rs._rmul, rs._right_descents
+    rmul, down = rs._rmul, cells._forced_letters(rs)
     elements = rs.weyl_elements()
-    # the descent test and the root-sign test of J must agree on every edge
-    down = []
-    for i, row in enumerate(rmul):
-        forced = tuple(lengths[row[x]] < lengths[x] for x in range(len(elements)))
-        for x, flag in enumerate(forced):
-            if flag != (i in right[x]):
-                raise AssertionError(
-                    f"descent and root-sign tests disagree on "
-                    f"{elements[x].word_str} * {rs.letter(i)}"
-                )
-        down.append(forced)
     shape_coeffs: dict = {}
     polys: dict = {}  # histogram -> polynomial
 

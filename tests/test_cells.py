@@ -21,7 +21,7 @@ from deodhar.errors import (
     EmptyCellError,
     NotComparableError,
 )
-from deodhar.rootdata import build_root_system, bruhat_leq, reduced_words
+from deodhar.rootdata import RootSystem, build_root_system, bruhat_leq, reduced_words
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3)]
 
@@ -90,6 +90,38 @@ def test_distinguished_census_a2():
     for g in all_gammas:
         assert (g.violation_index() is None) == (g.J <= g.I)
 
+
+
+@pytest.mark.parametrize("type_label, rank", SMALL_TYPES)
+def test_forced_letters_match_length_descents(type_label, rank):
+    # J and the first violation, recomputed from l(x s) < l(x) by multiplying
+    rs = build_root_system(type_label, rank)
+    word = ReducedWord.from_letters(rs, rs.longest_element().canonical_word)
+    for gamma in subexpressions(word):
+        j, skipped = set(), []
+        for i, letter in enumerate(word.letters):
+            s = rs.simple_reflection(letter)
+            prev, x = gamma.partials[i], gamma.partials[i + 1]
+            if (x * s).length < x.length:
+                j.add(i + 1)
+            if not gamma.bits[i] and (prev * s).length < prev.length:
+                skipped.append(i + 1)
+        assert gamma.J == j
+        assert gamma.violation_index() == min(skipped, default=None)
+
+
+def test_corrupted_length_trips_forced_letter_check():
+    # a fresh system, so the interned one and its cache are never touched
+    rs = RootSystem("A", 2)
+    lengths = list(rs._lengths)
+    s = rs.simple_reflection(0).index
+    lengths[s] = 0  # now l(s * s) < l(s) fails although s is a right descent of s
+    rs._lengths = tuple(lengths)
+    word = ReducedWord.from_letters(rs, (1, 0))
+    with pytest.raises(AssertionError, match="descent and root-sign"):
+        enumerate_distinguished(word)
+    assert rs.cache("forced_letters") == {}
+    assert build_root_system("A", 2)._lengths[s] == 1
 
 def test_enumerate_distinguished():
     rs, word = _a2_word()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import deodhar
-from deodhar import flags, frobenius
+from deodhar import cells, flags, frobenius
 from deodhar.cli import main
 
 
@@ -42,6 +42,24 @@ def test_decompose_all_v_has_seven_rows(capsys):
     assert len(rows) == 7
     assert all(r["distinguished"] for r in rows)
 
+
+
+def test_decompose_all_v_walks_the_word_once(capsys, monkeypatch):
+    calls = []
+    enumerate_distinguished = cells.enumerate_distinguished
+
+    def counted(word, v=None):
+        calls.append(v)
+        return enumerate_distinguished(word, v)
+
+    monkeypatch.setattr(cells, "enumerate_distinguished", counted)
+    code, out, _ = run_cli(
+        capsys, "decompose", "B", "2", "--word", "stst", "--all-v", "--format", "json"
+    )
+    assert code == 0
+    assert calls == [None]
+    # every element of B2 is below w0 = stst
+    assert len({row["v"] for row in json.loads(out)["rows"]}) == 8
 
 def test_decompose_flags_non_distinguished_candidate(capsys):
     code, out, _ = run_cli(
@@ -189,6 +207,14 @@ def test_verify_xq_models_small(capsys):
     assert json.loads(out)["status"] == "PASS"
 
 
+
+@pytest.mark.parametrize("max_rank", ["4", "9"])
+def test_verify_vanishing_rejects_max_rank_above_three(capsys, max_rank):
+    code, out, err = run_cli(capsys, "verify", "vanishing", "--max-rank", max_rank)
+    assert code == 2
+    assert out == ""
+    assert "--max-rank" in err and "at most 3" in err
+
 @pytest.mark.parametrize(
     "argv",
     [("xq-models", "--max-nm", "-1"), ("vanishing", "--max-rank", "0")],
@@ -330,6 +356,16 @@ def test_predict_rejects_multiplier_outside_field(capsys, psi):
     assert out == ""
     assert "0..1" in err
 
+
+
+@pytest.mark.parametrize("psi, bad", [("s=x,t=1", "'s=x'"), ("s,t=1", "'s'")])
+def test_predict_rejects_non_integer_psi_component(capsys, psi, bad):
+    code, out, err = run_cli(
+        capsys, "predict", "A", "2", "--word", "sts", "--psi", psi
+    )
+    assert code == 2
+    assert out == ""
+    assert f"bad character component {bad}" in err
 
 def test_predict_twisted_a2(capsys):
     code, out, _ = run_cli(

@@ -150,6 +150,14 @@ def test_xq_point_counts():
     assert xq_point_count(3, 1, 2, 1) == 3 * 4
 
 
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12])
+def test_point_counts_reject_non_prime_power_q(q):
+    with pytest.raises(ConfigError, match="not a power of a prime"):
+        xq_point_count(q, 1, 0)
+    with pytest.raises(ConfigError, match="not a power of a prime"):
+        yqs_point_count(q, 1, 1, 0)
+
 def test_yqs_point_counts():
     assert yqs_point_count(2, 1, 0, 2, 2) == xq_point_count(2, 0, 2, 2)
     for m in (0, 1, 2):
