@@ -173,12 +173,11 @@ def _cmd_decompose(args) -> int:
             )
             rows = []
         else:
-            candidates = [
-                g
-                for g in cells.subexpressions(word)
-                if g.end == v and not g.is_distinguished
-            ]
-            rows = _decompose_rows(cells.filtration(word, v), candidates)
+            # one unpruned walk keeps every subexpression ending at v
+            ending = cells._walk(word, prune=False, end=v)
+            dist = [g for g in ending if g.is_distinguished]
+            candidates = [g for g in ending if not g.is_distinguished]
+            rows = _decompose_rows(cells._filtration_sequence(dist), candidates)
     payload = {
         "schema": SCHEMA,
         "command": "decompose",
@@ -200,6 +199,10 @@ def _verify_row_groups(args):
         yield sweeps.oracle_triangle_rows(args.type, args.rank)
         yield sweeps.partition_rows(args.type, args.rank)
     elif suite == "flags":
+        if not 2 <= args.n <= flags.MAX_MATRIX_SIZE:
+            raise ConfigError(
+                f"--n must satisfy 2 <= n <= {flags.MAX_MATRIX_SIZE}, got {args.n}"
+            )
         yield sweeps.flag_census_rows(args.n, args.q)
         yield sweeps.double_cell_rows(args.n, args.q)
     elif suite == "gl3-example":

@@ -7,6 +7,17 @@ read off the Schubert cell directly, and the same reduction applied to
 g^{-1} F(g) decides membership of Deligne-Lusztig pieces.  Everything here is
 exhaustive enumeration; these counts are the independent ground truth against
 which the polynomial formulas are checked.
+
+The double-cell census visits every flag without building it.  The opposite
+cell of a flag reads, column by column, the top-most nonzero row of each
+column once it is reduced against the reduced columns before it, and that
+reduction depends only on the columns so far.  So each Schubert cell is
+walked column by column: a column prefix is reduced once and shared by every
+flag extending it, and by linearity the next column's choices are its reduced
+base column plus multiples of its reduced free unit columns.  The last column
+has no free entries, and its pivot is the one row left over.  The first flag
+reaching each (cell, opposite cell) pair is rebuilt and checked through
+``canonical_flag``.
 """
 
 from __future__ import annotations
@@ -193,32 +204,45 @@ def gaussian_flag_count(n: int, q: int) -> int:
     return total
 
 
+def _free_rows(sigma: Perm) -> list[list[int]]:
+    """Rows of the free entries of each column in the cell of sigma: those
+    above the column's pivot and outside the earlier pivot rows."""
+    return [
+        [i for i in range(sigma[j]) if i not in sigma[:j]] for j in range(len(sigma))
+    ]
+
+
+def _cell_matrix(sigma: Perm, free: list[list[int]], values) -> Rows:
+    """Canonical matrix in the cell of sigma, free entries given column by column."""
+    n = len(sigma)
+    cols = [[0] * n for _ in range(n)]
+    entries = iter(values)
+    for j in range(n):
+        cols[j][sigma[j]] = 1
+        for i in free[j]:
+            cols[j][i] = next(entries)
+    return tuple(zip(*cols))
+
+
 def _cell_flags(f: FqField, sigma: Perm):
     """Flags whose pivot permutation is sigma, i.e. the cell of sigma."""
-    n = len(sigma)
-    free = []
-    for j in range(n):
-        earlier = set(sigma[:j])
-        free.append([i for i in range(n) if i < sigma[j] and i not in earlier])
-    slots = [(j, i) for j in range(n) for i in free[j]]
-    for values in itertools.product(f.elements(), repeat=len(slots)):
-        cols = [[0] * n for _ in range(n)]
-        for j in range(n):
-            cols[j][sigma[j]] = 1
-        for (j, i), v in zip(slots, values):
-            cols[j][i] = v
-        matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        yield Flag(f.order, matrix, sigma)
+    free = _free_rows(sigma)
+    for values in itertools.product(f.elements(), repeat=sum(map(len, free))):
+        yield Flag(f.order, _cell_matrix(sigma, free, values), sigma)
 
 
-def enumerate_flags(n: int, q: int) -> list[Flag]:
-    """All flags of F_q^n, grouped by Schubert cell, cells in lex perm order."""
+def _check_flag_budget(n: int, q: int) -> None:
     if not 2 <= n <= MAX_MATRIX_SIZE:
         raise ConfigError(f"flag enumeration supports 2 <= n <= {MAX_MATRIX_SIZE}")
     if gaussian_flag_count(n, q) > MAX_FLAG_COUNT:
         raise BudgetError(
             f"flag variety of GL_{n}(F_{q}) has more than {MAX_FLAG_COUNT} points"
         )
+
+
+def enumerate_flags(n: int, q: int) -> list[Flag]:
+    """All flags of F_q^n, grouped by Schubert cell, cells in lex perm order."""
+    _check_flag_budget(n, q)
     f = field(q)
     out = []
     for sigma in itertools.permutations(range(n)):
@@ -291,11 +315,67 @@ def double_cell_count(n: int, q: int, w: WeylElement, v: WeylElement) -> int:
 def double_cell_census(n: int, q: int) -> Mapping[tuple[Perm, Perm], int]:
     """Counts of every (Bruhat cell, opposite cell) pair over all flags.
 
-    Interned per (n, q) and read-only; a pair with no flags reads 0.
+    Walks each Schubert cell by shared column prefixes (see the module
+    docstring), visiting every flag once in ``enumerate_flags`` order, and
+    checks the first flag of each pair against ``_opposite_perm``.  Interned
+    per (n, q) and read-only; a pair with no flags reads 0.
     """
     f = field(q)
-    pairs = ((flag.pivots, _opposite_perm(f, flag)) for flag in enumerate_flags(n, q))
-    return MappingProxyType(Counter(pairs))
+    _check_flag_budget(n, q)
+    sub, mul = f.sub_table(), f.mul_table()
+    neg = sub[0]
+    inv = [0, *map(f.inv, f.nonzero())]
+    row_sum = n * (n - 1) // 2
+    census: Counter = Counter()
+
+    def walk(sigma, free, j, units, v, values):
+        # units[r]: the unit column e_r reduced against the columns before j,
+        # kept for the rows later columns use; a child column is its reduced
+        # base plus multiples of its reduced free units
+        children = [((), units[sigma[j]])]
+        for i in free[j]:
+            minus = [tuple(mul[neg[a]][x] for x in units[i]) for a in f.elements()]
+            children = [
+                (vals + (a,), tuple(sub[x][y] for x, y in zip(col, minus_a)))
+                for vals, col in children
+                for a, minus_a in enumerate(minus)
+            ]
+        if j == n - 2:
+            # the last column has no free entries: its pivot is the row left over
+            rest = row_sum - sum(v)
+            keys = [(sigma, (*v, top, rest - top)) for top in range(n)]
+            for vals, col in children:
+                key = keys[next(r for r, x in enumerate(col) if x)]
+                if key not in census:
+                    flag = Flag(f.order, _cell_matrix(sigma, free, values + vals), sigma)
+                    if _opposite_perm(f, flag) != key[1]:
+                        raise AssertionError(
+                            f"column-prefix walk and canonical_flag disagree on the "
+                            f"opposite cell of {flag.matrix}"
+                        )
+                census[key] += 1
+            return
+        for vals, col in children:
+            top = next(r for r, x in enumerate(col) if x)
+            mul_inv = mul[inv[col[top]]]
+            pivot = [mul_inv[x] for x in col]
+            reduced = {}
+            for r, unit in units.items():
+                if r == sigma[j]:
+                    continue
+                # a unit already zero in the pivot row needs no reduction
+                mul_c = mul[unit[top]]
+                reduced[r] = (
+                    tuple(sub[x][mul_c[y]] for x, y in zip(unit, pivot))
+                    if unit[top]
+                    else unit
+                )
+            walk(sigma, free, j + 1, reduced, (*v, top), values + vals)
+
+    identity = {i: tuple(int(r == i) for r in range(n)) for i in range(n)}
+    for sigma in itertools.permutations(range(n)):
+        walk(sigma, _free_rows(sigma), 0, identity, (), ())
+    return MappingProxyType(census)
 
 
 def _lang_perm(f: FqField, g: Rows, q: int) -> Perm:

@@ -61,6 +61,27 @@ def test_decompose_all_v_walks_the_word_once(capsys, monkeypatch):
     # every element of B2 is below w0 = stst
     assert len({row["v"] for row in json.loads(out)["rows"]}) == 8
 
+
+def test_decompose_v_builds_only_subexpressions_ending_at_v(capsys, monkeypatch):
+    calls = []
+    init = cells.Subexpression.__init__
+
+    def counted(self, word, bits):
+        calls.append(bits)
+        init(self, word, bits)
+
+    monkeypatch.setattr(cells.Subexpression, "__init__", counted)
+    code, out, _ = run_cli(
+        capsys, "decompose", "A", "3", "--word", "stust", "--v", "s", "--format", "json"
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    # one walk keeps the 3 subexpressions ending at s, one table row each
+    assert len(rows) == 3
+    assert len(calls) == 3
+    assert [r["distinguished"] for r in rows] == [True, True, False]
+
+
 def test_decompose_flags_non_distinguished_candidate(capsys):
     code, out, _ = run_cli(
         capsys, "decompose", "A", "2", "--word", "sts", "--v", "s", "--format", "json"
@@ -136,19 +157,22 @@ def test_verify_flags(capsys):
     assert census[0]["lhs"] == 21
 
 
-def test_verify_flags_enumerates_flag_variety_once(capsys, monkeypatch):
-    calls = []
-    enumerate_flags = flags.enumerate_flags
-
-    def counted(n, q):
-        calls.append((n, q))
-        return enumerate_flags(n, q)
-
+def test_verify_flags_enumerates_flag_variety_once(capsys):
+    # the census is the one walk over the flag variety; every row reads it
     flags.double_cell_census.cache_clear()
-    monkeypatch.setattr(flags, "enumerate_flags", counted)
     code, _, _ = run_cli(capsys, "verify", "flags", "--n", "3", "--q", "2")
     assert code == 0
-    assert calls == [(3, 2)]
+    info = flags.double_cell_census.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("n", ["0", "1", "5"])
+def test_verify_flags_rejects_n_out_of_range(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "flags", "--n", n, "--q", "2")
+    assert code == 2
+    assert out == ""
+    assert "--n" in err and "2 <= n <= 4" in err
+    assert "root system" not in err
 
 
 def test_verify_gl3_example(capsys):

@@ -1,9 +1,11 @@
 """Flag enumeration, Bruhat cells, Deligne-Lusztig pieces and torus orders."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from deodhar import flags
 from deodhar.errors import BudgetError
 from deodhar.flags import (
     canonical_flag,
@@ -163,6 +165,41 @@ def test_double_cell_count_matches_census(q):
         for v in rs.weyl_elements():
             key = (permutation_of(w), permutation_of(v))
             assert double_cell_count(3, q, w, v) == census[key]
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_double_cell_census_equals_per_flag_route(monkeypatch, n, q):
+    # the old route: build every flag and reduce its reversed rows
+    f = field(q)
+    reference = Counter(
+        (fl.pivots, flags._opposite_perm(f, fl)) for fl in enumerate_flags(n, q)
+    )
+    double_cell_census.cache_clear()
+
+    def refuse(n, q):
+        raise AssertionError("the census must not build the flag list")
+
+    monkeypatch.setattr(flags, "enumerate_flags", refuse)
+    census = double_cell_census(n, q)
+    assert census == reference
+    assert list(census) == list(reference)
+
+
+def test_double_cell_census_checks_each_pair_through_canonical_flag(monkeypatch):
+    double_cell_census.cache_clear()
+    calls = []
+
+    def wrong(f, flag):
+        calls.append(flag)
+        return tuple(reversed(flag.pivots))
+
+    monkeypatch.setattr(flags, "_opposite_perm", wrong)
+    try:
+        with pytest.raises(AssertionError, match="canonical_flag disagree"):
+            double_cell_census(3, 2)
+    finally:
+        double_cell_census.cache_clear()
+    assert len(calls) == 1
 
 
 def test_double_cell_census_is_read_only():
