@@ -242,8 +242,8 @@ def _check_flag_budget(n: int, q: int) -> None:
 
 def enumerate_flags(n: int, q: int) -> list[Flag]:
     """All flags of F_q^n, grouped by Schubert cell, cells in lex perm order."""
-    _check_flag_budget(n, q)
     f = field(q)
+    _check_flag_budget(n, q)
     out = []
     for sigma in itertools.permutations(range(n)):
         out.extend(_cell_flags(f, sigma))

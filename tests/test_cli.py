@@ -67,7 +67,7 @@ def test_decompose_v_builds_only_subexpressions_ending_at_v(capsys, monkeypatch)
     init = cells.Subexpression.__init__
 
     def counted(self, word, bits):
-        calls.append(bits)
+        calls.append(tuple(bits))
         init(self, word, bits)
 
     monkeypatch.setattr(cells.Subexpression, "__init__", counted)

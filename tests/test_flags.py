@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from deodhar import flags
-from deodhar.errors import BudgetError
+from deodhar.errors import BudgetError, ConfigError
 from deodhar.flags import (
     canonical_flag,
     bruhat_cell,
@@ -83,6 +83,9 @@ def test_enumerate_flag_counts():
     assert gaussian_flag_count(3, 2) == 21
     with pytest.raises(BudgetError):
         enumerate_flags(4, 16)
+    # the field is built first, so q = 1 is refused, not divided by q - 1
+    with pytest.raises(ConfigError, match="field order 1"):
+        enumerate_flags(3, 1)
 
 
 def test_enumerated_flags_are_canonical_and_distinct():
@@ -169,7 +172,7 @@ def test_double_cell_count_matches_census(q):
 
 @pytest.mark.parametrize("n,q", [(2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_double_cell_census_equals_per_flag_route(monkeypatch, n, q):
-    # the old route: build every flag and reduce its reversed rows
+    # the per-flag route: build every flag and reduce its reversed rows
     f = field(q)
     reference = Counter(
         (fl.pivots, flags._opposite_perm(f, fl)) for fl in enumerate_flags(n, q)
