@@ -347,10 +347,11 @@ def double_cell_census(n: int, q: int) -> Mapping[tuple[Perm, Perm], int]:
             for vals, col in children:
                 key = keys[next(r for r, x in enumerate(col) if x)]
                 if key not in census:
-                    flag = Flag(f.order, _cell_matrix(sigma, free, values + vals), sigma)
+                    matrix = _cell_matrix(sigma, free, values + vals)
+                    flag = Flag(f.order, matrix, sigma)
                     if _opposite_perm(f, flag) != key[1]:
                         raise AssertionError(
-                            f"column-prefix walk and canonical_flag disagree on the "
+                            "column-prefix walk and canonical_flag disagree on the "
                             f"opposite cell of {flag.matrix}"
                         )
                 census[key] += 1
