@@ -8,6 +8,12 @@ g^{-1} F(g) decides membership of Deligne-Lusztig pieces.  Everything here is
 exhaustive enumeration; these counts are the independent ground truth against
 which the polynomial formulas are checked.
 
+Weyl elements of A_{n-1} and permutations of range(n) correspond through one
+table per root system, built from the group's own tables and checked
+(inversion count equals length, all permutations distinct) before it is
+kept; every conversion either way is a lookup into it.  The permutation
+model stays inside this module: the census below is keyed by Weyl elements.
+
 The double-cell census visits every flag without building it.  The opposite
 cell of a flag reads, column by column, the top-most nonzero row of each
 column once it is reduced against the reduced columns before it, and that
@@ -43,56 +49,64 @@ MAX_MATRIX_SIZE = 4
 # -- permutations <-> type A Weyl elements ----------------------------------
 
 
-def compose(f: Perm, g: Perm) -> Perm:
-    return tuple(f[g[i]] for i in range(len(f)))
+def _permutation_table(
+    rs: RootSystem,
+) -> tuple[tuple[Perm, ...], dict[Perm, WeylElement]]:
+    """One-line permutation of every element of a type A system, and back.
 
-
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def adjacent_transposition(n: int, i: int) -> Perm:
-    out = list(range(n))
-    out[i], out[i + 1] = out[i + 1], out[i]
-    return tuple(out)
+    Element k with canonical word starting with i is s_i x for the shorter
+    x = s_i w_k, so its permutation is x's with the values i and i+1 swapped.
+    Built once per system and kept in ``rs.cache("permutations")``; before
+    anything is cached, every permutation's inversion count is asserted equal
+    to its element's length and all of them are asserted distinct.
+    """
+    cached = rs.cache("permutations")
+    if not cached:
+        if rs.type_label != "A":
+            raise ConfigError("permutation model applies to type A only")
+        perms = [tuple(range(rs.rank + 1))]
+        for k in range(1, len(rs._words)):
+            i = rs._words[k][0]
+            swap = {i: i + 1, i + 1: i}
+            perms.append(tuple(swap.get(a, a) for a in perms[rs._lmul[i][k]]))
+        for sigma, length in zip(perms, rs._lengths):
+            if sum(a > b for a, b in itertools.combinations(sigma, 2)) != length:
+                raise AssertionError(
+                    f"permutation {sigma} of {rs} has the wrong inversion count"
+                )
+        elements = dict(zip(perms, rs.weyl_elements()))
+        if len(elements) != len(perms):
+            raise AssertionError(f"permutations of {rs} are not distinct")
+        cached.update(perms=tuple(perms), elements=elements)
+    return cached["perms"], cached["elements"]
 
 
 def permutation_of(w: WeylElement) -> Perm:
-    """One-line permutation of a type A Weyl element (s_i maps to (i, i+1))."""
-    rs = w.system
-    if rs.type_label != "A":
-        raise ConfigError("permutation model applies to type A only")
-    n = rs.rank + 1
-    sigma = identity_perm(n)
-    for i in w.canonical_word:
-        sigma = compose(sigma, adjacent_transposition(n, i))
-    return sigma
+    """One-line permutation of a type A Weyl element: s_i swaps i and i+1.
+
+    >>> a2 = build_root_system("A", 2)
+    >>> permutation_of(a2.simple_reflection(0))
+    (1, 0, 2)
+    >>> permutation_of(a2.element_from_word((0, 1)))
+    (1, 2, 0)
+    """
+    return _permutation_table(w.system)[0][w.index]
 
 
 def weyl_from_permutation(rs: RootSystem, sigma: Perm) -> WeylElement:
-    if rs.type_label != "A" or len(sigma) != rs.rank + 1:
-        raise ConfigError("permutation does not match the type A system")
-    letters = []
-    s = list(sigma)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(s) - 1):
-            if s[i] > s[i + 1]:
-                s[i], s[i + 1] = s[i + 1], s[i]
-                letters.append(i)
-                changed = True
-    letters.reverse()
-    w = rs.element_from_word(letters)
-    if permutation_of(w) != sigma:
-        raise AssertionError("permutation decomposition is inconsistent")
+    sigma = tuple(sigma)
+    w = _permutation_table(rs)[1].get(sigma)
+    if w is None:
+        raise ConfigError(f"{sigma} is not a permutation in the Weyl group of {rs}")
     return w
 
 
-def _type_a_system(n: int) -> RootSystem:
-    if not 2 <= n <= MAX_MATRIX_SIZE:
-        raise ConfigError(f"GL_n supported for 2 <= n <= {MAX_MATRIX_SIZE}")
-    return build_root_system("A", n - 1)
+def _gl_permutation(n: int, w: WeylElement) -> Perm:
+    """Permutation of w, which must lie in the Weyl group A_{n-1} of GL_n."""
+    rs = w.system
+    if rs.type_label != "A" or rs.rank != n - 1:
+        raise ConfigError(f"{w.word_str} of {rs} is not in the Weyl group of GL_{n}")
+    return permutation_of(w)
 
 
 # -- matrices over FqField ---------------------------------------------------
@@ -253,11 +267,6 @@ def enumerate_flags(n: int, q: int) -> list[Flag]:
 # -- Bruhat cells -------------------------------------------------------------
 
 
-def bruhat_word(f: FqField, rows: Rows) -> Perm:
-    """Pivot permutation sigma with rows in B.P_sigma.B (lower-left rank data)."""
-    return canonical_flag(f, rows).pivots
-
-
 def rank_profile_word(f: FqField, rows: Rows) -> Perm:
     """Independent computation of the same permutation from lower-left ranks."""
     n = len(rows)
@@ -284,20 +293,20 @@ def opposite_rank_profile_word(f: FqField, rows: Rows) -> Perm:
 
 def bruhat_cell(flag: Flag) -> WeylElement:
     """The w with the flag inside the Schubert cell B w . B."""
-    return weyl_from_permutation(_type_a_system(flag.n), flag.pivots)
+    return weyl_from_permutation(build_root_system("A", flag.n - 1), flag.pivots)
 
 
 def _opposite_perm(f: FqField, flag: Flag) -> Perm:
     """Permutation v with the flag in B^- v . B: reverse the rows, reduce, flip."""
     n = flag.n
-    tau = bruhat_word(f, flag.matrix[::-1])
+    tau = canonical_flag(f, flag.matrix[::-1]).pivots
     return tuple(n - 1 - t for t in tau)
 
 
 def opposite_cell(flag: Flag) -> WeylElement:
     """The v with the flag inside the opposite cell B^- v . B."""
     v = _opposite_perm(field(flag.field_order), flag)
-    return weyl_from_permutation(_type_a_system(flag.n), v)
+    return weyl_from_permutation(build_root_system("A", flag.n - 1), v)
 
 
 # -- cell counting oracles ----------------------------------------------------
@@ -306,19 +315,22 @@ def opposite_cell(flag: Flag) -> WeylElement:
 def double_cell_count(n: int, q: int, w: WeylElement, v: WeylElement) -> int:
     """Number of F_q flags in the double cell (Bruhat cell w, opposite cell v)."""
     f = field(q)
-    v_perm = permutation_of(v)
-    cell = _cell_flags(f, permutation_of(w))
+    v_perm = _gl_permutation(n, v)
+    cell = _cell_flags(f, _gl_permutation(n, w))
     return sum(1 for flag in cell if _opposite_perm(f, flag) == v_perm)
 
 
 @lru_cache(maxsize=None)
-def double_cell_census(n: int, q: int) -> Mapping[tuple[Perm, Perm], int]:
-    """Counts of every (Bruhat cell, opposite cell) pair over all flags.
+def double_cell_census(
+    n: int, q: int
+) -> Mapping[tuple[WeylElement, WeylElement], int]:
+    """Counts of every (Bruhat cell w, opposite cell v) pair over all flags.
 
     Walks each Schubert cell by shared column prefixes (see the module
     docstring), visiting every flag once in ``enumerate_flags`` order, and
-    checks the first flag of each pair against ``_opposite_perm``.  Interned
-    per (n, q) and read-only; a pair with no flags reads 0.
+    checks the first flag of each pair against ``_opposite_perm``.  Keyed by
+    Weyl elements of A_{n-1}, in the order the walk first reaches each pair.
+    Interned per (n, q) and read-only; a pair with no flags reads 0.
     """
     f = field(q)
     _check_flag_budget(n, q)
@@ -376,12 +388,22 @@ def double_cell_census(n: int, q: int) -> Mapping[tuple[Perm, Perm], int]:
     identity = {i: tuple(int(r == i) for r in range(n)) for i in range(n)}
     for sigma in itertools.permutations(range(n)):
         walk(sigma, _free_rows(sigma), 0, identity, (), ())
-    return MappingProxyType(census)
+    elements = _permutation_table(build_root_system("A", n - 1))[1]
+    return MappingProxyType(
+        Counter({(elements[a], elements[b]): c for (a, b), c in census.items()})
+    )
 
 
 def _lang_perm(f: FqField, g: Rows, q: int) -> Perm:
     """Bruhat cell of the Lang image g^{-1} F(g), F the entrywise q-power."""
-    return bruhat_word(f, mat_mul(f, mat_inverse(f, g), mat_frobenius(f, g, q)))
+    lang = mat_mul(f, mat_inverse(f, g), mat_frobenius(f, g, q))
+    return canonical_flag(f, lang).pivots
+
+
+def _extension_field(q: int, k: int) -> FqField:
+    if k < 1:
+        raise ConfigError(f"k must satisfy k >= 1, got {k}")
+    return field(q**k)
 
 
 def dl_piece_count(n: int, q: int, w: WeylElement, x: WeylElement, k: int = 1) -> int:
@@ -391,21 +413,20 @@ def dl_piece_count(n: int, q: int, w: WeylElement, x: WeylElement, k: int = 1) -
     image g^{-1} F(g) lies in the double coset B w B, F being the entrywise
     q-power Frobenius.
     """
-    qk = q**k
-    if gaussian_flag_count(n, qk) > MAX_FLAG_COUNT:
+    f = _extension_field(q, k)
+    w_perm = _gl_permutation(n, w)
+    x_perm = _gl_permutation(n, x)
+    if gaussian_flag_count(n, f.order) > MAX_FLAG_COUNT:
         raise BudgetError("Deligne-Lusztig piece enumeration exceeds the flag budget")
-    f = field(qk)
-    w_perm = permutation_of(w)
-    cell = _cell_flags(f, permutation_of(x))
+    cell = _cell_flags(f, x_perm)
     return sum(1 for flag in cell if _lang_perm(f, flag.matrix, q) == w_perm)
 
 
 def dl_total_count(n: int, q: int, w: WeylElement, k: int = 1) -> int:
     """Points of X(w) over F_{q^k}, counted in one pass over all flags."""
-    qk = q**k
-    f = field(qk)
-    w_perm = permutation_of(w)
-    all_flags = enumerate_flags(n, qk)
+    f = _extension_field(q, k)
+    w_perm = _gl_permutation(n, w)
+    all_flags = enumerate_flags(n, f.order)
     return sum(1 for flag in all_flags if _lang_perm(f, flag.matrix, q) == w_perm)
 
 
@@ -500,7 +521,14 @@ def gl3_example_counts(q: int, k: int = 1) -> Gl3ExampleCounts:
 # -- torus orders -------------------------------------------------------------
 
 
-def _perm_cycles(sigma: Perm) -> list[int]:
+def _perm_cycles(w: WeylElement | Perm) -> list[int]:
+    """Cycle lengths of w's permutation; a tuple must permute range(len)."""
+    if isinstance(w, WeylElement):
+        sigma = permutation_of(w)
+    else:
+        sigma = tuple(w)
+        if sorted(sigma) != list(range(len(sigma))):
+            raise ConfigError(f"{sigma} is not a permutation of range({len(sigma)})")
     seen = [False] * len(sigma)
     lengths = []
     for i in range(len(sigma)):
@@ -521,18 +549,16 @@ def torus_order(w: WeylElement | Perm, q: int) -> int:
     This is |det(q Id - A_w)| for the permutation action A_w on the
     cocharacter lattice.
     """
-    sigma = permutation_of(w) if isinstance(w, WeylElement) else tuple(w)
     out = 1
-    for c in _perm_cycles(sigma):
+    for c in _perm_cycles(w):
         out *= q**c - 1
     return out
 
 
 def torus_order_enumerated(w: WeylElement | Perm, q: int) -> int:
     """Brute-force |T^{wF}|: count Lang-twisted diagonal tuples cycle by cycle."""
-    sigma = permutation_of(w) if isinstance(w, WeylElement) else tuple(w)
     out = 1
-    for c in _perm_cycles(sigma):
+    for c in _perm_cycles(w):
         qc = q**c
         if qc > 512:
             raise BudgetError(f"torus enumeration needs a field of order {qc} > 512")

@@ -12,7 +12,7 @@ import itertools
 
 from . import cells, counting, flags, frobenius
 from .counting import IntPolynomial
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError
 from .gf import _factor_prime_power, field
 from .rootdata import (
     RootSystem,
@@ -33,6 +33,9 @@ RANK_LE_3_TYPES = (
     ("G", 2),
 )
 ORACLE_TYPES = (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2))
+# one row dict per (w, word, v) check: A4 (256,005) fits, D4 (1,379,685) would
+# need over 1 GB
+MAX_TRIANGLE_CHECKS = 300_000
 
 
 def _row(test: str, parameters: dict, lhs, rhs) -> dict:
@@ -123,16 +126,30 @@ def _row_sort_key(row: dict):
 
 
 def oracle_triangle_rows(type_label: str, rank: int) -> list[dict]:
-    """deodhar_poly == r_polynomial for every v <= w and every reduced word."""
+    """deodhar_poly == r_polynomial for every v <= w and every reduced word.
+
+    The checks are counted before the word tree is walked or any row is
+    built, and more than ``MAX_TRIANGLE_CHECKS`` raise ``BudgetError``.
+    """
     rs = build_root_system(type_label, rank)
+    elements = rs.weyl_elements()
+    plan = [
+        (w, reduced_words(w), [(v, v.word_str) for v in elements if bruhat_leq(v, w)])
+        for w in elements
+    ]
+    checks = sum(len(words) * len(below) for _, words, below in plan)
+    if checks > MAX_TRIANGLE_CHECKS:
+        raise BudgetError(
+            f"the {type_label}{rank} triangle has {checks} checks, more than "
+            f"{MAX_TRIANGLE_CHECKS}"
+        )
     tree = word_tree_polys(rs)
     zero = IntPolynomial.zero()
     rows = []
-    for w in rs.weyl_elements():
-        below = [(v, v.word_str) for v in rs.weyl_elements() if bruhat_leq(v, w)]
+    for w, words, below in plan:
         rpolys = {v: counting.r_polynomial(v, w).coeffs for v, _ in below}
         w_str = w.word_str
-        for letters in reduced_words(w):
+        for letters in words:
             groups = tree[letters]
             display = word_str(letters)
             for v, v_str in below:
@@ -189,7 +206,7 @@ def double_cell_rows(n: int, q: int) -> list[dict]:
     for w in elements:
         groups = tree[w.canonical_word]
         for v in elements:
-            brute = census[(flags.permutation_of(w), flags.permutation_of(v))]
+            brute = census[w, v]
             rp = counting.r_polynomial(v, w)(q)
             dp = groups.get(v, IntPolynomial.zero())(q)
             params = {"n": n, "q": q, "w": w.word_str, "v": v.word_str}
@@ -212,8 +229,7 @@ def flag_census_rows(n: int, q: int) -> list[dict]:
         _row("flag-census-poincare", params, total, by_length),
     ]
     for w in rs.weyl_elements():
-        wp = flags.permutation_of(w)
-        in_cell = sum(c for (a, _), c in census.items() if a == wp)
+        in_cell = sum(c for (a, _), c in census.items() if a == w)
         params = {"n": n, "q": q, "w": w.word_str}
         rows.append(_row("flag-census-cell", params, in_cell, q**w.length))
     return rows

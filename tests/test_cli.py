@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import deodhar
-from deodhar import cells, flags, frobenius
+from deodhar import cells, flags, frobenius, sweeps
 from deodhar.cli import main
 
 
@@ -204,6 +204,23 @@ def test_field_order_not_a_prime_power_is_config_error(capsys, q):
 def test_verify_budget_exit_code(capsys):
     code, out, err = run_cli(capsys, "verify", "flags", "--n", "4", "--q", "16")
     assert code == 3
+    assert "budget" in err.lower()
+
+
+def test_verify_d4_triangle_stops_before_the_word_tree(capsys, monkeypatch):
+    def refuse(rs):
+        raise AssertionError("the check count must be refused before the walk")
+
+    monkeypatch.setattr(sweeps, "word_tree_polys", refuse)
+    code, out, err = run_cli(
+        capsys, "verify", "deodhar-vs-rpoly", "--type", "D", "--rank", "4",
+        "--format", "json",
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["status"] == "BUDGET-EXCEEDED"
+    assert payload["checks"] == 0 and payload["rows"] == []
+    assert "1379685 checks" in payload["budget_exceeded"]
     assert "budget" in err.lower()
 
 

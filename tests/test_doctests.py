@@ -2,10 +2,16 @@
 
 import doctest
 
-from deodhar import counting
+from deodhar import counting, flags
 
 
 def test_counting_doctests():
     results = doctest.testmod(counting, verbose=False)
     assert results.failed == 0
     assert results.attempted >= 2
+
+
+def test_flags_doctests():
+    results = doctest.testmod(flags, verbose=False)
+    assert results.failed == 0
+    assert results.attempted >= 3

@@ -10,7 +10,6 @@ from deodhar.errors import BudgetError, ConfigError
 from deodhar.flags import (
     canonical_flag,
     bruhat_cell,
-    bruhat_word,
     double_cell_census,
     double_cell_count,
     dl_piece_count,
@@ -28,7 +27,7 @@ from deodhar.flags import (
     weyl_from_permutation,
 )
 from deodhar.gf import field
-from deodhar.rootdata import build_root_system
+from deodhar.rootdata import RootSystem, build_root_system
 
 
 def _invertible_matrices(n, q):
@@ -132,7 +131,7 @@ def test_rank_profile_cross_check():
     for flag in enumerate_flags(3, 2):
         assert rank_profile_word(f, flag.matrix) == flag.pivots
         rev = tuple(flag.matrix[2 - i] for i in range(3))
-        tau = bruhat_word(f, rev)
+        tau = canonical_flag(f, rev).pivots
         assert opposite_rank_profile_word(f, flag.matrix) == tuple(
             2 - tau[j] for j in range(3)
         )
@@ -154,8 +153,7 @@ def test_double_cell_census_cross_foot():
         census = double_cell_census(3, q)
         assert sum(census.values()) == gaussian_flag_count(3, q)
         for w in rs.weyl_elements():
-            wp = permutation_of(w)
-            assert sum(c for (a, _), c in census.items() if a == wp) == q**w.length
+            assert sum(c for (a, _), c in census.items() if a == w) == q**w.length
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -166,16 +164,20 @@ def test_double_cell_count_matches_census(q):
     census = double_cell_census(3, q)
     for w in rs.weyl_elements():
         for v in rs.weyl_elements():
-            key = (permutation_of(w), permutation_of(v))
-            assert double_cell_count(3, q, w, v) == census[key]
+            assert double_cell_count(3, q, w, v) == census[w, v]
 
 
 @pytest.mark.parametrize("n,q", [(2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_double_cell_census_equals_per_flag_route(monkeypatch, n, q):
     # the per-flag route: build every flag and reduce its reversed rows
     f = field(q)
+    rs = build_root_system("A", n - 1)
     reference = Counter(
-        (fl.pivots, flags._opposite_perm(f, fl)) for fl in enumerate_flags(n, q)
+        (
+            weyl_from_permutation(rs, fl.pivots),
+            weyl_from_permutation(rs, flags._opposite_perm(f, fl)),
+        )
+        for fl in enumerate_flags(n, q)
     )
     double_cell_census.cache_clear()
 
@@ -296,3 +298,82 @@ def test_permutation_round_trip():
                 if sigma[i] > sigma[j]
             )
             assert inv_count == w.length
+
+
+def test_census_is_keyed_by_weyl_elements():
+    rs = build_root_system("A", 3)
+    census = double_cell_census(4, 2)
+    assert len(census) == 213
+    assert all(w.system is rs and v.system is rs for w, v in census)
+    w0, e = rs.longest_element(), rs.identity()
+    # the walk starts in the one-flag cell of e, which lies in the opposite cell of e
+    assert next(iter(census)) == (e, e) and census[e, e] == 1
+    assert (e, w0) not in census and census[e, w0] == 0
+
+
+def test_permutation_table_is_checked_before_it_is_cached():
+    rs = RootSystem("A", 2)
+    lengths = list(rs._lengths)
+    lengths[3] += 1
+    rs._lengths = tuple(lengths)
+    with pytest.raises(AssertionError, match="inversion count"):
+        permutation_of(rs.weyl_elements()[3])
+    assert rs.cache("permutations") == {}
+    a2 = build_root_system("A", 2)
+    assert a2 is not rs and a2._lengths == (0, 1, 1, 2, 2, 3)
+    assert permutation_of(a2.weyl_elements()[3]) == (1, 2, 0)
+
+
+def test_permutation_table_is_built_once_per_system():
+    rs = RootSystem("A", 3)
+    sigmas = [permutation_of(w) for w in rs.weyl_elements()]
+    table = rs.cache("permutations")
+    assert table and len(set(sigmas)) == 24
+    # a rebuild would trip over the tampered tables
+    rs._words = rs._lmul = rs._lengths = None
+    assert [permutation_of(w) for w in rs.weyl_elements()] == sigmas
+    assert [weyl_from_permutation(rs, s) for s in sigmas] == list(rs.weyl_elements())
+    assert rs.cache("permutations") is table
+
+
+@pytest.mark.parametrize("sigma", [(0, 0, 1), (1, 2, 3), (0, 1)])
+def test_non_permutations_are_config_errors(sigma):
+    a2 = build_root_system("A", 2)
+    with pytest.raises(ConfigError, match="not a permutation"):
+        weyl_from_permutation(a2, sigma)
+
+
+def test_torus_orders_reject_non_permutations():
+    for bad in [(0, 0, 1), (1, 1), (1, 2)]:
+        with pytest.raises(ConfigError, match="not a permutation"):
+            torus_order(bad, 2)
+        with pytest.raises(ConfigError, match="not a permutation"):
+            torus_order_enumerated(bad, 2)
+    assert torus_order((), 2) == 1
+
+
+def test_elements_outside_gl_n_are_config_errors():
+    a1, a2 = build_root_system("A", 1), build_root_system("A", 2)
+    b2 = build_root_system("B", 2)
+    w0, e = a2.longest_element(), a2.identity()
+    s = a1.simple_reflection(0)
+    with pytest.raises(ConfigError, match="GL_2"):
+        double_cell_count(2, 2, w0, e)
+    with pytest.raises(ConfigError, match="GL_3"):
+        dl_piece_count(3, 2, s, a1.identity())
+    with pytest.raises(ConfigError, match="GL_4"):
+        dl_total_count(4, 2, w0)
+    with pytest.raises(ConfigError, match="GL_3"):
+        dl_piece_count(3, 2, b2.identity(), b2.identity())
+
+
+def test_dl_counts_reject_bad_q_and_k():
+    a2 = build_root_system("A", 2)
+    w0 = a2.longest_element()
+    with pytest.raises(ConfigError, match="field order 1"):
+        dl_piece_count(3, 1, w0, w0)
+    for k in (0, -1):
+        with pytest.raises(ConfigError, match="k >= 1"):
+            dl_piece_count(3, 2, w0, w0, k)
+        with pytest.raises(ConfigError, match="k >= 1"):
+            dl_total_count(3, 2, w0, k)
