@@ -36,7 +36,6 @@ from .frobenius import (
     OrbitData,
     QuotientModel,
     RegularCharacter,
-    TwistData,
     cell_invariants,
     diagram_automorphisms,
     is_regular,

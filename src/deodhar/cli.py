@@ -290,6 +290,7 @@ def _parse_psi(spec: str, od: frobenius.OrbitData, rs) -> frobenius.RegularChara
     if spec in ("default", "regular-default"):
         return frobenius.RegularCharacter.regular_default(od)
     components = {}
+    letters = {}  # orbit representative -> the letter that named it
     for part in spec.split(","):
         letter, _, value = part.partition("=")
         try:
@@ -298,18 +299,25 @@ def _parse_psi(spec: str, od: frobenius.OrbitData, rs) -> frobenius.RegularChara
             raise ConfigError(
                 f"bad character component {part!r}; use letter=int"
             ) from None
-        idx = rs.letter_index(letter.strip())
-        components[od.representative_of(idx)] = value
+        letter = letter.strip()
+        rep = od.representative_of(rs.letter_index(letter))
+        if rep in letters:
+            raise ConfigError(
+                f"character components {letters[rep]!r} and {letter!r} both name "
+                f"the orbit of alpha_{rs.letter(rep)}"
+            )
+        letters[rep] = letter
+        components[rep] = value
     return frobenius.RegularCharacter.from_mapping(components)
 
 
-def _parse_twist(args, rs) -> frobenius.TwistData:
+def _parse_twist(args, rs) -> frobenius.OrbitData:
     if args.twist in (None, "split"):
-        return frobenius.TwistData.split(rs.rank, args.q)
+        return frobenius.orbit_data(rs, args.q)
     phi = tuple(rs.letter_index(ch) for ch in args.twist)
     if len(phi) != rs.rank:
         raise ConfigError("twist permutation must list the image of every letter")
-    return frobenius.TwistData.twisted(phi, args.q)
+    return frobenius.orbit_data(rs, args.q, phi)
 
 
 def _prediction_payload(table: frobenius.PredictionTable, args) -> dict:
@@ -401,8 +409,7 @@ def _predict_lines(payload: dict):
 def _cmd_predict(args) -> int:
     rs = build_root_system(args.type, args.rank)
     word = cells.ReducedWord.from_letters(rs, rs.parse_word(args.word))
-    twist = _parse_twist(args, rs)
-    od = frobenius.orbit_data(rs, twist)
+    od = _parse_twist(args, rs)
     psi = _parse_psi(args.psi, od, rs)
     table = frobenius.theorem_table(word, od, psi, q=args.q)
     payload = _prediction_payload(table, args)

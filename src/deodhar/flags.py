@@ -474,7 +474,7 @@ def gl3_example_counts(q: int, k: int = 1) -> Gl3ExampleCounts:
     qk = q**k
     if qk**3 > 2 * 10**6:
         raise BudgetError("GL_3 example enumeration exceeds the triple budget")
-    f = field(qk)
+    f = _extension_field(q, k)
     sub = f.sub_table()
     frob = [f.pow(x, q) for x in f.elements()]
     lang = [sub[frob[x]][x] for x in f.elements()]  # x^q - x

@@ -1,12 +1,14 @@
 """Frobenius diagram data and the twisted cell invariants behind the
 regular-character vanishing criterion.
 
-A Frobenius endomorphism acts on the root datum through a Cartan-preserving
-permutation phi of the simple roots together with a p-power q_a^o per simple
-root.  Each phi-orbit O_a has a length d_a and a product q_a of the q^o along
-it; the orbit group is a copy of F_{q_a}.  A linear character of U trivial on
-the derived group restricts to each orbit group, and it is regular when every
-restriction is nontrivial.
+A Frobenius endomorphism F over F_q acts on the root datum through a
+Cartan-preserving permutation phi of the simple roots.  For such a phi, F
+raises every root subgroup to the same power q: unequal powers occur only for
+the Suzuki-Ree isogenies, whose phi swaps long and short roots and fails the
+Cartan check.  So each phi-orbit O_a of length d_a has orbit group a copy of
+F_{q_a} with q_a = q^{d_a}.  A linear character of U trivial on the derived
+group restricts to each orbit group, and it is regular when every restriction
+is nontrivial.
 
 For a distinguished subexpression gamma ending at the identity, the quotient
 of its Deligne-Lusztig piece by D(U)^F factors as
@@ -35,42 +37,6 @@ from .rootdata import RootSystem, WeylElement
 MAX_MODEL_TUPLES = 4 * 10**6
 
 
-def _is_power_of(q: int, p: int) -> bool:
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
-@dataclass(frozen=True)
-class TwistData:
-    """A diagram permutation phi together with the p-powers q_a^o."""
-
-    phi: tuple[int, ...]
-    q_circ: tuple[int, ...]
-    p: int
-
-    def __post_init__(self):
-        if sorted(self.phi) != list(range(len(self.phi))):
-            raise ConfigError("phi is not a permutation of the simple roots")
-        if len(self.q_circ) != len(self.phi):
-            raise ConfigError("q_circ must assign a power of p to every simple root")
-        for q in self.q_circ:
-            if q < 2 or not _is_power_of(q, self.p):
-                raise ConfigError(f"{q} is not a positive power of p={self.p}")
-
-    @classmethod
-    def split(cls, rank: int, q: int) -> "TwistData":
-        return cls.twisted(range(rank), q)
-
-    @classmethod
-    def twisted(cls, phi: tuple[int, ...], q: int) -> "TwistData":
-        return cls(tuple(phi), (q,) * len(phi), _factor_prime_power(q)[0])
-
-    @property
-    def is_split(self) -> bool:
-        return self.phi == tuple(range(len(self.phi)))
-
-
 def _preserves_cartan(rs: RootSystem, sigma: tuple[int, ...]) -> bool:
     c = rs.cartan_matrix
     n = rs.rank
@@ -88,21 +54,24 @@ def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class OrbitData:
-    """phi-orbits on the simple roots with their lengths and field orders."""
+    """A Frobenius twist over F_q: phi, its orbits on the simple roots, and
+    the orbit of each simple root (built by orbit_data)."""
 
     system: RootSystem
-    twist: TwistData
+    q: int
+    phi: tuple[int, ...]
     orbits: tuple[tuple[int, ...], ...]
+    root_orbits: tuple[tuple[int, ...], ...]  # simple index -> its orbit
 
     @property
     def representatives(self) -> tuple[int, ...]:
         return tuple(o[0] for o in self.orbits)
 
     def orbit_of(self, i: int) -> tuple[int, ...]:
-        for o in self.orbits:
-            if i in o:
-                return o
-        raise ConfigError(f"{i} is not a simple index")
+        # a bare tuple index would let -1 wrap around
+        if not 0 <= i < len(self.root_orbits):
+            raise ConfigError(f"{i} is not a simple index")
+        return self.root_orbits[i]
 
     def representative_of(self, i: int) -> int:
         return self.orbit_of(i)[0]
@@ -111,37 +80,51 @@ class OrbitData:
         return len(self.orbit_of(i))
 
     def q_alpha(self, i: int) -> int:
-        out = 1
-        for j in self.orbit_of(i):
-            out *= self.twist.q_circ[j]
-        return out
+        return self.q ** self.d(i)
 
     @property
     def is_split(self) -> bool:
-        return self.twist.is_split
+        return self.phi == tuple(range(len(self.phi)))
 
 
-def orbit_data(rs: RootSystem, twist: TwistData) -> OrbitData:
-    """Validate the twist against the Cartan matrix and compute its orbits."""
+def orbit_data(
+    rs: RootSystem, q: int, phi: Optional[tuple[int, ...]] = None
+) -> OrbitData:
+    """Validate the twist phi over F_q and compute its orbits; None is split.
+
+    >>> from deodhar.rootdata import build_root_system
+    >>> a2 = build_root_system("A", 2)
+    >>> split = orbit_data(a2, 2)
+    >>> split.orbits, split.d(0)
+    (((0,), (1,)), 1)
+    >>> unitary = orbit_data(a2, 2, (1, 0))
+    >>> unitary.orbits, unitary.q_alpha(0)
+    (((0, 1),), 4)
+    """
+    _factor_prime_power(q)
     n = rs.rank
-    if len(twist.phi) != n:
+    phi = tuple(range(n)) if phi is None else tuple(phi)
+    if sorted(phi) != list(range(len(phi))):
+        raise ConfigError("phi is not a permutation of the simple roots")
+    if len(phi) != n:
         raise ConfigError("twist rank does not match the root system")
-    phi = twist.phi
     if not _preserves_cartan(rs, phi):
         raise ConfigError("phi does not preserve the Cartan matrix")
-    seen = set()
+    root_orbits: list = [None] * n
     orbits = []
     for i in range(n):
-        if i in seen:
+        if root_orbits[i] is not None:
             continue
         orbit = [i]
         j = phi[i]
         while j != i:
             orbit.append(j)
             j = phi[j]
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
-    return OrbitData(rs, twist, tuple(orbits))
+        orbit = tuple(orbit)
+        for j in orbit:
+            root_orbits[j] = orbit
+        orbits.append(orbit)
+    return OrbitData(rs, q, phi, tuple(orbits), tuple(root_orbits))
 
 
 # -- the vanishing witness ----------------------------------------------------
@@ -405,7 +388,7 @@ def quotient_model(gamma: cells.Subexpression, od: OrbitData) -> QuotientModel:
         for rep in od.representatives
     )
     model = QuotientModel(
-        base_q=od.twist.q_circ[0],
+        base_q=od.q,
         n_bar=inv.n_bar,
         m_bar=inv.m_bar,
         factors=factors,

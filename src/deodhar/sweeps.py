@@ -244,7 +244,7 @@ def gl3_rows(q: int, k: int) -> list[dict]:
     counts = flags.gl3_example_counts(q, k)
     dl = flags.dl_piece_count(3, q, w0, w0, k)
     params = {"q": q, "k": k}
-    od = frobenius.orbit_data(rs, frobenius.TwistData.split(2, q))
+    od = frobenius.orbit_data(rs, q)
     word = cells.ReducedWord.from_letters(rs, (0, 1, 0))
     closed_gamma = cells.Subexpression(word, (1, 0, 1))
     open_gamma = cells.Subexpression(word, (0, 0, 0))
@@ -302,11 +302,7 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
         # once and the rows still come out twist by twist
         twists = []
         for phi in frobenius.diagram_automorphisms(rs):
-            od = frobenius.orbit_data(rs, frobenius.TwistData.twisted(phi, 2))
-            frobenius._require_regular(
-                frobenius.RegularCharacter.regular_default(od), od
-            )
-            twists.append((phi, od, []))
+            twists.append((phi, frobenius.orbit_data(rs, 2, phi), []))
         for w in rs.weyl_elements():
             for letters in reduced_words(w):
                 word = cells.ReducedWord.from_letters(rs, letters)

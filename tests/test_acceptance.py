@@ -10,7 +10,7 @@ from deodhar import counting, sweeps
 from deodhar.cells import CellShape, ReducedWord, Subexpression, subexpressions
 from deodhar.cyclo import all_linear_characters, e_psi_check, linear_character, unitriangular_group
 from deodhar.flags import dl_piece_count, enumerate_flags, gl3_example_counts
-from deodhar.frobenius import TwistData, cell_invariants, orbit_data, quotient_model
+from deodhar.frobenius import cell_invariants, orbit_data, quotient_model
 from deodhar.rootdata import build_root_system
 
 
@@ -145,7 +145,7 @@ def test_criterion_5_vanishing_criterion():
 def test_criterion_6_gl3_worked_example():
     with _Timer(300.0) as t:
         rs = build_root_system("A", 2)
-        od = orbit_data(rs, TwistData.split(2, 2))
+        od = orbit_data(rs, 2)
         word = ReducedWord.from_letters(rs, (0, 1, 0))
         closed = Subexpression(word, (1, 0, 1))
         inv = cell_invariants(closed, od)

@@ -408,6 +408,24 @@ def test_predict_rejects_non_integer_psi_component(capsys, psi, bad):
     assert out == ""
     assert f"bad character component {bad}" in err
 
+@pytest.mark.parametrize(
+    "twist, psi, first, second",
+    [
+        ("ts", "s=0,t=1", "s", "t"),
+        ("ts", "s=1,t=0", "s", "t"),
+        ("split", "s=0,s=1,t=1", "s", "s"),
+    ],
+)
+def test_predict_rejects_two_components_on_one_orbit(capsys, twist, psi, first, second):
+    code, out, err = run_cli(
+        capsys, "predict", "A", "2", "--word", "sts", "--q", "2",
+        "--twist", twist, "--psi", psi,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"components '{first}' and '{second}' both name the orbit of alpha_s" in err
+
+
 def test_predict_twisted_a2(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,7 +2,7 @@
 
 import doctest
 
-from deodhar import counting, flags
+from deodhar import counting, flags, frobenius
 
 
 def test_counting_doctests():
@@ -15,3 +15,9 @@ def test_flags_doctests():
     results = doctest.testmod(flags, verbose=False)
     assert results.failed == 0
     assert results.attempted >= 3
+
+
+def test_frobenius_doctests():
+    results = doctest.testmod(frobenius, verbose=False)
+    assert results.failed == 0
+    assert results.attempted >= 2

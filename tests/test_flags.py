@@ -377,3 +377,5 @@ def test_dl_counts_reject_bad_q_and_k():
             dl_piece_count(3, 2, w0, w0, k)
         with pytest.raises(ConfigError, match="k >= 1"):
             dl_total_count(3, 2, w0, k)
+        with pytest.raises(ConfigError, match="k >= 1"):
+            gl3_example_counts(2, k)

@@ -6,7 +6,6 @@ from deodhar.cells import ReducedWord, Subexpression, enumerate_distinguished
 from deodhar.errors import ConfigError, EmptyCellError, PreconditionError
 from deodhar.frobenius import (
     RegularCharacter,
-    TwistData,
     cell_invariants,
     diagram_automorphisms,
     is_regular,
@@ -26,7 +25,7 @@ RANK3_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C",
 
 def _split_a2(q=2):
     rs = build_root_system("A", 2)
-    return rs, orbit_data(rs, TwistData.split(2, q))
+    return rs, orbit_data(rs, q)
 
 
 def test_orbit_data_split():
@@ -38,7 +37,7 @@ def test_orbit_data_split():
 
 def test_orbit_data_twisted_a2():
     rs = build_root_system("A", 2)
-    od = orbit_data(rs, TwistData.twisted((1, 0), 2))
+    od = orbit_data(rs, 2, (1, 0))
     assert od.orbits == ((0, 1),)
     assert od.d(0) == od.d(1) == 2
     assert od.q_alpha(0) == 4
@@ -47,19 +46,34 @@ def test_orbit_data_twisted_a2():
 def test_orbit_data_d4_triality():
     rs = build_root_system("D", 4)
     phi = (2, 1, 3, 0)  # 3-cycle on the outer nodes, fixing the branch node
-    od = orbit_data(rs, TwistData.twisted(phi, 2))
+    od = orbit_data(rs, 2, phi)
     assert sorted(len(o) for o in od.orbits) == [1, 3]
     assert {od.q_alpha(rep) for rep in od.representatives} == {2, 8}
 
 
+@pytest.mark.parametrize("phi", [None, (1, 0)])
+def test_orbit_lookups_reject_indices_outside_the_rank(phi):
+    rs = build_root_system("A", 2)
+    od = orbit_data(rs, 2, phi)
+    with pytest.raises(ConfigError, match="-1 is not a simple index"):
+        od.representative_of(-1)
+    with pytest.raises(ConfigError, match="2 is not a simple index"):
+        od.d(rs.rank)
+    with pytest.raises(ConfigError, match="-1 is not a simple index"):
+        od.q_alpha(-1)
+
+
 def test_twist_validation():
     rs = build_root_system("B", 2)
-    with pytest.raises(ConfigError):
-        orbit_data(rs, TwistData.twisted((1, 0), 2))  # swaps long and short
-    with pytest.raises(ConfigError):
-        TwistData(phi=(0, 0), q_circ=(2, 2), p=2)
-    with pytest.raises(ConfigError):
-        TwistData(phi=(0, 1), q_circ=(2, 3), p=2)
+    with pytest.raises(ConfigError, match="preserve the Cartan matrix"):
+        orbit_data(rs, 2, (1, 0))  # swaps long and short
+    with pytest.raises(ConfigError, match="not a permutation"):
+        orbit_data(rs, 2, (0, 0))
+    # checked in order: q a prime power, phi a permutation, phi of full rank
+    with pytest.raises(ConfigError, match="field order 6"):
+        orbit_data(rs, 6, (0, 0))
+    with pytest.raises(ConfigError, match="rank does not match"):
+        orbit_data(rs, 2, (0,))
 
 
 def test_diagram_automorphism_counts():
@@ -133,7 +147,7 @@ def test_quotient_model_examples():
     point = quotient_model(Subexpression(word, (1, 1, 1)), od)
     assert str(point) == "X_2(0,0) x X_2(0,0)"
     assert point.point_count(1) == 4  # two copies of F_q
-    twisted = orbit_data(rs, TwistData.twisted((1, 0), 2))
+    twisted = orbit_data(rs, 2, (1, 0))
     model = quotient_model(Subexpression(word, (0, 0, 0)), twisted)
     with pytest.raises(ConfigError):
         model.point_count(1)
@@ -205,7 +219,7 @@ def test_regular_characters():
         with pytest.raises(ConfigError, match="0..1"):
             is_regular(RegularCharacter.from_mapping({0: bad, 1: 1}), od)
     # the twisted orbit {s, t} has q_a = 4, so 2 is a valid code there
-    twisted = orbit_data(rs, TwistData.twisted((1, 0), 2))
+    twisted = orbit_data(rs, 2, (1, 0))
     assert is_regular(RegularCharacter.from_mapping({0: 2}), twisted)
 
 
@@ -267,7 +281,7 @@ def test_theorem_table_rejects_nonregular():
 
 def test_torus_order_a1_q3():
     rs = build_root_system("A", 1)
-    od = orbit_data(rs, TwistData.split(1, 3))
+    od = orbit_data(rs, 3)
     word = ReducedWord.from_letters(rs, (0,))
     psi = RegularCharacter.regular_default(od)
     table = theorem_table(word, od, psi, q=3)
@@ -306,7 +320,7 @@ def test_dimension_bookkeeping(type_label, rank):
     """n_bar + m_bar + sum (n_a + m_a) equals the cell dimension."""
     rs = build_root_system(type_label, rank)
     for phi in diagram_automorphisms(rs):
-        od = orbit_data(rs, TwistData.twisted(phi, 2))
+        od = orbit_data(rs, 2, phi)
         for w in rs.weyl_elements():
             word = ReducedWord.from_letters(rs, w.canonical_word)
             for gamma in enumerate_distinguished(word):
@@ -318,7 +332,7 @@ def test_dimension_bookkeeping(type_label, rank):
 def test_all_skip_shift_is_length(type_label, rank):
     rs = build_root_system(type_label, rank)
     for phi in diagram_automorphisms(rs):
-        od = orbit_data(rs, TwistData.twisted(phi, 2))
+        od = orbit_data(rs, 2, phi)
         for w in rs.weyl_elements():
             word = ReducedWord.from_letters(rs, w.canonical_word)
             gamma = Subexpression(word, (0,) * word.r)
