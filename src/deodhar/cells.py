@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import BudgetError, ConfigError, EmptyCellError, NotComparableError
@@ -167,20 +168,18 @@ class Subexpression:
         return f"Subexpression{self.display}"
 
 
-def _forced_letters(rs: RootSystem) -> dict[int, tuple[bool, ...]]:
+@lru_cache(maxsize=None)
+def _forced_letters(rs: RootSystem) -> tuple[tuple[bool, ...], ...]:
     """forced[s][x] = l(x s) < l(x), for every letter s and element index x.
 
     The one place Deodhar's forced-letter rule is decided: after a partial
     product x the letter s must be taken exactly when this holds.  Built once
-    per root system and kept in ``rs.cache("forced_letters")``; every entry
-    is asserted equal to the root-sign test (s is a right descent of x, i.e.
-    x(alpha_s) < 0) before anything is cached.
+    per root system; every entry is asserted equal to the root-sign test (s is
+    a right descent of x, i.e. x(alpha_s) < 0) before the table is returned,
+    so a failed check caches nothing.
     """
-    cached = rs.cache("forced_letters")
-    if cached:
-        return cached
     lengths, right = rs._lengths, rs._right_descents
-    table = {}
+    table = []
     for s, row in enumerate(rs._rmul):
         forced = tuple([lengths[xs] < lengths[x] for x, xs in enumerate(row)])
         for x, flag in enumerate(forced):
@@ -189,9 +188,8 @@ def _forced_letters(rs: RootSystem) -> dict[int, tuple[bool, ...]]:
                     f"descent and root-sign tests disagree on "
                     f"{rs.weyl_elements()[x].word_str} * {rs.letter(s)}"
                 )
-        table[s] = forced
-    cached.update(table)
-    return cached
+        table.append(forced)
+    return tuple(table)
 
 
 def _walk(

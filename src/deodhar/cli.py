@@ -411,7 +411,7 @@ def _cmd_predict(args) -> int:
     word = cells.ReducedWord.from_letters(rs, rs.parse_word(args.word))
     od = _parse_twist(args, rs)
     psi = _parse_psi(args.psi, od, rs)
-    table = frobenius.theorem_table(word, od, psi, q=args.q)
+    table = frobenius.theorem_table(word, od, psi)
     payload = _prediction_payload(table, args)
     _emit(
         args.format, payload, lambda _: _PREDICT_COLUMNS, _predict_flat, _predict_lines

@@ -10,6 +10,7 @@ of the two routes is the package's central oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import cells
@@ -142,6 +143,7 @@ def schubert_cell_poly(w: WeylElement) -> IntPolynomial:
     return IntPolynomial.q_power(w.length)
 
 
+@lru_cache(maxsize=None)
 def r_polynomial(
     v: WeylElement,
     w: WeylElement,
@@ -152,7 +154,9 @@ def r_polynomial(
     Pick s with sw < w.  If sv < v then R_{v,w} = R_{sv,sw}; otherwise
     R_{v,w} = (q-1) R_{v,sw} + q R_{sv,sw}.  Bases: R_{w,w} = 1 and
     R_{v,w} = 0 unless v <= w.  The default descent choice is the smallest
-    index; the result is descent-independent (a tested property).
+    index; the result is descent-independent (a tested property).  Every
+    value is cached, keyed by (v, w) and the descent choice, and each step of
+    the recursion is a call of this function.
 
     >>> from deodhar.rootdata import build_root_system
     >>> rs = build_root_system("A", 2)
@@ -162,29 +166,16 @@ def r_polynomial(
     """
     if v.system is not w.system:
         raise ConfigError("R-polynomial arguments must share a root system")
-    sys = v.system
-    pick = _descent if _descent is not None else min
-    memo = sys.cache("r_polynomial") if _descent is None else {}
-
-    def rec(v: WeylElement, w: WeylElement) -> IntPolynomial:
-        key = (v, w)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if v == w:
-            out = IntPolynomial.one()
-        elif not bruhat_leq(v, w):
-            out = IntPolynomial.zero()
-        else:
-            i = pick(w.left_descents())
-            s = sys.simple_reflection(i)
-            sw = s * w
-            sv = s * v
-            if sv.length < v.length:
-                out = rec(sv, sw)
-            else:
-                out = _Q_MINUS_1 * rec(v, sw) + IntPolynomial.q_power(1) * rec(sv, sw)
-        memo[key] = out
-        return out
-
-    return rec(v, w)
+    if v == w:
+        return IntPolynomial.one()
+    if not bruhat_leq(v, w):
+        return IntPolynomial.zero()
+    s = v.system.simple_reflection((_descent or min)(w.left_descents()))
+    sw = s * w
+    sv = s * v
+    # the default is passed as the top-level calls pass it, so they share keys
+    descent = () if _descent is None else (_descent,)
+    if sv.length < v.length:
+        return r_polynomial(sv, sw, *descent)
+    lower, upper = r_polynomial(v, sw, *descent), r_polynomial(sv, sw, *descent)
+    return _Q_MINUS_1 * lower + IntPolynomial.q_power(1) * upper

@@ -36,7 +36,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import BudgetError, ConfigError
-from .gf import FqField, field
+from .gf import MAX_FIELD_ORDER, FqField, field
 from .rootdata import RootSystem, WeylElement, build_root_system
 
 Perm = tuple[int, ...]
@@ -49,6 +49,7 @@ MAX_MATRIX_SIZE = 4
 # -- permutations <-> type A Weyl elements ----------------------------------
 
 
+@lru_cache(maxsize=None)
 def _permutation_table(
     rs: RootSystem,
 ) -> tuple[tuple[Perm, ...], dict[Perm, WeylElement]]:
@@ -56,29 +57,26 @@ def _permutation_table(
 
     Element k with canonical word starting with i is s_i x for the shorter
     x = s_i w_k, so its permutation is x's with the values i and i+1 swapped.
-    Built once per system and kept in ``rs.cache("permutations")``; before
-    anything is cached, every permutation's inversion count is asserted equal
-    to its element's length and all of them are asserted distinct.
+    Built once per system; before the table is returned, every permutation's
+    inversion count is asserted equal to its element's length and all of them
+    are asserted distinct, so a failed check caches nothing.
     """
-    cached = rs.cache("permutations")
-    if not cached:
-        if rs.type_label != "A":
-            raise ConfigError("permutation model applies to type A only")
-        perms = [tuple(range(rs.rank + 1))]
-        for k in range(1, len(rs._words)):
-            i = rs._words[k][0]
-            swap = {i: i + 1, i + 1: i}
-            perms.append(tuple(swap.get(a, a) for a in perms[rs._lmul[i][k]]))
-        for sigma, length in zip(perms, rs._lengths):
-            if sum(a > b for a, b in itertools.combinations(sigma, 2)) != length:
-                raise AssertionError(
-                    f"permutation {sigma} of {rs} has the wrong inversion count"
-                )
-        elements = dict(zip(perms, rs.weyl_elements()))
-        if len(elements) != len(perms):
-            raise AssertionError(f"permutations of {rs} are not distinct")
-        cached.update(perms=tuple(perms), elements=elements)
-    return cached["perms"], cached["elements"]
+    if rs.type_label != "A":
+        raise ConfigError("permutation model applies to type A only")
+    perms = [tuple(range(rs.rank + 1))]
+    for k in range(1, len(rs._words)):
+        i = rs._words[k][0]
+        swap = {i: i + 1, i + 1: i}
+        perms.append(tuple(swap.get(a, a) for a in perms[rs._lmul[i][k]]))
+    for sigma, length in zip(perms, rs._lengths):
+        if sum(a > b for a, b in itertools.combinations(sigma, 2)) != length:
+            raise AssertionError(
+                f"permutation {sigma} of {rs} has the wrong inversion count"
+            )
+    elements = dict(zip(perms, rs.weyl_elements()))
+    if len(elements) != len(perms):
+        raise AssertionError(f"permutations of {rs} are not distinct")
+    return tuple(perms), elements
 
 
 def permutation_of(w: WeylElement) -> Perm:
@@ -560,8 +558,10 @@ def torus_order_enumerated(w: WeylElement | Perm, q: int) -> int:
     out = 1
     for c in _perm_cycles(w):
         qc = q**c
-        if qc > 512:
-            raise BudgetError(f"torus enumeration needs a field of order {qc} > 512")
+        if qc > MAX_FIELD_ORDER:
+            raise BudgetError(
+                f"torus enumeration needs a field of order {qc} > {MAX_FIELD_ORDER}"
+            )
         f = field(qc)
         count = 0
         for x0 in f.nonzero():

@@ -295,7 +295,9 @@ def yqs_point_count(q: int, s: int, n: int, m: int, k: int = 1) -> int:
 def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
     qk = q**k
     if qk > MAX_FIELD_ORDER:
-        raise BudgetError(f"brute-force model count needs a field of order {qk} > 512")
+        raise BudgetError(
+            f"brute-force model count needs a field of order {qk} > {MAX_FIELD_ORDER}"
+        )
     if m >= 1 and qk * (qk - 1) ** (m - 1) > MAX_MODEL_TUPLES:
         raise BudgetError("brute-force model count exceeds the tuple budget")
     f = field(qk)
@@ -462,18 +464,15 @@ class PredictionTable:
 
 
 def theorem_table(
-    word: cells.ReducedWord,
-    od: OrbitData,
-    psi: RegularCharacter,
-    q: Optional[int] = None,
+    word: cells.ReducedWord, od: OrbitData, psi: RegularCharacter
 ) -> PredictionTable:
     """Per-piece ledger of the regular-isotypic cohomology of Y(w).
 
     One row per x in W: for x != w0 the row records the witness root that
     forces vanishing; for x = w0 the nested table runs over the distinguished
     subexpressions ending at the identity, of which only the all-skip one
-    survives, in degree l(w).  For split type A systems with a concrete q the
-    order of the torus T^{wF} is included via the GL_n diagonal model.
+    survives, in degree l(w).  For split type A systems the order of the
+    torus T^{wF} over F_q, q = od.q, is included via the GL_n diagonal model.
     """
     sys = word.system
     _require_regular(psi, od)
@@ -500,9 +499,9 @@ def theorem_table(
     if survivor is None or shift != word.target.length:
         raise AssertionError("prediction table lost its surviving piece")
     t_order = None
-    if q is not None and sys.type_label == "A" and od.is_split:
+    if sys.type_label == "A" and od.is_split:
         # the split GL_n diagonal-torus model; no twisted analogue is kept
         from .flags import torus_order
 
-        t_order = torus_order(word.target, q)
+        t_order = torus_order(word.target, od.q)
     return PredictionTable(word, od, psi, tuple(rows), survivor, shift, t_order)

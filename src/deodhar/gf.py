@@ -34,6 +34,8 @@ brute-force oracles index table rows in their inner loops.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ConfigError
 
 MAX_FIELD_ORDER = 512
@@ -287,13 +289,7 @@ class FqField:
         return f"FqField({self.order})"
 
 
-_FIELDS: dict[int, FqField] = {}
-
-
+@lru_cache(maxsize=None)
 def field(q: int) -> FqField:
     """Interned field constructor."""
-    f = _FIELDS.get(q)
-    if f is None:
-        f = FqField(q)
-        _FIELDS[q] = f
-    return f
+    return FqField(q)

@@ -67,7 +67,6 @@ class RootSystem:
     """
 
     def __init__(self, type_label: str, rank: int):
-        type_label = type_label.upper()
         if type_label not in _SUPPORTED_RANKS or rank not in _SUPPORTED_RANKS[type_label]:
             raise ConfigError(f"unsupported root system {type_label}{rank}")
         self.type_label = type_label
@@ -82,7 +81,6 @@ class RootSystem:
         self._build_tables(
             [tuple(self._root_index[img[r]] for r in self.roots) for img in images]
         )
-        self._op_caches: dict[str, dict] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -202,10 +200,6 @@ class RootSystem:
 
     def longest_element(self) -> "WeylElement":
         return self._elements[-1]
-
-    def cache(self, name: str) -> dict:
-        """Named per-system scratch cache for other modules."""
-        return self._op_caches.setdefault(name, {})
 
     # -- helpers ----------------------------------------------------------
 

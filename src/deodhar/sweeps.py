@@ -9,6 +9,7 @@ serially in the calling process.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from . import cells, counting, flags, frobenius
 from .counting import IntPolynomial
@@ -51,14 +52,15 @@ def _row(test: str, parameters: dict, lhs, rhs) -> dict:
 # -- oracle triangle ----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def word_tree_polys(rs: RootSystem) -> dict:
     """Deodhar polynomial of every reduced word of W at every end v.
 
     Returns ``{letters: {v: deodhar_poly(word, v)}}`` for every reduced word
     of every element, with only the nonzero polynomials kept.  Every prefix
     of a reduced word is reduced, so the words form one tree rooted at the
-    empty word; it is walked once per root system and the result is kept in
-    ``rs.cache("word_tree_polys")``.
+    empty word; it is walked once per root system and the result is cached,
+    so a failed check while walking caches nothing.
 
     Each node carries, for every end x of its distinguished subexpressions,
     the histogram of cell shapes (n, m).  Appending a letter s reads Deodhar's
@@ -70,9 +72,6 @@ def word_tree_polys(rs: RootSystem) -> dict:
     sum c q^n (q-1)^m over its histogram.  Enumerating the subexpressions
     (``counting.deodhar_poly``) is the cross-check route.
     """
-    cached = rs.cache("word_tree_polys")
-    if cached:
-        return cached
     rmul, down = rs._rmul, cells._forced_letters(rs)
     elements = rs.weyl_elements()
     shape_coeffs: dict = {}
@@ -116,8 +115,7 @@ def word_tree_polys(rs: RootSystem) -> dict:
                         stay[n, m + 1] = stay.get((n, m + 1), 0) + c
                         to[n, m] = to.get((n, m), 0) + c
             stack.append((letters + (i,), row[w], child))
-    cached.update(out)
-    return cached
+    return out
 
 
 def _row_sort_key(row: dict):
@@ -291,6 +289,13 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
     ending at the identity: a non-trivial one has a positive affine orbit
     exponent, and the all-skip one has no affine exponents, no leftover
     coordinates and surviving shift l(w).
+
+    No row depends on the twist: n_a sums split counts over a phi-orbit, so
+    "some n_a > 0" holds for a twist exactly when it holds split, and n_bar,
+    m_bar and the shift do not depend on phi either.  Each twisted row of A2
+    and A3 repeats the lhs and rhs of its split row (a tested property), so
+    the twist adds no check of its own here; a brute-force oracle for the
+    twisted Frobenius is still missing.
     """
     rows = []
     for type_label, rank in RANK_LE_3_TYPES:

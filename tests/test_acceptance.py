@@ -11,7 +11,7 @@ from deodhar.cells import CellShape, ReducedWord, Subexpression, subexpressions
 from deodhar.cyclo import all_linear_characters, e_psi_check, linear_character, unitriangular_group
 from deodhar.flags import dl_piece_count, enumerate_flags, gl3_example_counts
 from deodhar.frobenius import cell_invariants, orbit_data, quotient_model
-from deodhar.rootdata import build_root_system
+from deodhar.rootdata import LETTERS, build_root_system
 
 
 class _Timer:
@@ -76,15 +76,17 @@ def test_criterion_2_oracle_triangle():
 
 
 def test_a4_oracle_triangle_and_partition(monkeypatch):
-    # both sweeps read one reduced-word tree, kept in the system's cache
+    # both sweeps read one reduced-word tree, walked once per system
     with _Timer(30.0) as t:
         rows = sweeps.oracle_triangle_rows("A", 4)
         assert len(rows) == 256_005
         _assert_rows(rows)
     _report("a4 oracle-triangle", t, f"{len(rows)} polynomial identities")
     del rows
-    tree = build_root_system("A", 4).cache("word_tree_polys")
+    a4 = build_root_system("A", 4)
+    tree = sweeps.word_tree_polys(a4)
     assert len(tree) == 3061
+    misses = sweeps.word_tree_polys.cache_info().misses
     walks = []
     cell_count_poly = counting.cell_count_poly
 
@@ -98,7 +100,8 @@ def test_a4_oracle_triangle_and_partition(monkeypatch):
         assert len(rows) == 120
         _assert_rows(rows)
     assert walks == []
-    assert build_root_system("A", 4).cache("word_tree_polys") is tree
+    assert sweeps.word_tree_polys.cache_info().misses == misses
+    assert sweeps.word_tree_polys(a4) is tree
     _report("a4 cell-partition", t, f"{len(rows)} symbolic partitions, no second walk")
 
 
@@ -140,6 +143,22 @@ def test_criterion_5_vanishing_criterion():
         t,
         f"{total} checks across all rank<=3 types and diagram automorphisms",
     )
+
+
+def test_vanishing_rows_do_not_depend_on_the_twist():
+    # n_a sums split counts over a phi-orbit, so a twisted row repeats its split row
+    split, twisted = {}, []
+    for row in sweeps.vanishing_rows(max_rank=3):
+        p = row["parameters"]
+        key = (row["test"], p["type"], p["rank"], p["w"], p["word"])
+        if p["phi"] == LETTERS[: p["rank"]]:
+            split[key] = row
+        else:
+            twisted.append((key, row))
+    assert {key[1:3] for key, _ in twisted} == {("A", 2), ("A", 3)}
+    assert len(twisted) == 14 + 132  # one non-trivial twist each
+    for key, row in twisted:
+        assert (row["lhs"], row["rhs"]) == (split[key]["lhs"], split[key]["rhs"]), key
 
 
 def test_criterion_6_gl3_worked_example():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deodhar.cells import (
+    _forced_letters,
     CellShape,
     ReducedWord,
     Subexpression,
@@ -111,16 +112,18 @@ def test_forced_letters_match_length_descents(type_label, rank):
 
 
 def test_corrupted_length_trips_forced_letter_check():
-    # a fresh system, so the interned one and its cache are never touched
+    # a fresh system, so the interned one and its tables are never touched
     rs = RootSystem("A", 2)
     lengths = list(rs._lengths)
     s = rs.simple_reflection(0).index
     lengths[s] = 0  # now l(s * s) < l(s) fails although s is a right descent of s
     rs._lengths = tuple(lengths)
     word = ReducedWord.from_letters(rs, (1, 0))
-    with pytest.raises(AssertionError, match="descent and root-sign"):
-        enumerate_distinguished(word)
-    assert rs.cache("forced_letters") == {}
+    cached = _forced_letters.cache_info().currsize
+    for _ in range(2):  # nothing was cached, so the check runs again
+        with pytest.raises(AssertionError, match="descent and root-sign"):
+            enumerate_distinguished(word)
+    assert _forced_letters.cache_info().currsize == cached
     assert build_root_system("A", 2)._lengths[s] == 1
 
 def test_enumerate_distinguished():

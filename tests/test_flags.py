@@ -8,6 +8,7 @@ import pytest
 from deodhar import flags
 from deodhar.errors import BudgetError, ConfigError
 from deodhar.flags import (
+    _permutation_table,
     canonical_flag,
     bruhat_cell,
     double_cell_census,
@@ -316,9 +317,11 @@ def test_permutation_table_is_checked_before_it_is_cached():
     lengths = list(rs._lengths)
     lengths[3] += 1
     rs._lengths = tuple(lengths)
-    with pytest.raises(AssertionError, match="inversion count"):
-        permutation_of(rs.weyl_elements()[3])
-    assert rs.cache("permutations") == {}
+    cached = _permutation_table.cache_info().currsize
+    for _ in range(2):  # nothing was cached, so the check runs again
+        with pytest.raises(AssertionError, match="inversion count"):
+            permutation_of(rs.weyl_elements()[3])
+    assert _permutation_table.cache_info().currsize == cached
     a2 = build_root_system("A", 2)
     assert a2 is not rs and a2._lengths == (0, 1, 1, 2, 2, 3)
     assert permutation_of(a2.weyl_elements()[3]) == (1, 2, 0)
@@ -327,13 +330,15 @@ def test_permutation_table_is_checked_before_it_is_cached():
 def test_permutation_table_is_built_once_per_system():
     rs = RootSystem("A", 3)
     sigmas = [permutation_of(w) for w in rs.weyl_elements()]
-    table = rs.cache("permutations")
-    assert table and len(set(sigmas)) == 24
+    table = _permutation_table(rs)
+    assert len(set(sigmas)) == 24
+    misses = _permutation_table.cache_info().misses
     # a rebuild would trip over the tampered tables
     rs._words = rs._lmul = rs._lengths = None
     assert [permutation_of(w) for w in rs.weyl_elements()] == sigmas
     assert [weyl_from_permutation(rs, s) for s in sigmas] == list(rs.weyl_elements())
-    assert rs.cache("permutations") is table
+    assert _permutation_table(rs) is table
+    assert _permutation_table.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("sigma", [(0, 0, 1), (1, 2, 3), (0, 1)])

@@ -247,7 +247,7 @@ def test_theorem_table_a2():
     rs, od = _split_a2()
     word = ReducedWord.from_letters(rs, (0, 1, 0))
     psi = RegularCharacter.regular_default(od)
-    table = theorem_table(word, od, psi, q=2)
+    table = theorem_table(word, od, psi)
     assert len(table.rows) == 6
     w0 = rs.longest_element()
     for row in table.rows:
@@ -268,7 +268,15 @@ def test_theorem_table_identity_word():
     table = theorem_table(word, od, psi)
     assert table.shift == 0
     assert table.survivor.bits == ()
-    assert table.torus_order is None
+    assert table.torus_order == 1  # (q-1)^3 at q=2
+
+
+@pytest.mark.parametrize("q, order", [(2, 3), (3, 16)])
+def test_theorem_table_reads_q_from_orbit_data(q, order):
+    rs, od = _split_a2(q)
+    word = ReducedWord.from_letters(rs, rs.longest_element().canonical_word)
+    table = theorem_table(word, od, RegularCharacter.regular_default(od))
+    assert table.torus_order == order  # (q^2-1)(q-1)
 
 
 def test_theorem_table_rejects_nonregular():
@@ -284,7 +292,7 @@ def test_torus_order_a1_q3():
     od = orbit_data(rs, 3)
     word = ReducedWord.from_letters(rs, (0,))
     psi = RegularCharacter.regular_default(od)
-    table = theorem_table(word, od, psi, q=3)
+    table = theorem_table(word, od, psi)
     assert table.shift == 1
     assert table.torus_order == 8
 

@@ -138,6 +138,9 @@ def test_unsupported_configurations():
         build_root_system("E", 6)
     with pytest.raises(ConfigError):
         build_root_system("D", 3)
+    # the interning key is the label as passed, so "a" would build a second A2
+    with pytest.raises(ConfigError, match="unsupported root system a2"):
+        build_root_system("a", 2)
 
 
 def test_simple_reflection_examples():
