@@ -84,9 +84,10 @@ def test_a4_oracle_triangle_and_partition(monkeypatch):
     _report("a4 oracle-triangle", t, f"{len(rows)} polynomial identities")
     del rows
     a4 = build_root_system("A", 4)
-    tree = sweeps.word_tree_polys(a4)
-    assert len(tree) == 3061
     misses = sweeps.word_tree_polys.cache_info().misses
+    tree = sweeps.word_tree_polys(a4)  # a hit: the triangle sweep left the tree
+    assert sweeps.word_tree_polys.cache_info().misses == misses
+    assert len(tree) == 3061
     walks = []
     cell_count_poly = counting.cell_count_poly
 

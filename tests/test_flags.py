@@ -330,9 +330,10 @@ def test_permutation_table_is_checked_before_it_is_cached():
 def test_permutation_table_is_built_once_per_system():
     rs = RootSystem("A", 3)
     sigmas = [permutation_of(w) for w in rs.weyl_elements()]
-    table = _permutation_table(rs)
-    assert len(set(sigmas)) == 24
     misses = _permutation_table.cache_info().misses
+    table = _permutation_table(rs)  # a hit: permutation_of built the table
+    assert _permutation_table.cache_info().misses == misses
+    assert len(set(sigmas)) == 24
     # a rebuild would trip over the tampered tables
     rs._words = rs._lmul = rs._lengths = None
     assert [permutation_of(w) for w in rs.weyl_elements()] == sigmas
