@@ -31,7 +31,7 @@ from typing import Mapping, Optional
 
 from . import cells
 from .errors import BudgetError, ConfigError, EmptyCellError, PreconditionError
-from .gf import MAX_FIELD_ORDER, _factor_prime_power, field
+from .gf import MAX_FIELD_ORDER, _difference_walk, _factor_prime_power, field
 from .rootdata import RootSystem, WeylElement
 
 MAX_MODEL_TUPLES = 4 * 10**6
@@ -311,13 +311,10 @@ def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
         power_fibre = [0] * qk
         for x in powers:
             power_fibre[x] += 1
+        ranges = [powers] * (m - 1)
         count = 0
         for target in targets:
-            for lams in itertools.product(powers, repeat=m - 1):
-                acc = target
-                for x in lams:
-                    acc = sub[acc][x]
-                count += power_fibre[acc]
+            count += _difference_walk(sub, target, ranges, power_fibre)
     if count % q:
         raise AssertionError("Artin-Schreier count is not divisible by q")
     return count

@@ -29,12 +29,17 @@ XOR in characteristic 2 and digit arithmetic otherwise.  Subtraction and
 multiplication also have q x q lookup tables, ``sub_table()`` and
 ``mul_table()``, built lazily from ``add``/``neg`` and the log tables on
 first use and kept on the interned field: ``sub`` is one lookup, and the
-brute-force oracles index table rows in their inner loops.
+brute-force oracles index table rows in their inner loops.  The
+Artin-Schreier point counters share one walk over coordinate tuples
+(``_difference_walk``): it reduces each prefix once and counts the last
+coordinate along the subtraction-table row of its prefix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import ConfigError
 
@@ -293,3 +298,54 @@ class FqField:
 def field(q: int) -> FqField:
     """Interned field constructor."""
     return FqField(q)
+
+
+def _difference_walk(
+    sub: list[list[int]],
+    acc: int,
+    ranges: list[Sequence[int]],
+    fibre: list[int] | None = None,
+) -> int:
+    """Exhaustive count over the tuples c of ``itertools.product(*ranges)``.
+
+    ``sub`` is a field's ``sub_table()``.  Without ``fibre`` this is the
+    number of tuples with ``acc - c_1 - ... - c_r == 0``, and the last range
+    must be ``elements()`` or ``nonzero()``; with ``fibre`` it is the sum of
+    ``fibre[acc - c_1 - ... - c_r]``.  An empty ``ranges`` counts the empty
+    tuple alone.
+
+    The partial difference of each prefix is reduced once and shared by all
+    its extensions.  The last coordinate is scanned in C along the table row
+    of its prefix, so every tuple's end value is still read and tested: no
+    two tuples are merged by their partial differences.
+    """
+    if not ranges:
+        return int(acc == 0) if fibre is None else fibre[acc]
+    *prefix, last = ranges
+    if fibre is None:
+        # row[0] is the end value of the lambda = 0 entry, absent from nonzero()
+        skip_zero = 0 not in last
+
+        def leaf(row):
+            return row.count(0) - (skip_zero and row[0] == 0)
+
+    else:
+
+        def leaf(row):
+            return sum(map(fibre.__getitem__, map(row.__getitem__, last)))
+
+    if not prefix:
+        return leaf(sub[acc])
+    total = 0
+    # an explicit stack of (partial difference, depth): a model may have more
+    # coordinates than the recursion limit allows
+    stack = [(acc, 0)]
+    last_depth = len(prefix) - 1
+    while stack:
+        a, depth = stack.pop()
+        children = map(sub[a].__getitem__, prefix[depth])
+        if depth == last_depth:
+            total += sum(map(leaf, map(sub.__getitem__, children)))
+        else:
+            stack.extend(zip(children, repeat(depth + 1)))
+    return total

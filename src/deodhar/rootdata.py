@@ -238,11 +238,14 @@ class WeylElement:
     identity and the last index is the longest element.
     """
 
-    __slots__ = ("system", "index")
+    __slots__ = ("system", "index", "_hash")
 
     def __init__(self, system: RootSystem, index: int):
         self.system = system
         self.index = index
+        # with the system in it, equal indices of different systems do not
+        # collide in the caches that all systems share (counting.r_polynomial)
+        self._hash = hash((system, index))
 
     def __eq__(self, other) -> bool:
         return (
@@ -252,7 +255,7 @@ class WeylElement:
         )
 
     def __hash__(self) -> int:
-        return hash(self.index)
+        return self._hash
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         sys = self.system

@@ -1,20 +1,22 @@
 """Exhaustive verification sweeps shared by the CLI and the test suite.
 
-Every function returns a list of comparison rows
+Every ``*_rows`` function returns a list of comparison rows
 ``{"test", "parameters", "lhs", "rhs", "match"}`` in a canonical order, so
-identical configurations produce byte-identical reports.  Every sweep runs
-serially in the calling process.
+identical configurations produce byte-identical reports.  The helpers they
+share return plain values: ``word_tree_polys`` the Deodhar polynomials of
+every reduced word, ``xq_brute_count`` and ``xq_full_product_count`` point
+counts.  Every sweep runs serially in the calling process.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from functools import lru_cache
 
 from . import cells, counting, flags, frobenius
 from .counting import IntPolynomial
 from .errors import BudgetError, ConfigError
-from .gf import _factor_prime_power, field
+from .gf import _difference_walk, _factor_prime_power, field
 from .rootdata import (
     RootSystem,
     build_root_system,
@@ -436,51 +438,46 @@ def unique_torus_rows(type_label: str, rank: int) -> list[dict]:
 def xq_brute_count(q: int, n: int, m: int, k: int = 1) -> int:
     """Exhaustive count of X_q(n, m)(F_{q^k}), independent of the closed form.
 
-    Enumerates all coordinates except the last one and counts admissible
-    completions: the last affine coordinate always completes uniquely, a last
-    torus coordinate completes when the solved value is nonzero.
+    For each zeta, counts the tuples of every coordinate but the last, each
+    with its admissible completions.  The last affine coordinate always
+    completes uniquely, so with m = 0 each zeta adds the number of tuples.
+    A last torus coordinate completes when the difference left is nonzero,
+    so with m >= 1 each zeta adds the tuples less those that
+    ``_difference_walk`` finds with difference 0.  ``xq_model_rows`` runs it
+    with no tuple cap, for every field order up to ``max_qk``.
     """
     f = field(q**k)
     sub = f.sub_table()
-    elements, nonzero = f.elements(), f.nonzero()
-    free_n = n - 1 if m == 0 else n
-    free_m = m - 1 if m >= 1 else 0
+    if m == 0:
+        ranges = [f.elements()] * (n - 1)
+    else:
+        ranges = [f.elements()] * n + [f.nonzero()] * (m - 1)
+    tuples = math.prod(map(len, ranges))
     count = 0
-    for zeta in elements:
+    for zeta in f.elements():
         target = f.sub(f.pow(zeta, q), zeta)
-        if n == 0 and m == 0:
+        if m:
+            count += tuples - _difference_walk(sub, target, ranges)
+        elif n:
+            count += tuples
+        else:
             count += target == 0
-            continue
-        for mus in itertools.product(elements, repeat=free_n):
-            acc = target
-            for mu in mus:
-                acc = sub[acc][mu]
-            for lams in itertools.product(nonzero, repeat=free_m):
-                s = acc
-                for lam in lams:
-                    s = sub[s][lam]
-                # the remaining coordinate is s itself
-                count += 1 if m == 0 else s != 0
     return count
 
 
 def xq_full_product_count(q: int, n: int, m: int, k: int = 1) -> int:
-    """Naive full-product enumeration, affordable only for tiny fields."""
+    """Naive full-product count of X_q(n, m)(F_{q^k}): every coordinate is
+    enumerated and each tuple is tested against the equation.
+
+    ``xq_model_rows`` runs it only where the q^k * q^{kn} * (q^k - 1)^m
+    tuples number at most 70,000.
+    """
     f = field(q**k)
     sub = f.sub_table()
-    elements, nonzero = f.elements(), f.nonzero()
+    ranges = [f.elements()] * n + [f.nonzero()] * m
     count = 0
-    for zeta in elements:
-        target = f.sub(f.pow(zeta, q), zeta)
-        for mus in itertools.product(elements, repeat=n):
-            acc = target
-            for mu in mus:
-                acc = sub[acc][mu]
-            for lams in itertools.product(nonzero, repeat=m):
-                s = acc
-                for lam in lams:
-                    s = sub[s][lam]
-                count += s == 0
+    for zeta in f.elements():
+        count += _difference_walk(sub, f.sub(f.pow(zeta, q), zeta), ranges)
     return count
 
 

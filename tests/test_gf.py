@@ -1,11 +1,14 @@
 """Finite field tables: axioms checked exhaustively on small orders."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from deodhar.errors import ConfigError
-from deodhar.frobenius import xq_point_count
-from deodhar.gf import _MODULUS, _factor_prime_power, field
+from deodhar import frobenius
+from deodhar.errors import BudgetError, ConfigError
+from deodhar.frobenius import xq_point_count, yqs_point_count
+from deodhar.gf import _MODULUS, _difference_walk, _factor_prime_power, field
 from deodhar.sweeps import xq_brute_count, xq_full_product_count
 
 ALL_ORDERS = sorted(
@@ -121,6 +124,72 @@ def test_xq_brute_counts_match_point_count_odd_extensions(q):
             expected = xq_point_count(q, n, m)
             assert xq_brute_count(q, n, m) == expected
             assert xq_full_product_count(q, n, m) == expected
+
+
+@pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (4, 2)])
+def test_xq_brute_counts_match_point_count_extensions(q, k):
+    # over F_{q^k} with k > 1 the model still reads zeta^q, not zeta^(q^k)
+    for n in range(3):
+        for m in range(3 - n):
+            expected = xq_point_count(q, n, m, k)
+            assert xq_brute_count(q, n, m, k) == expected
+            assert xq_full_product_count(q, n, m, k) == expected
+    assert xq_brute_count(q, 0, 0, k) == q
+
+
+def test_artin_schreier_count_budgets(monkeypatch):
+    with pytest.raises(BudgetError, match="field of order 1024"):
+        xq_point_count(2, 0, 1, 10)
+    # F_128 with m = 3 walks 128 * 127^2 = 2,064,512 tuples, below the cap;
+    # F_5 with m = 11 would walk 5 * 4^10 = 5,242,880, above it
+    assert frobenius.MAX_MODEL_TUPLES == 4 * 10**6
+    assert xq_point_count(2, 0, 3, 7) == xq_brute_count(2, 0, 3, 7)
+    with pytest.raises(BudgetError, match="tuple budget"):
+        xq_point_count(5, 0, 11)
+    # the cap is inclusive: F_4 with m = 3 walks 4 * 3^2 = 36 tuples
+    monkeypatch.setattr(frobenius, "MAX_MODEL_TUPLES", 36)
+    assert xq_point_count(4, 0, 3) == xq_brute_count(4, 0, 3) == 24
+    assert yqs_point_count(4, 5, 0, 3) == xq_brute_count(4, 0, 3)
+    monkeypatch.setattr(frobenius, "MAX_MODEL_TUPLES", 35)
+    with pytest.raises(BudgetError, match="tuple budget"):
+        xq_point_count(4, 0, 3)
+
+
+def _product_count(f, acc, ranges, fibre=None):
+    # plain enumeration with add/neg, independent of the subtraction table
+    total = 0
+    for c in itertools.product(*ranges):
+        a = acc
+        for x in c:
+            a = f.add(a, f.neg(x))
+        total += (a == 0) if fibre is None else fibre[a]
+    return total
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25])
+def test_difference_walk_matches_product_enumeration(q):
+    f = field(q)
+    sub = f.sub_table()
+    kinds = {"E": f.elements(), "N": f.nonzero()}
+    fibre = [f.pow(x, 3) for x in f.elements()]  # arbitrary weights
+    for spec in ("", "E", "N", "EE", "NN", "EN", "NE", "EEN", "NNN", "NEE", "ENE"):
+        if q ** len(spec) > 1000:
+            continue
+        ranges = [kinds[c] for c in spec]
+        for acc in f.elements():
+            count = _difference_walk(sub, acc, ranges)
+            assert type(count) is int
+            assert count == _product_count(f, acc, ranges)
+            assert _difference_walk(sub, acc, ranges, fibre) == _product_count(
+                f, acc, ranges, fibre
+            )
+    # the empty tuple alone: counted iff the start value is already 0
+    assert _difference_walk(sub, 0, []) == 1
+    assert _difference_walk(sub, 1, []) == 0
+    # from 0 the one zero end value is the lambda = 0 entry, which nonzero() skips
+    assert _difference_walk(sub, 0, [f.elements()]) == 1
+    assert _difference_walk(sub, 0, [f.nonzero()]) == 0
+    assert _difference_walk(sub, 0, [f.elements(), f.nonzero()]) == q - 1
 
 
 @pytest.mark.parametrize("q", [0, 1, 6, 12, 11, -4])

@@ -288,6 +288,18 @@ def test_mismatched_systems_rejected():
         a2.simple_reflection(0) * b2.simple_reflection(0)
 
 
+def test_weyl_element_hashes_differ_across_systems():
+    # module-level caches keyed by Weyl elements (counting.r_polynomial) hold
+    # elements of every system at once
+    elements = [
+        w
+        for type_label, rank in (("A", 3), ("B", 3), ("C", 3))
+        for w in build_root_system(type_label, rank).weyl_elements()
+    ]
+    assert len(elements) == 24 + 48 + 48
+    assert len({hash(w) for w in elements}) == len(elements)
+
+
 @given(
     st.sampled_from(SMALL_TYPES),
     st.lists(st.integers(0, 3), max_size=8),
