@@ -8,9 +8,13 @@ Three subcommands:
 * ``predict`` prints the per-piece regular-isotypic prediction table.
 
 Every command builds one JSON-ready payload and hands it to ``_emit``, which
-prints it in the chosen format.  Exit codes: 0 pass, 1 identity failure,
-2 configuration error, 3 budget exceeded.  Identical configurations produce
-byte-identical output; no environment variable changes it.
+prints it in the chosen format.  JSON is written by ``_json_text``, byte for
+byte what ``json.dumps`` prints with ``indent=2`` and ``sort_keys=True``:
+whenever ``indent`` is set, the standard library skips its C encoder and runs
+a pure-Python one, which made printing the reports slower than computing them.
+Exit codes: 0 pass, 1 identity failure, 2 configuration error, 3 budget
+exceeded.  Identical configurations produce byte-identical output; no
+environment variable changes it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _str_text
 
 from . import cells, counting, flags, frobenius, sweeps
 from .errors import BudgetError, ConfigError, DeodharError
@@ -39,13 +44,15 @@ FORMATS = ("table", "json", "csv")
 def _emit(fmt: str, payload: dict, columns, flat, lines=None) -> None:
     """Print payload in one output format.
 
-    json prints the payload itself; csv writes the rows flat(payload) under
+    json prints the payload itself through ``_json_text``: the same bytes as
+    ``json.dumps`` with ``indent=2`` and ``sort_keys=True``, whose indented
+    form never reaches the C encoder.  csv writes the rows flat(payload) under
     the header columns(payload); table prints lines(payload), or the csv
     cells aligned in columns when lines is None.  Only the projection of the
     chosen format runs.
     """
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
         return
     if lines is not None and fmt == "table":
         for line in lines(payload):
@@ -67,6 +74,58 @@ def _emit(fmt: str, payload: dict, columns, flat, lines=None) -> None:
     print("  ".join("-" * w for w in widths))
     for row in text:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
+
+
+def _json_text(value, pad: str = "") -> str:
+    """What ``json.dumps`` prints with ``indent=2, sort_keys=True``, for payload types.
+
+    pad is the indent of the line on which value starts, so a value nested in
+    a report can be encoded on its own.  Dicts need ``str`` keys; lists and
+    tuples are arrays; ``str``, exact ``int``, ``bool`` and ``None`` are
+    leaves.  Any other type (a float, a set, an ``int`` subclass) raises
+    ``TypeError``.
+
+    >>> print(_json_text({"b": [1, -2], "a": (), "c": {"x": None}}))
+    {
+      "a": [],
+      "b": [
+        1,
+        -2
+      ],
+      "c": {
+        "x": null
+      }
+    }
+    """
+    kind = type(value)
+    if kind is str:
+        return _str_text(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        # _str_text raises TypeError on a key that is not a str.
+        items = [
+            _str_text(k) + ": " + _json_text(value[k], inner) for k in sorted(value)
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        # Integers inline: most array items are polynomial coefficients.
+        items = [
+            int.__repr__(v) if type(v) is int else _json_text(v, inner) for v in value
+        ]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot encode {kind.__name__} as report JSON")
 
 
 def _cell_text(value) -> str:

@@ -7,10 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import deodhar
 from deodhar import cells, flags, frobenius, sweeps
-from deodhar.cli import main
+from deodhar.cli import _json_text, main
 
 
 def run_cli(capsys, *argv):
@@ -482,3 +483,61 @@ def test_cli_import_loads_no_process_pool():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+# Text with the characters JSON must escape: quotes, backslashes, control
+# characters, non-ASCII (inside and outside the BMP) and lone surrogates.
+JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\U0001f600'),
+        st.characters(categories=["Cs"]),
+        st.characters(),
+    ),
+    max_size=8,
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=-(2**63))
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@example({"": [], "\ud800": {}, "k\\\"": ((), [-(10**30)], True, False, None)})
+def test_json_text_equals_indented_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_pad_indents_a_nested_value():
+    row = {"lhs": [1, -1], "test": "t"}
+    whole = _json_text({"rows": [row]})
+    assert _json_text(row, "    ") in whole
+    assert whole == json.dumps({"rows": [row]}, indent=2, sort_keys=True)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1: "a"}, [0, {"x": _Int(3)}]],
+    ids=["float", "int-key", "int-subclass"],
+)
+def test_json_text_rejects_what_json_dumps_accepts(value):
+    # Reports hold no floats, and json.dumps sorts int keys by value, not by
+    # the strings it prints; so the narrower contract is deliberate.
+    json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def test_json_text_rejects_a_set():
+    with pytest.raises(TypeError):
+        _json_text({"a": {0, 1}})

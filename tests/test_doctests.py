@@ -1,8 +1,14 @@
-"""Run the docstring examples of the numeric modules."""
+"""Run the docstring examples of the numeric modules and the CLI."""
 
 import doctest
 
-from deodhar import counting, flags, frobenius
+from deodhar import cli, counting, flags, frobenius
+
+
+def test_cli_doctests():
+    results = doctest.testmod(cli, verbose=False)
+    assert results.failed == 0
+    assert results.attempted >= 1
 
 
 def test_counting_doctests():

@@ -11,10 +11,16 @@ its budget (exit 3), were recorded before the CLI got a single output
 emitter.  Each case carries its expected exit code, and every subcommand and
 every ``verify`` suite must be pinned in every output format.  Any refactor
 of the library must keep every one of these outputs byte-identical.
+
+``BENCHMARK_JSON`` pins the json stdout of the benchmark's instances, copied
+with their check counts from ``perfbench/workloads.json``.  These outputs are
+the largest the CLI writes (2.4 MB for the B3 and C3 triangles), so a drift
+of the json encoder fails here before the benchmark's digest gate sees it.
 """
 
 import argparse
 import hashlib
+import json
 
 import pytest
 
@@ -142,6 +148,43 @@ def test_golden_stdout(capsys, argv, fmt, exit_code, digest):
     code = main(list(argv) + ["--format", fmt])
     out = capsys.readouterr().out
     assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+BENCHMARK_JSON = {
+    ("verify", "deodhar-vs-rpoly", "--type", "B", "--rank", "3"): (
+        6587,
+        "b359f7af66fd285eb5d58c0271474672483e1922741c96470d1a095c6420b374",
+    ),
+    ("verify", "deodhar-vs-rpoly", "--type", "C", "--rank", "3"): (
+        6587,
+        "458e0fc98a3d08e413df1e1f05bee8a312661826ba0379d68b0e7f1c2383fdd6",
+    ),
+    ("verify", "xq-models", "--max-qk", "32", "--max-nm", "3"): (
+        622,
+        "eff865f509a174a46b9b1bd7445fe3bb5518a636876dd03f7a1e76ea970fdb01",
+    ),
+    ("verify", "flags", "--n", "4", "--q", "5"): (
+        1178,
+        "022ae0dd3ae60de51fc1d57147eaf31e213e49ffcc1176ba8e720fcf0f7dd151",
+    ),
+    ("verify", "vanishing", "--max-rank", "3"): (
+        1350,
+        "618c949bac907a5d0c6a8b107d3598d39febba866d12d03187d2d014eb0e86ac",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,checks,digest",
+    [(argv, *pinned) for argv, pinned in BENCHMARK_JSON.items()],
+    ids=[" ".join(argv) for argv in BENCHMARK_JSON],
+)
+def test_benchmark_json_stdout(capsys, argv, checks, digest):
+    code = main(list(argv) + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["checks"] == checks
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
