@@ -120,10 +120,7 @@ def _json_text(value, pad: str = "") -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        # Integers inline: most array items are polynomial coefficients.
-        items = [
-            int.__repr__(v) if type(v) is int else _json_text(v, inner) for v in value
-        ]
+        items = [_json_text(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot encode {kind.__name__} as report JSON")
 
