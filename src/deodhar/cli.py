@@ -249,22 +249,27 @@ def _cmd_decompose(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 
-def _verify_row_groups(args):
+def _verify_rows(args, rows: list[dict]) -> None:
+    """Append the rows of the chosen suite to rows, group by group.
+
+    ``xq_model_rows`` appends each row as it is made, so after a BudgetError
+    rows holds every row made before it.
+    """
     suite = args.suite
     if suite == "deodhar-vs-rpoly":
-        yield sweeps.oracle_triangle_rows(args.type, args.rank)
-        yield sweeps.partition_rows(args.type, args.rank)
+        rows += sweeps.oracle_triangle_rows(args.type, args.rank)
+        rows += sweeps.partition_rows(args.type, args.rank)
     elif suite == "flags":
         if not 2 <= args.n <= flags.MAX_MATRIX_SIZE:
             raise ConfigError(
                 f"--n must satisfy 2 <= n <= {flags.MAX_MATRIX_SIZE}, got {args.n}"
             )
-        yield sweeps.flag_census_rows(args.n, args.q)
-        yield sweeps.double_cell_rows(args.n, args.q)
+        rows += sweeps.flag_census_rows(args.n, args.q)
+        rows += sweeps.double_cell_rows(args.n, args.q)
     elif suite == "gl3-example":
         if args.k < 1:
             raise ConfigError(f"--k must satisfy k >= 1, got {args.k}")
-        yield sweeps.gl3_rows(args.q, args.k)
+        rows += sweeps.gl3_rows(args.q, args.k)
     elif suite == "vanishing":
         top = max(rank for _, rank in sweeps.RANK_LE_3_TYPES)
         if args.max_rank > top:
@@ -272,10 +277,10 @@ def _verify_row_groups(args):
                 f"--max-rank must be at most {top}, the largest rank swept; "
                 f"got {args.max_rank}"
             )
-        yield sweeps.vanishing_rows(args.max_rank)
-        yield sweeps.witness_rows(args.max_rank)
+        rows += sweeps.vanishing_rows(args.max_rank)
+        rows += sweeps.witness_rows(args.max_rank)
     elif suite == "xq-models":
-        yield sweeps.xq_model_rows(args.max_qk, args.max_nm)
+        sweeps.xq_model_rows(args.max_qk, args.max_nm, out=rows)
 
 
 def _verify_columns(payload: dict) -> list[str]:
@@ -311,8 +316,7 @@ def _cmd_verify(args) -> int:
     rows: list[dict] = []
     budget_note = None
     try:
-        for group in _verify_row_groups(args):
-            rows.extend(group)
+        _verify_rows(args, rows)
     except BudgetError as exc:
         budget_note = str(exc)
     if not rows and budget_note is None:

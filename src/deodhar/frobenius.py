@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional
 
 from . import cells
@@ -143,6 +144,39 @@ def vanishing_witness(x: WeylElement) -> Optional[int]:
         if sys.is_positive(xinv.act(sys.simple_roots[i])):
             return i
     return None
+
+
+@lru_cache(maxsize=None)
+def _w0_image_simple(rs: RootSystem) -> tuple[tuple[bool, ...], ...]:
+    """simple[s][y]: w0(y(-alpha_s)) is a simple root, for every letter s and
+    element index y.
+
+    For a letter s taken to the partial product y this says whether the
+    position counts towards an orbit exponent of ``cell_invariants``.  w0
+    sends the negative simple roots onto the simple roots, so it holds exactly
+    when y(alpha_s) is a simple root alpha_t, that is when y s = s_t y and
+    l(y s) > l(y); the table is read off the multiplication tables that way.
+    Built once per root system; every entry is asserted equal to the root
+    action test before the table is returned, so a failed check caches
+    nothing.
+    """
+    lengths, lmul = rs._lengths, rs._lmul
+    w0 = rs.longest_element()
+    simple_set = frozenset(rs.simple_roots)
+    table = []
+    for s, row in enumerate(rs._rmul):
+        neg = tuple(-c for c in rs.simple_roots[s])
+        entries = []
+        for y, ys in enumerate(row):
+            flag = lengths[ys] > lengths[y] and any(ys == left[y] for left in lmul)
+            if flag != (w0.act(rs._elements[y].act(neg)) in simple_set):
+                raise AssertionError(
+                    f"table and root action disagree on w0 "
+                    f"{rs._elements[y].word_str}(-alpha_{rs.letter(s)})"
+                )
+            entries.append(flag)
+        table.append(tuple(entries))
+    return tuple(table)
 
 
 # -- regular characters -------------------------------------------------------

@@ -3,15 +3,17 @@
 Every ``*_rows`` function returns a list of comparison rows
 ``{"test", "parameters", "lhs", "rhs", "match"}`` in a canonical order, so
 identical configurations produce byte-identical reports.  The helpers they
-share return plain values: ``word_tree_polys`` the Deodhar polynomials of
-every reduced word, ``xq_brute_count`` and ``xq_full_product_count`` point
-counts.  Every sweep runs serially in the calling process.
+share return plain values: ``word_tree_polys`` the Deodhar polynomials and
+``word_tree_vanishing`` the vanishing-criterion counts of every reduced word,
+``xq_brute_count`` and ``xq_full_product_count`` point counts.  Every sweep
+runs serially in the calling process.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Optional
 
 from . import cells, counting, flags, frobenius
 from .counting import IntPolynomial
@@ -284,13 +286,109 @@ def gl3_rows(q: int, k: int) -> list[dict]:
 # -- vanishing criterion ------------------------------------------------------
 
 
+# path tags of word_tree_vanishing
+_ALL_SKIP, _TAKEN, _WITNESSED = 0, 1, 2
+
+
+def word_tree_vanishing(rs: RootSystem) -> dict:
+    """Vanishing data of Gamma_e for every reduced word of W, from one walk.
+
+    Returns ``{letters: (with_witness, nontrivial, all_skip, clean)}`` for
+    every reduced word of every element: of the distinguished subexpressions
+    ending at the identity, how many have a positive affine orbit exponent,
+    how many are not all-skip, how many are all-skip, and whether the
+    all-skip one has no leftover coordinates (w0(-alpha_s) simple at every
+    letter).
+
+    The words form one tree, walked as in ``word_tree_polys``.  Each node
+    counts its distinguished subexpressions by (x, tag), x the partial product
+    and tag one of all-skip so far, taken without a witness, witnessed; the
+    pair is keyed 3 x + tag, so a node's row reads the keys 0, 1, 2.
+    Appending a letter s: if s is forced at x (``cells._forced_letters``) it
+    is taken to xs, and that position lies in I minus J, since J is read at
+    the partial product after the letter; the path becomes witnessed when
+    w0(xs(-alpha_s)) is a simple root (``frobenius._w0_image_simple``), which
+    makes n_a > 0 for the orbit of that root.  Otherwise s is either skipped
+    (stay at x) or taken (go to xs, a position in J), and neither changes the
+    witness.  clean is carried along the path, and the result is not
+    cached: ``vanishing_rows`` checks it against the enumeration route.
+    """
+    rmul, down = rs._rmul, cells._forced_letters(rs)
+    image = frobenius._w0_image_simple(rs)
+    out: dict = {}
+    stack = [((), 0, {_ALL_SKIP: 1}, True)]
+    while stack:
+        letters, w, states, clean = stack.pop()
+        witnessed = states.get(_WITNESSED, 0)
+        out[letters] = (
+            witnessed,
+            states.get(_TAKEN, 0) + witnessed,
+            states.get(_ALL_SKIP, 0),
+            clean,
+        )
+        for i, row in enumerate(rmul):
+            forced = down[i]
+            if forced[w]:
+                continue
+            simple = image[i]
+            child: dict = {}
+            get = child.get
+            for key, c in states.items():
+                x, tag = divmod(key, 3)
+                xs = row[x]
+                taken = tag or _TAKEN
+                if forced[x]:
+                    key = 3 * xs + (_WITNESSED if simple[xs] else taken)
+                    child[key] = get(key, 0) + c
+                else:
+                    child[key] = get(key, 0) + c
+                    key = 3 * xs + taken
+                    child[key] = get(key, 0) + c
+            stack.append((letters + (i,), row[w], child, clean and simple[0]))
+    return out
+
+
+def _vanishing_by_enumeration(
+    gamma_e: list[cells.Subexpression], od: frobenius.OrbitData
+) -> tuple:
+    """``word_tree_vanishing``'s entry for one word, by the enumeration route.
+
+    gamma_e is the word's ``cells.enumerate_distinguished(word, e)``; each
+    subexpression's ``cell_invariants`` are read under the twist od, and
+    clean also requires the all-skip prediction to survive in degree l(w).
+    """
+    with_witness = nontrivial = all_skip = 0
+    clean = False
+    for gamma in gamma_e:
+        inv = frobenius.cell_invariants(gamma, od)
+        if any(gamma.bits):
+            nontrivial += 1
+            with_witness += any(c > 0 for c in inv.n.values())
+            continue
+        all_skip += 1
+        pred = frobenius._prediction_from_invariants(gamma, inv)
+        clean = (
+            all(c == 0 for c in inv.n.values())
+            and inv.n_bar == 0
+            and inv.m_bar == 0
+            and not pred.vanishes
+            and pred.shift == gamma.r
+        )
+    return with_witness, nontrivial, all_skip, clean and all_skip == 1
+
+
 def vanishing_rows(max_rank: int = 3) -> list[dict]:
     """Core of the vanishing theorem, swept over all diagram automorphisms.
 
-    For every reduced word of every w and every distinguished subexpression
-    ending at the identity: a non-trivial one has a positive affine orbit
-    exponent, and the all-skip one has no affine exponents, no leftover
-    coordinates and surviving shift l(w).
+    For every reduced word of every w, over the distinguished subexpressions
+    ending at the identity: every non-trivial one has a positive affine orbit
+    exponent, and exactly one is all-skip, with no affine exponents, no
+    leftover coordinates and surviving shift l(w).  The counts come from one walk of
+    the tree of reduced words per root system (``word_tree_vanishing``).  On
+    the canonical word of every element and under every twist they are
+    checked against the enumeration route: Gamma_e enumerated, then
+    ``cell_invariants`` and the prediction of each subexpression; a
+    disagreement raises AssertionError.
 
     No row depends on the twist: n_a sums split counts over a phi-orbit, so
     "some n_a > 0" holds for a twist exactly when it holds split, and n_bar,
@@ -304,63 +402,45 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
         if rank > max_rank:
             continue
         rs = build_root_system(type_label, rank)
+        tree = word_tree_vanishing(rs)
+        twists = [
+            ("".join(rs.letter(i) for i in phi), frobenius.orbit_data(rs, 2, phi))
+            for phi in frobenius.diagram_automorphisms(rs)
+        ]
         e = rs.identity()
-        # one bucket of rows per twist, so each word's Gamma_e is enumerated
-        # once and the rows still come out twist by twist
-        twists = []
-        for phi in frobenius.diagram_automorphisms(rs):
-            twists.append((phi, frobenius.orbit_data(rs, 2, phi), []))
         for w in rs.weyl_elements():
-            for letters in reduced_words(w):
-                word = cells.ReducedWord.from_letters(rs, letters)
-                dist = cells.enumerate_distinguished(word, e)
-                nontrivial = [g for g in dist if any(g.bits)]
-                all_skip = [g for g in dist if not any(g.bits)]
-                for phi, od, bucket in twists:
-                    with_witness = 0
-                    for gamma in nontrivial:
-                        inv = frobenius.cell_invariants(gamma, od)
-                        if any(c > 0 for c in inv.n.values()):
-                            with_witness += 1
-                    shift = None
-                    clean = False
-                    if len(all_skip) == 1:
-                        inv0 = frobenius.cell_invariants(all_skip[0], od)
-                        pred = frobenius._prediction_from_invariants(
-                            all_skip[0], inv0
-                        )
-                        clean = (
-                            all(c == 0 for c in inv0.n.values())
-                            and inv0.n_bar == 0
-                            and inv0.m_bar == 0
-                            and not pred.vanishes
-                        )
-                        shift = pred.shift
+            word = cells.ReducedWord.from_letters(rs, w.canonical_word)
+            gamma_e = cells.enumerate_distinguished(word, e)
+            for phi_str, od in twists:
+                if _vanishing_by_enumeration(gamma_e, od) != tree[word.letters]:
+                    raise AssertionError(
+                        f"word tree and enumeration disagree on Gamma_e of "
+                        f"{type_label}{rank} word {word.display} under twist {phi_str}"
+                    )
+        plan = [(w, w.word_str, reduced_words(w)) for w in rs.weyl_elements()]
+        for phi_str, _ in twists:
+            for w, w_str, words in plan:
+                for letters in words:
+                    with_witness, nontrivial, all_skip, clean = tree[letters]
                     params = {
                         "type": type_label,
                         "rank": rank,
-                        "phi": "".join(rs.letter(i) for i in phi),
-                        "w": w.word_str,
-                        "word": word.display,
+                        "phi": phi_str,
+                        "w": w_str,
+                        "word": word_str(letters),
                     }
-                    bucket.append(
-                        _row(
-                            "vanishing-nontrivial",
-                            params,
-                            with_witness,
-                            len(nontrivial),
-                        )
+                    rows.append(
+                        _row("vanishing-nontrivial", params, with_witness, nontrivial)
                     )
-                    bucket.append(
+                    # the all-skip piece survives in degree r - |I| = l(w)
+                    rows.append(
                         _row(
                             "vanishing-survivor",
                             params,
-                            [len(all_skip), clean, shift],
+                            [all_skip, clean, len(letters)],
                             [1, True, w.length],
                         )
                     )
-        for *_, bucket in twists:
-            rows.extend(bucket)
     return rows
 
 
@@ -481,8 +561,16 @@ def xq_full_product_count(q: int, n: int, m: int, k: int = 1) -> int:
     return count
 
 
-def xq_model_rows(max_qk: int = 64, max_nm: int = 3) -> list[dict]:
-    rows = []
+def xq_model_rows(
+    max_qk: int = 64, max_nm: int = 3, out: Optional[list] = None
+) -> list[dict]:
+    """Closed-form X_q(n, m) point counts against the brute-force counters.
+
+    Each row is appended to out (a new list when None), which is returned,
+    as soon as it is made: when a count exceeds its budget, the BudgetError
+    leaves in out every row made before it.
+    """
+    rows = [] if out is None else out
     for q in range(2, max_qk + 1):
         try:
             _factor_prime_power(q)

@@ -2,10 +2,12 @@
 
 import pytest
 
+from deodhar import frobenius, sweeps
 from deodhar.cells import ReducedWord, Subexpression, enumerate_distinguished
 from deodhar.errors import ConfigError, EmptyCellError, PreconditionError
 from deodhar.frobenius import (
     RegularCharacter,
+    _w0_image_simple,
     cell_invariants,
     diagram_automorphisms,
     is_regular,
@@ -18,7 +20,7 @@ from deodhar.frobenius import (
     yqs_point_count,
 )
 from deodhar.gf import field
-from deodhar.rootdata import build_root_system, reduced_words
+from deodhar.rootdata import RootSystem, build_root_system, reduced_words
 
 RANK3_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("G", 2)]
 
@@ -348,3 +350,98 @@ def test_all_skip_shift_is_length(type_label, rank):
             assert sum(inv.m.values()) == w.length
             assert all(c == 0 for c in inv.n.values())
             assert inv.n_bar == inv.m_bar == 0
+
+
+@pytest.mark.parametrize("type_label,rank", RANK3_TYPES + [("A", 4), ("D", 4)])
+def test_w0_image_table_matches_root_action(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    w0 = rs.longest_element()
+    simple_roots = set(rs.simple_roots)
+    table = _w0_image_simple(rs)
+    for s, alpha in enumerate(rs.simple_roots):
+        neg = tuple(-c for c in alpha)
+        for y in rs.weyl_elements():
+            assert table[s][y.index] == (w0.act(y.act(neg)) in simple_roots)
+    assert _w0_image_simple(rs) is table
+
+
+def test_w0_image_table_corrupted_lmul_trips_its_check():
+    # a fresh system, so the interned one and its tables are never touched
+    rs = RootSystem("A", 2)
+    lmul = [list(row) for row in rs._lmul]
+    lmul[0][0], lmul[0][1] = lmul[0][1], lmul[0][0]  # s * e and s * s swapped
+    rs._lmul = tuple(map(tuple, lmul))
+    cached = _w0_image_simple.cache_info().currsize
+    for _ in range(2):  # nothing was cached, so the check runs again
+        with pytest.raises(AssertionError, match="table and root action"):
+            _w0_image_simple(rs)
+    assert _w0_image_simple.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("type_label,rank", RANK3_TYPES)
+def test_word_tree_vanishing_equals_enumeration(type_label, rank):
+    # every reduced word, not only the canonical ones the sweep cross-checks
+    rs = build_root_system(type_label, rank)
+    e = rs.identity()
+    tree = sweeps.word_tree_vanishing(rs)
+    ods = [orbit_data(rs, 2, phi) for phi in diagram_automorphisms(rs)]
+    words = 0
+    for w in rs.weyl_elements():
+        for letters in reduced_words(w):
+            words += 1
+            gamma_e = enumerate_distinguished(ReducedWord.from_letters(rs, letters), e)
+            for od in ods:
+                assert sweeps._vanishing_by_enumeration(gamma_e, od) == tree[letters]
+    assert len(tree) == words
+
+
+def _flip_first_image(build):
+    def corrupted(rs):
+        table = [list(row) for row in build(rs)]
+        table[0][0] = not table[0][0]
+        return tuple(map(tuple, table))
+
+    return corrupted
+
+
+def _bump_w0_witness(walk):
+    def corrupted(rs):
+        tree = dict(walk(rs))
+        letters = rs.longest_element().canonical_word
+        with_witness, *rest = tree[letters]
+        tree[letters] = (with_witness + 1, *rest)
+        return tree
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "owner,name,corrupt",
+    [
+        (frobenius, "_w0_image_simple", _flip_first_image),
+        (sweeps, "word_tree_vanishing", _bump_w0_witness),
+    ],
+    ids=["image-table", "tree"],
+)
+def test_vanishing_rows_cross_check_trips_on_corruption(
+    monkeypatch, owner, name, corrupt
+):
+    _w0_image_simple.cache_clear()
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    with pytest.raises(AssertionError, match="word tree and enumeration disagree"):
+        sweeps.vanishing_rows(max_rank=2)
+    monkeypatch.undo()
+    _w0_image_simple.cache_clear()
+    assert all(row["match"] for row in sweeps.vanishing_rows(max_rank=2))
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 4), ("D", 4)])
+def test_word_tree_vanishing_on_rank_4(type_label, rank):
+    # the vanishing criterion on every reduced word of A4 and D4: every
+    # non-trivial member of Gamma_e has a witness, and one clean all-skip
+    # member survives
+    tree = sweeps.word_tree_vanishing(build_root_system(type_label, rank))
+    assert len(tree) == {"A": 3061, "D": 9719}[type_label]
+    for letters, (with_witness, nontrivial, all_skip, clean) in tree.items():
+        assert with_witness == nontrivial, letters
+        assert all_skip == 1 and clean, letters

@@ -5,10 +5,12 @@ from action matrices to table indices; the first ``xq-models``, ``flags`` and
 ``gl3-example`` digests were recorded before field subtraction and
 multiplication became table lookups, and the last three (``flags`` on GL_4
 over F_2 and GL_2 over F_5, ``gl3-example`` over F_3) before the flag oracles
-were made to build the double-cell census once.  The last two cases, an empty
+were made to build the double-cell census once.  The next two cases, an empty
 ``decompose`` table and the partial report of a ``verify`` run that exceeds
 its budget (exit 3), were recorded before the CLI got a single output
-emitter.  Each case carries its expected exit code, and every subcommand and
+emitter.  The last case, an ``xq-models`` run that exceeds its budget at
+F_256, was recorded once the rows made before a budget error reached the
+report (it used to report 0 checks).  Each case carries its expected exit code, and every subcommand and
 every ``verify`` suite must be pinned in every output format.  Any refactor
 of the library must keep every one of these outputs byte-identical.
 
@@ -129,6 +131,12 @@ GOLDEN = {
         "csv": "468de67963f2f9d996edca74a4fe726c3aae16ed34f71729f0266030f81dbbce",
         "json": "8019a197620014d44c050827839f4892b6760c053e0975a5f7b8bca0fed137b8",
     },
+    ("verify", "xq-models", "--max-qk", "256", "--max-nm", "3"): {
+        "exit": 3,
+        "table": "d4d08fa4e512ceed85a612e7f5649cdc165a8043bcfea6fa72545eb5abfa8da6",
+        "csv": "2430a5caa6f4e61b1b54800a23eb61e734180528923dbbfb234b46c71efc75dd",
+        "json": "1e0c72392c0a9ef47a48e024bdd27bc2276dbe5ba608f5db56bde7f5d12c8811",
+    },
 }
 
 CASES = [
@@ -186,6 +194,20 @@ def test_benchmark_json_stdout(capsys, argv, checks, digest):
     assert code == 0
     assert json.loads(out)["checks"] == checks
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_xq_models_budget_report_keeps_rows_made_before_it(capsys):
+    # the tuple budget stops F_256 at m = 3; every q = 2, k <= 7 row and the
+    # first k = 8 rows come before it
+    code = main(
+        ["verify", "xq-models", "--max-qk", "256", "--max-nm", "3", "--format", "json"]
+    )
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["status"] == "BUDGET-EXCEEDED"
+    assert report["checks"] == len(report["rows"]) > 0
+    ks = {(r["parameters"]["q"], r["parameters"]["k"]) for r in report["rows"]}
+    assert ks == {(2, k) for k in range(1, 9)}
 
 
 def test_every_command_and_suite_is_pinned_in_every_format():
