@@ -14,16 +14,23 @@ table per root system, built from the group's own tables and checked
 kept; every conversion either way is a lookup into it.  The permutation
 model stays inside this module: the census below is keyed by Weyl elements.
 
-The double-cell census visits every flag without building it.  The opposite
-cell of a flag reads, column by column, the top-most nonzero row of each
-column once it is reduced against the reduced columns before it, and that
-reduction depends only on the columns so far.  So each Schubert cell is
-walked column by column: a column prefix is reduced once and shared by every
-flag extending it, and by linearity the next column's choices are its reduced
-base column plus multiples of its reduced free unit columns.  The last column
-has no free entries, and its pivot is the one row left over.  The first flag
-reaching each (cell, opposite cell) pair is rebuilt and checked through
-``canonical_flag``.
+The double-cell census reaches every flag without building it.  The
+opposite cell of a flag reads, column by column, the top-most nonzero row of
+each column once it is reduced against the reduced columns before it, and
+that reduction depends only on the columns so far.  So each Schubert cell is
+gone through one column at a time, over all of its column prefixes at once:
+a prefix is one index into flat lists, one per row, of its reduced unit
+columns, and by linearity the next column's choices are its reduced base
+unit plus multiples of its reduced free units, one comprehension per row.
+Top-most rows, pivot scaling and unit reduction are likewise one
+comprehension per row over every prefix, and the opposite cell so far is
+kept as a base-n code.  The last column has no free entries and its pivot
+is the one row left over, so every flag is one entry of the last free
+column's codes; that column is expanded ``CENSUS_SLICE`` prefixes at a time,
+which bounds the memory, and reads only the units it needs.  Nothing is
+counted in closed form and no prefixes are merged.  The first flag reaching
+each (cell, opposite cell) pair is rebuilt from its index and checked
+through ``canonical_flag``.
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ Rows = tuple[tuple[int, ...], ...]
 
 MAX_FLAG_COUNT = 10**6
 MAX_MATRIX_SIZE = 4
+# prefixes of the census's last free column expanded at once, which bounds
+# its memory
+CENSUS_SLICE = 256
 
 
 # -- permutations <-> type A Weyl elements ----------------------------------
@@ -313,9 +323,51 @@ def opposite_cell(flag: Flag) -> WeylElement:
 def double_cell_count(n: int, q: int, w: WeylElement, v: WeylElement) -> int:
     """Number of F_q flags in the double cell (Bruhat cell w, opposite cell v)."""
     f = field(q)
+    _check_flag_budget(n, q)
     v_perm = _gl_permutation(n, v)
     cell = _cell_flags(f, _gl_permutation(n, w))
     return sum(1 for flag in cell if _opposite_perm(f, flag) == v_perm)
+
+
+def _repeat(values: list[int], k: int) -> list[int]:
+    """Each entry k times in a row: a prefix's value for each of its k children."""
+    if k == 1:
+        return values
+    times = range(k)
+    return [x for x in values for _ in times]
+
+
+def _expand_column(
+    sub: list[list[int]],
+    minus_row: list[list[int]],
+    units: dict[int, list[list[int]]],
+    pivot_row: int,
+    free_rows: list[int],
+) -> tuple[list[list[int]], int]:
+    """Column entries, row by row, of every child of every prefix.
+
+    A child is its prefix's reduced base unit plus a multiple of each reduced
+    free unit, the free rows taken in turn, so children come in product order.
+    Returns the rows and the number of children per prefix.
+    """
+    col, k = units[pivot_row], 1
+    q = len(minus_row)
+    for i in free_rows:
+        col = [
+            [sub[x][m] for x, c in zip(col_x, _repeat(unit_x, k)) for m in minus_row[c]]
+            for col_x, unit_x in zip(col, units[i])
+        ]
+        k *= q
+    return col, k
+
+
+def _top_rows(col: list[list[int]]) -> list[int]:
+    """Top-most nonzero row of each column, found bottom up one row at a time."""
+    n = len(col)
+    top = [n - 1] * len(col[0])
+    for x in range(n - 2, -1, -1):
+        top = [x if c else t for c, t in zip(col[x], top)]
+    return top
 
 
 @lru_cache(maxsize=None)
@@ -324,72 +376,100 @@ def double_cell_census(
 ) -> Mapping[tuple[WeylElement, WeylElement], int]:
     """Counts of every (Bruhat cell w, opposite cell v) pair over all flags.
 
-    Walks each Schubert cell by shared column prefixes (see the module
-    docstring), visiting every flag once in ``enumerate_flags`` order, and
-    checks the first flag of each pair against ``_opposite_perm``.  Keyed by
-    Weyl elements of A_{n-1}, in the order the walk first reaches each pair.
-    Interned per (n, q) and read-only; a pair with no flags reads 0.
+    Goes through each Schubert cell one column at a time, over all of its
+    column prefixes at once (see the module docstring), and reaches every
+    flag as its own entry, in ``enumerate_flags`` order.  The last free
+    column is expanded ``CENSUS_SLICE`` prefixes at a time.  The first flag
+    of each pair is rebuilt from its index and checked against
+    ``_opposite_perm``.  Keyed by Weyl elements of A_{n-1}, in the order the
+    flags first reach each pair.  Interned per (n, q) and read-only; a pair
+    with no flags reads 0.
     """
     f = field(q)
     _check_flag_budget(n, q)
     sub, mul = f.sub_table(), f.mul_table()
     neg = sub[0]
-    inv = [0, *map(f.inv, f.nonzero())]
-    row_sum = n * (n - 1) // 2
-    census: Counter = Counter()
-
-    def walk(sigma, free, j, units, v, values):
-        # units[r]: the unit column e_r reduced against the columns before j,
-        # kept for the rows later columns use; a child column is its reduced
-        # base plus multiples of its reduced free units
-        children = [((), units[sigma[j]])]
-        for i in free[j]:
-            minus = [tuple(mul[neg[a]][x] for x in units[i]) for a in f.elements()]
-            children = [
-                (vals + (a,), tuple(sub[x][y] for x, y in zip(col, minus_a)))
-                for vals, col in children
-                for a, minus_a in enumerate(minus)
-            ]
-        if j == n - 2:
-            # the last column has no free entries: its pivot is the row left over
-            rest = row_sum - sum(v)
-            keys = [(sigma, (*v, top, rest - top)) for top in range(n)]
-            for vals, col in children:
-                key = keys[next(r for r, x in enumerate(col) if x)]
-                if key not in census:
-                    matrix = _cell_matrix(sigma, free, values + vals)
-                    flag = Flag(f.order, matrix, sigma)
-                    if _opposite_perm(f, flag) != key[1]:
-                        raise AssertionError(
-                            "column-prefix walk and canonical_flag disagree on the "
-                            f"opposite cell of {flag.matrix}"
-                        )
-                census[key] += 1
-            return
-        for vals, col in children:
-            top = next(r for r, x in enumerate(col) if x)
-            mul_inv = mul[inv[col[top]]]
-            pivot = [mul_inv[x] for x in col]
-            reduced = {}
-            for r, unit in units.items():
-                if r == sigma[j]:
-                    continue
-                # a unit already zero in the pivot row needs no reduction
-                mul_c = mul[unit[top]]
-                reduced[r] = (
-                    tuple(sub[x][mul_c[y]] for x, y in zip(unit, pivot))
-                    if unit[top]
-                    else unit
-                )
-            walk(sigma, free, j + 1, reduced, (*v, top), values + vals)
-
-    identity = {i: tuple(int(r == i) for r in range(n)) for i in range(n)}
+    # minus_row[c][a] == -a c, so adding a c to x reads sub[x][minus_row[c][a]]
+    minus_row = [[mul[neg[a]][c] for a in f.elements()] for c in f.elements()]
+    inv_mul = [mul[0], *(mul[f.inv(x)] for x in f.nonzero())]
+    census = {}
     for sigma in itertools.permutations(range(n)):
-        walk(sigma, _free_rows(sigma), 0, identity, (), ())
+        free = _free_rows(sigma)
+        # units[r][x]: row x of the unit column e_r reduced against the columns
+        # so far, one entry per prefix; codes: the opposite cell so far, base n
+        units = {r: [[int(x == r)] for x in range(n)] for r in range(n)}
+        codes = [0]
+        for j in range(n - 2):
+            col, k = _expand_column(sub, minus_row, units, sigma[j], free[j])
+            top = _top_rows(col)
+            codes = [c + t for c, t in zip(_repeat([c * n for c in codes], k), top)]
+            # scale[i]: the mul row of 1 / (pivot entry) of child i; each unit
+            # a later free column reads subtracts the multiple of the column
+            # that clears its entry in the pivot row
+            scale = [inv_mul[col[t][i]] for i, t in enumerate(top)]
+            later = {r for l in range(j + 1, n - 1) for r in (sigma[l], *free[l])}
+            reduced = {}
+            for r in later:
+                rows = [_repeat(u_x, k) for u_x in units[r]]
+                factor = [
+                    mul[s[rows[t][i]]] for i, (t, s) in enumerate(zip(top, scale))
+                ]
+                reduced[r] = [
+                    [sub[u][m[x]] for u, m, x in zip(u_x, factor, col_x)]
+                    for u_x, col_x in zip(rows, col)
+                ]
+            units = reduced
+
+        # the last column has no free entries and its pivot is the row left
+        # over, so each flag's opposite cell is its code after the last free
+        # column; each slice reads only the units that column needs
+        pivot_row, free_last = sigma[n - 2], free[n - 2]
+        codes = [c * n for c in codes]
+        per_prefix = q ** len(free_last)
+        cell: Counter = Counter()
+        for start in range(0, len(codes), CENSUS_SLICE):
+            part = slice(start, start + CENSUS_SLICE)
+            needed = {r: [u[part] for u in units[r]] for r in (pivot_row, *free_last)}
+            col, k = _expand_column(sub, minus_row, needed, pivot_row, free_last)
+            keys = [v + t for v, t in zip(_repeat(codes[part], k), _top_rows(col))]
+            counts = Counter(keys)
+            for key in counts:
+                if key not in cell:
+                    index = start * per_prefix + keys.index(key)
+                    v = _opposite_from_code(n, key)
+                    _check_first_flag(f, sigma, free, index, v)
+            cell.update(counts)
+        for key, count in cell.items():
+            census[sigma, _opposite_from_code(n, key)] = count
+
     elements = _permutation_table(build_root_system("A", n - 1))[1]
     return MappingProxyType(
         Counter({(elements[a], elements[b]): c for (a, b), c in census.items()})
     )
+
+
+def _opposite_from_code(n: int, code: int) -> Perm:
+    """Opposite-cell permutation from the base-n code of its first n - 1 rows."""
+    tops = [code // n**e % n for e in range(n - 2, -1, -1)]
+    return (*tops, n * (n - 1) // 2 - sum(tops))
+
+
+def _check_first_flag(
+    f: FqField, sigma: Perm, free: list[list[int]], index: int, v: Perm
+) -> None:
+    """Rebuild the flag at a flat index of the cell of sigma, whose base-q
+    digits are its free values in product order, and check through
+    ``_opposite_perm`` that it lies in the opposite cell of v."""
+    values = []
+    for _ in range(sum(map(len, free))):
+        index, a = divmod(index, f.order)
+        values.append(a)
+    flag = Flag(f.order, _cell_matrix(sigma, free, values[::-1]), sigma)
+    if _opposite_perm(f, flag) != v:
+        raise AssertionError(
+            "column-prefix walk and canonical_flag disagree on the "
+            f"opposite cell of {flag.matrix}"
+        )
 
 
 def _lang_perm(f: FqField, g: Rows, q: int) -> Perm:

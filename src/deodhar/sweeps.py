@@ -12,6 +12,7 @@ runs serially in the calling process.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import Optional
 
@@ -230,10 +231,12 @@ def flag_census_rows(n: int, q: int) -> list[dict]:
         _row("flag-census-total", params, total, flags.gaussian_flag_count(n, q)),
         _row("flag-census-poincare", params, total, by_length),
     ]
+    in_cell = Counter()
+    for (w, _), c in census.items():
+        in_cell[w] += c
     for w in rs.weyl_elements():
-        in_cell = sum(c for (a, _), c in census.items() if a == w)
         params = {"n": n, "q": q, "w": w.word_str}
-        rows.append(_row("flag-census-cell", params, in_cell, q**w.length))
+        rows.append(_row("flag-census-cell", params, in_cell[w], q**w.length))
     return rows
 
 

@@ -1,6 +1,7 @@
 """Flag enumeration, Bruhat cells, Deligne-Lusztig pieces and torus orders."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -138,6 +139,22 @@ def test_rank_profile_cross_check():
         )
 
 
+def test_double_cell_count_keeps_the_flag_budget(monkeypatch):
+    a4, a3 = build_root_system("A", 4), build_root_system("A", 3)
+    with pytest.raises(ConfigError, match="2 <= n <= 4"):
+        enumerate_flags(5, 2)
+    with pytest.raises(ConfigError, match="2 <= n <= 4"):
+        double_cell_count(5, 2, a4.longest_element(), a4.identity())
+
+    def refuse(*args):
+        raise AssertionError("no flag may be built past the budget")
+
+    monkeypatch.setattr(flags, "_cell_flags", refuse)
+    monkeypatch.setattr(flags, "Flag", refuse)
+    with pytest.raises(BudgetError, match="more than"):
+        double_cell_count(4, 512, a3.longest_element(), a3.identity())
+
+
 def test_double_cell_counts():
     rs = build_root_system("A", 2)
     e, w0 = rs.identity(), rs.longest_element()
@@ -148,13 +165,14 @@ def test_double_cell_counts():
     assert double_cell_count(2, 5, a1.simple_reflection(0), a1.identity()) == 4
 
 
-def test_double_cell_census_cross_foot():
-    rs = build_root_system("A", 2)
-    for q in (2, 3):
-        census = double_cell_census(3, q)
-        assert sum(census.values()) == gaussian_flag_count(3, q)
-        for w in rs.weyl_elements():
-            assert sum(c for (a, _), c in census.items() if a == w) == q**w.length
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 7)])
+def test_double_cell_census_cross_foot(n, q):
+    # (4, 7) is 182,400 flags: the total and every cell's q^{l(w)}
+    rs = build_root_system("A", n - 1)
+    census = double_cell_census(n, q)
+    assert sum(census.values()) == gaussian_flag_count(n, q)
+    for w in rs.weyl_elements():
+        assert sum(c for (a, _), c in census.items() if a == w) == q**w.length
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -168,7 +186,9 @@ def test_double_cell_count_matches_census(q):
             assert double_cell_count(3, q, w, v) == census[w, v]
 
 
-@pytest.mark.parametrize("n,q", [(2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
+@pytest.mark.parametrize(
+    "n,q", [(2, 5), (3, 2), (3, 3), (3, 4), (3, 9), (4, 2), (4, 3), (4, 4)]
+)
 def test_double_cell_census_equals_per_flag_route(monkeypatch, n, q):
     # the per-flag route: build every flag and reduce its reversed rows
     f = field(q)
@@ -189,6 +209,49 @@ def test_double_cell_census_equals_per_flag_route(monkeypatch, n, q):
     census = double_cell_census(n, q)
     assert census == reference
     assert list(census) == list(reference)
+
+
+@pytest.mark.parametrize("size", [flags.CENSUS_SLICE, 7, 1])
+def test_double_cell_census_checks_each_pair_once(monkeypatch, size):
+    # on (4, 3) a cell has at most 243 prefixes before its last free column,
+    # so only the smaller slices split it; pairs first reached in a later
+    # slice keep their order and their one check
+    reference = dict(double_cell_census(4, 3))
+    double_cell_census.cache_clear()
+    checked = []
+    opposite = flags._opposite_perm
+
+    def counted(f, flag):
+        checked.append(flag)
+        return opposite(f, flag)
+
+    monkeypatch.setattr(flags, "_opposite_perm", counted)
+    monkeypatch.setattr(flags, "CENSUS_SLICE", size)
+    try:
+        census = double_cell_census(4, 3)
+    finally:
+        double_cell_census.cache_clear()
+    assert list(census.items()) == list(reference.items())
+    assert len(checked) == len(census) == 213
+    # each is the first flag of its pair in enumerate_flags order
+    f = field(3)
+    firsts = {}
+    for fl in enumerate_flags(4, 3):
+        firsts.setdefault((fl.pivots, opposite(f, fl)), fl)
+    assert checked == list(firsts.values())
+
+
+def test_double_cell_census_memory_is_bounded_by_the_slice():
+    f = field(5)
+    f.sub_table(), f.mul_table()
+    double_cell_census.cache_clear()
+    tracemalloc.start()
+    try:
+        double_cell_census(4, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_double_cell_census_checks_each_pair_through_canonical_flag(monkeypatch):

@@ -10,9 +10,12 @@ were made to build the double-cell census once.  The next two cases, an empty
 its budget (exit 3), were recorded before the CLI got a single output
 emitter.  The last case, an ``xq-models`` run that exceeds its budget at
 F_256, was recorded once the rows made before a budget error reached the
-report (it used to report 0 checks).  Each case carries its expected exit code, and every subcommand and
-every ``verify`` suite must be pinned in every output format.  Any refactor
-of the library must keep every one of these outputs byte-identical.
+report (it used to report 0 checks).  The ``flags`` case over F_4, the
+first flag run pinned on a field that is not prime, was recorded before the
+double-cell census went one column at a time over flat per-row lists.  Each
+case carries its expected exit code, and every subcommand and every
+``verify`` suite must be pinned in every output format.  Any refactor of the
+library must keep every one of these outputs byte-identical.
 
 ``BENCHMARK_JSON`` pins the json stdout of the benchmark's instances, copied
 with their check counts from ``perfbench/workloads.json``.  These outputs are
@@ -130,6 +133,12 @@ GOLDEN = {
         "table": "639f1623086cc270c6c3350c89882ca304c2d69f7861d4fb177f14ff88b1ddbf",
         "csv": "468de67963f2f9d996edca74a4fe726c3aae16ed34f71729f0266030f81dbbce",
         "json": "8019a197620014d44c050827839f4892b6760c053e0975a5f7b8bca0fed137b8",
+    },
+    ("verify", "flags", "--n", "3", "--q", "4"): {
+        "exit": 0,
+        "table": "dcbd49e648b70b2270e3a969a4cfad98a566fe9026b08475e000f0e6c7e28da9",
+        "csv": "01dfe09d2b7ee303791b89856bcf64ed7bd913424f588b1a39752baa5c9eb0b6",
+        "json": "11fc10a73be319150089072d968686f31e39ed868cb50b67295113c866e0b07f",
     },
     ("verify", "xq-models", "--max-qk", "256", "--max-nm", "3"): {
         "exit": 3,
