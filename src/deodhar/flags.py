@@ -392,7 +392,8 @@ def double_cell_census(
     # minus_row[c][a] == -a c, so adding a c to x reads sub[x][minus_row[c][a]]
     minus_row = [[mul[neg[a]][c] for a in f.elements()] for c in f.elements()]
     inv_mul = [mul[0], *(mul[f.inv(x)] for x in f.nonzero())]
-    census = {}
+    elements = _permutation_table(build_root_system("A", n - 1))[1]
+    census: Counter = Counter()
     for sigma in itertools.permutations(range(n)):
         free = _free_rows(sigma)
         # units[r][x]: row x of the unit column e_r reduced against the columns
@@ -440,12 +441,8 @@ def double_cell_census(
                     _check_first_flag(f, sigma, free, index, v)
             cell.update(counts)
         for key, count in cell.items():
-            census[sigma, _opposite_from_code(n, key)] = count
-
-    elements = _permutation_table(build_root_system("A", n - 1))[1]
-    return MappingProxyType(
-        Counter({(elements[a], elements[b]): c for (a, b), c in census.items()})
-    )
+            census[elements[sigma], elements[_opposite_from_code(n, key)]] = count
+    return MappingProxyType(census)
 
 
 def _opposite_from_code(n: int, code: int) -> Perm:
