@@ -432,7 +432,7 @@ def double_cell_census(
             part = slice(start, start + CENSUS_SLICE)
             needed = {r: [u[part] for u in units[r]] for r in (pivot_row, *free_last)}
             col, k = _expand_column(sub, minus_row, needed, pivot_row, free_last)
-            keys = [v + t for v, t in zip(_repeat(codes[part], k), _top_rows(col))]
+            keys = [c + t for c, t in zip(_repeat(codes[part], k), _top_rows(col))]
             counts = Counter(keys)
             for key in counts:
                 if key not in cell:
