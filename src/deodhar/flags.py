@@ -489,11 +489,9 @@ def dl_piece_count(n: int, q: int, w: WeylElement, x: WeylElement, k: int = 1) -
     q-power Frobenius.
     """
     f = _extension_field(q, k)
+    _check_flag_budget(n, f.order)
     w_perm = _gl_permutation(n, w)
-    x_perm = _gl_permutation(n, x)
-    if gaussian_flag_count(n, f.order) > MAX_FLAG_COUNT:
-        raise BudgetError("Deligne-Lusztig piece enumeration exceeds the flag budget")
-    cell = _cell_flags(f, x_perm)
+    cell = _cell_flags(f, _gl_permutation(n, x))
     return sum(1 for flag in cell if _lang_perm(f, flag.matrix, q) == w_perm)
 
 

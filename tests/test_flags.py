@@ -155,6 +155,24 @@ def test_double_cell_count_keeps_the_flag_budget(monkeypatch):
         double_cell_count(4, 512, a3.longest_element(), a3.identity())
 
 
+def test_dl_piece_count_keeps_the_flag_budget(monkeypatch):
+    a4, a1 = build_root_system("A", 4), build_root_system("A", 1)
+    with pytest.raises(ConfigError, match="2 <= n <= 4"):
+        dl_total_count(5, 2, a4.identity())
+    with pytest.raises(ConfigError, match="2 <= n <= 4"):
+        dl_piece_count(5, 2, a4.identity(), a4.identity())
+    with pytest.raises(ConfigError, match="2 <= n <= 4"):
+        dl_piece_count(1, 2, a1.identity(), a1.identity())
+
+    def refuse(*args):
+        raise AssertionError("no flag may be built past the budget")
+
+    monkeypatch.setattr(flags, "_cell_flags", refuse)
+    a3 = build_root_system("A", 3)
+    with pytest.raises(BudgetError, match="more than"):
+        dl_piece_count(4, 8, a3.identity(), a3.identity(), 3)
+
+
 def test_double_cell_counts():
     rs = build_root_system("A", 2)
     e, w0 = rs.identity(), rs.longest_element()
