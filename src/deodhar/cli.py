@@ -12,9 +12,13 @@ prints it in the chosen format.  JSON is written by ``_json_text``, byte for
 byte what ``json.dumps`` prints with ``indent=2`` and ``sort_keys=True``:
 whenever ``indent`` is set, the standard library skips its C encoder and runs
 a pure-Python one, which made printing the reports slower than computing them.
+A ``verify`` report's rows go through the row encoder ``_rows_json`` instead,
+which knows the row schema and reuses the text of repeated coefficient lists
+through a memo that lives for one report only; the result is the same bytes.
 Exit codes: 0 pass, 1 identity failure, 2 configuration error, 3 budget
-exceeded.  Identical configurations produce byte-identical output; no
-environment variable changes it.
+exceeded, 141 the reader of stdout closed it early (``run`` only).
+Identical configurations produce byte-identical output; no environment
+variable changes it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _str_text
 
@@ -36,23 +41,26 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader closing early
 
 SUITES = ("deodhar-vs-rpoly", "flags", "gl3-example", "vanishing", "xq-models")
 FORMATS = ("table", "json", "csv")
 
 
-def _emit(fmt: str, payload: dict, columns, flat, lines=None) -> None:
+def _emit(fmt: str, payload: dict, columns, flat, lines=None, json_text=None) -> None:
     """Print payload in one output format.
 
-    json prints the payload itself through ``_json_text``: the same bytes as
-    ``json.dumps`` with ``indent=2`` and ``sort_keys=True``, whose indented
-    form never reaches the C encoder.  csv writes the rows flat(payload) under
-    the header columns(payload); table prints lines(payload), or the csv
-    cells aligned in columns when lines is None.  Only the projection of the
-    chosen format runs.
+    json prints json_text(payload), by default ``_json_text``: the same bytes
+    as ``json.dumps`` with ``indent=2`` and ``sort_keys=True``, whose indented
+    form never reaches the C encoder.  ``verify`` passes ``_verify_json``,
+    which writes the rows through the row encoder, with a memo for that one
+    report.  csv writes the rows flat(payload) under the header
+    columns(payload); table prints lines(payload), or the csv cells aligned
+    in columns when lines is None.  Only the projection of the chosen format
+    runs.
     """
     if fmt == "json":
-        print(_json_text(payload))
+        print((json_text or _json_text)(payload))
         return
     if lines is not None and fmt == "table":
         for line in lines(payload):
@@ -123,6 +131,122 @@ def _json_text(value, pad: str = "") -> str:
         items = [_json_text(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot encode {kind.__name__} as report JSON")
+
+
+# The keys of a verify row (``sweeps._row``), in the order JSON prints them.
+_ROW_KEYS = ("lhs", "match", "parameters", "rhs", "test")
+_ROW_KEY_SET = frozenset(_ROW_KEYS)
+_INT = frozenset((int,))
+
+
+def _verify_json(payload: dict) -> str:
+    """``_json_text(payload)`` for a verify payload, its rows by ``_rows_json``.
+
+    Every other payload key goes through ``_json_text``, in sorted order.  The
+    report is joined once from its pieces, so it is never copied whole.
+
+    >>> print(_verify_json({"rows": [], "checks": 0}))
+    {
+      "checks": 0,
+      "rows": []
+    }
+    """
+    out: list[str] = []
+    sep = "{\n  "
+    for key in sorted(payload):
+        out.append(sep + _str_text(key) + ": ")
+        if key == "rows":
+            _rows_json(payload[key], "  ", out)
+        else:
+            out.append(_json_text(payload[key], "  "))
+        sep = ",\n  "
+    out.append("\n}")
+    return "".join(out)
+
+
+def _rows_json(rows, pad: str, out: list[str]) -> None:
+    """Append to out the pieces of ``_json_text(rows, pad)``, for verify rows.
+
+    A row with exactly the keys of ``sweeps._row`` is written key by key in
+    sorted order.  A memo that lives for this call only (one report) holds the
+    text of every flat list of exact ints (the coefficients of an
+    R-polynomial, say), so each distinct list is encoded once; an ``rhs``
+    equal to its row's ``lhs`` reuses the ``lhs`` text; and the sorted layout
+    of each set of ``parameters`` keys is worked out once.  A list is reused
+    only if every entry has type ``int``: ``[1] == [True]``, but they print
+    ``1`` and ``true``.  Any other row or value goes through ``_json_text``.
+
+    >>> rows = [{"test": "t", "parameters": {"w": "s"}, "lhs": [1], "rhs": [1],
+    ...          "match": True}]
+    >>> out = []
+    >>> _rows_json(rows, "  ", out)
+    >>> "".join(out) == _json_text(rows, "  ")
+    True
+    """
+    if type(rows) is not list or not rows:
+        out.append(_json_text(rows, pad))
+        return
+    inner = pad + "  "  # the braces of each row
+    key_pad = inner + "  "  # the keys of each row
+    val_pad = key_pad + "  "  # the entries of lhs, rhs and parameters
+    lhs_, match_, params_, rhs_, test_ = (f'\n{key_pad}"{k}": ' for k in _ROW_KEYS)
+    row_close, params_close = "\n" + inner + "}", "\n" + key_pad + "}"
+    lists: dict[tuple, str] = {}  # flat exact-int list -> its text at key_pad
+    layouts: dict[tuple, tuple] = {}  # parameter keys -> (sorted keys, their heads)
+
+    def flat_text(value):
+        """The text of value if it is a flat list of exact ints, else None."""
+        kind = type(value)
+        if (kind is list or kind is tuple) and set(map(type, value)) <= _INT:
+            key = tuple(value)
+            text = lists.get(key)
+            if text is None:
+                text = lists[key] = _json_text(value, key_pad)
+            return text
+        return None
+
+    sep, comma = "[\n" + inner, ",\n" + inner
+    for row in rows:
+        if type(row) is not dict or row.keys() != _ROW_KEY_SET:
+            out.append(sep + _json_text(row, inner))
+            sep = comma
+            continue
+        lhs, rhs = row["lhs"], row["rhs"]
+        lhs_text = flat_text(lhs)
+        if lhs_text is None:
+            lhs_text = _json_text(lhs, key_pad)
+            rhs_text = flat_text(rhs)
+        elif rhs == lhs and set(map(type, rhs)) <= _INT:
+            rhs_text = lhs_text
+        else:
+            rhs_text = flat_text(rhs)
+        if rhs_text is None:
+            rhs_text = _json_text(rhs, key_pad)
+        params = row["parameters"]
+        if type(params) is dict and params:
+            names = tuple(params)
+            layout = layouts.get(names)
+            if layout is None:
+                keys = sorted(params)
+                heads = [f"\n{val_pad}{_str_text(k)}: " for k in keys]
+                layout = layouts[names] = (keys, heads)
+            keys, heads = layout
+            values = [
+                head + (_str_text(v) if type(v) is str else _json_text(v, val_pad))
+                for head, v in zip(heads, map(params.__getitem__, keys))
+            ]
+            params_text = "{" + ",".join(values) + params_close
+        else:
+            params_text = _json_text(params, key_pad)
+        match, test = row["match"], row["test"]
+        match_text = "true" if match is True else _json_text(match, key_pad)
+        test_text = _str_text(test) if type(test) is str else _json_text(test, key_pad)
+        out.append(
+            f"{sep}{{{lhs_}{lhs_text},{match_}{match_text},{params_}{params_text},"
+            f"{rhs_}{rhs_text},{test_}{test_text}{row_close}"
+        )
+        sep = comma
+    out.append("\n" + pad + "]")
 
 
 def _cell_text(value) -> str:
@@ -336,7 +460,9 @@ def _cmd_verify(args) -> int:
     }
     if budget_note is not None:
         payload["budget_exceeded"] = budget_note
-    _emit(args.format, payload, _verify_columns, _verify_flat, _verify_lines)
+    _emit(
+        args.format, payload, _verify_columns, _verify_flat, _verify_lines, _verify_json
+    )
     if budget_note is not None:
         print(f"budget exceeded: {budget_note}", file=sys.stderr)
         return EXIT_BUDGET
@@ -547,7 +673,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at devnull
+        # so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

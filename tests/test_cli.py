@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 import deodhar
 from deodhar import cells, flags, frobenius, sweeps
-from deodhar.cli import _json_text, main
+from deodhar.cli import EXIT_BROKEN_PIPE, _json_text, _verify_json, main
 
 
 def run_cli(capsys, *argv):
@@ -541,3 +541,126 @@ def test_json_text_rejects_what_json_dumps_accepts(value):
 def test_json_text_rejects_a_set():
     with pytest.raises(TypeError):
         _json_text({"a": {0, 1}})
+
+
+# Sides of a verify row: flat lists of exact ints (list or tuple), which the
+# row encoder reuses, lists that mix ints and bools, which it must not, and
+# any other report value.
+INT_LISTS = st.lists(st.integers(-1, 2) | st.integers(), max_size=5)
+ROW_SIDES = (
+    INT_LISTS
+    | INT_LISTS.map(tuple)
+    | st.lists(st.sampled_from([0, 1, True, False]), max_size=3)
+    | JSON_VALUES
+)
+PARAMETERS = st.dictionaries(
+    st.sampled_from(["rank", "type", "v", "w", "word"]) | JSON_TEXT,
+    st.integers() | JSON_TEXT | JSON_VALUES,
+    max_size=5,
+)
+
+
+def _flip_bools(side):
+    """side with 0, 1 and False, True swapped: equal to side, printed otherwise."""
+    if type(side) not in (list, tuple):
+        return side
+    return type(side)(
+        bool(x) if type(x) is int and x in (0, 1) else int(x) if type(x) is bool else x
+        for x in side
+    )
+
+
+@st.composite
+def verify_rows(draw) -> dict:
+    lhs = draw(ROW_SIDES)
+    return {
+        "test": draw(JSON_TEXT),
+        "parameters": draw(PARAMETERS),
+        "lhs": lhs,
+        "rhs": draw(st.just(_flip_bools(lhs)) | st.just(lhs) | ROW_SIDES),
+        "match": draw(st.booleans()),
+    }
+
+
+# A row without the keys of a verify row goes through _json_text whole.
+ROWS = st.lists(verify_rows() | JSON_VALUES, max_size=8)
+VERIFY_PAYLOADS = st.fixed_dictionaries(
+    {
+        "schema": st.just("deodhar.v1"),
+        "command": st.just("verify"),
+        "suite": JSON_TEXT,
+        "checks": st.integers(min_value=0),
+        "failures": st.integers(min_value=0),
+        "status": st.sampled_from(["PASS", "FAIL", "BUDGET-EXCEEDED"]),
+        "rows": ROWS,
+    },
+    optional={"budget_exceeded": JSON_TEXT},
+)
+
+
+def _verify_payload(rows, **extra) -> dict:
+    return {
+        "schema": "deodhar.v1",
+        "command": "verify",
+        "suite": "deodhar-vs-rpoly",
+        "checks": len(rows),
+        "failures": sum(1 for r in rows if not r["match"]),
+        "status": "PASS",
+        "rows": rows,
+        **extra,
+    }
+
+
+def _row(lhs, rhs, match=None, **parameters) -> dict:
+    if match is None:
+        match = lhs == rhs
+    return {"test": "t", "parameters": parameters, "lhs": lhs, "rhs": rhs, "match": match}
+
+
+@given(VERIFY_PAYLOADS)
+def test_verify_json_equals_indented_json_dumps(payload):
+    assert _verify_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # [1] == [True] and hash((1,)) == hash((True,)), but they print 1 and true
+        [_row([1], [1], w="s"), _row([True], [True], w="s"), _row([1], [True], w="t")],
+        [_row([True], [1], w="s"), _row((1,), [1], w="s"), _row([1, 0], (True, 0))],
+        [_row([0, -1, 1], [0, 1], match=False, v="e", w="s"), _row(2, [2], v="e")],
+        [_row([], [], w="e"), _row([], (), w="e"), _row([], [0], w="e")],
+        [],
+    ],
+    ids=["int-then-bool", "bool-then-int", "mismatch", "empty-lists", "no-rows"],
+)
+def test_verify_json_keeps_ints_bools_and_mismatches_apart(rows):
+    for payload in (_verify_payload(rows), _verify_payload(rows, budget_exceeded="x")):
+        assert _verify_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_verify_json_rejects_what_json_text_rejects():
+    for bad in (1.5, [_Int(3)], {"x": {0}}):
+        with pytest.raises(TypeError):
+            _verify_json(_verify_payload([_row(bad, bad, match=True)]))
+    with pytest.raises(TypeError):
+        _verify_json(_verify_payload([_row([1], [1], **{"w": 1.5})]))
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # 2.4 MB of json, far more than a pipe holds, so the writer is still
+    # writing when the reader goes away after one line.
+    argv = ["verify", "deodhar-vs-rpoly", "--type", "B", "--rank", "3", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(deodhar.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deodhar.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE == 141
+    assert err == b""
