@@ -170,9 +170,9 @@ def _rows_json(rows, pad: str, out: list[str]) -> None:
     A row with exactly the keys of ``sweeps._row`` is written key by key in
     sorted order.  A memo that lives for this call only (one report) holds the
     text of every flat list of exact ints (the coefficients of an
-    R-polynomial, say), so each distinct list is encoded once; an ``rhs``
-    equal to its row's ``lhs`` reuses the ``lhs`` text; and the sorted layout
-    of each set of ``parameters`` keys is worked out once.  A list is reused
+    R-polynomial, say), so each distinct list is encoded once and an ``rhs``
+    equal to its row's ``lhs`` gets the ``lhs`` text; the sorted layout of
+    each set of ``parameters`` keys is worked out once.  A list is looked up
     only if every entry has type ``int``: ``[1] == [True]``, but they print
     ``1`` and ``true``.  Any other row or value goes through ``_json_text``.
 
@@ -194,8 +194,8 @@ def _rows_json(rows, pad: str, out: list[str]) -> None:
     lists: dict[tuple, str] = {}  # flat exact-int list -> its text at key_pad
     layouts: dict[tuple, tuple] = {}  # parameter keys -> (sorted keys, their heads)
 
-    def flat_text(value):
-        """The text of value if it is a flat list of exact ints, else None."""
+    def side_text(value) -> str:
+        """The text of an lhs or rhs, from the memo if it is a flat exact-int list."""
         kind = type(value)
         if (kind is list or kind is tuple) and set(map(type, value)) <= _INT:
             key = tuple(value)
@@ -203,7 +203,7 @@ def _rows_json(rows, pad: str, out: list[str]) -> None:
             if text is None:
                 text = lists[key] = _json_text(value, key_pad)
             return text
-        return None
+        return _json_text(value, key_pad)
 
     sep, comma = "[\n" + inner, ",\n" + inner
     for row in rows:
@@ -211,17 +211,6 @@ def _rows_json(rows, pad: str, out: list[str]) -> None:
             out.append(sep + _json_text(row, inner))
             sep = comma
             continue
-        lhs, rhs = row["lhs"], row["rhs"]
-        lhs_text = flat_text(lhs)
-        if lhs_text is None:
-            lhs_text = _json_text(lhs, key_pad)
-            rhs_text = flat_text(rhs)
-        elif rhs == lhs and set(map(type, rhs)) <= _INT:
-            rhs_text = lhs_text
-        else:
-            rhs_text = flat_text(rhs)
-        if rhs_text is None:
-            rhs_text = _json_text(rhs, key_pad)
         params = row["parameters"]
         if type(params) is dict and params:
             names = tuple(params)
@@ -242,8 +231,9 @@ def _rows_json(rows, pad: str, out: list[str]) -> None:
         match_text = "true" if match is True else _json_text(match, key_pad)
         test_text = _str_text(test) if type(test) is str else _json_text(test, key_pad)
         out.append(
-            f"{sep}{{{lhs_}{lhs_text},{match_}{match_text},{params_}{params_text},"
-            f"{rhs_}{rhs_text},{test_}{test_text}{row_close}"
+            f"{sep}{{{lhs_}{side_text(row['lhs'])},{match_}{match_text},"
+            f"{params_}{params_text},{rhs_}{side_text(row['rhs'])},{test_}{test_text}"
+            f"{row_close}"
         )
         sep = comma
     out.append("\n" + pad + "]")

@@ -543,9 +543,9 @@ def test_json_text_rejects_a_set():
         _json_text({"a": {0, 1}})
 
 
-# Sides of a verify row: flat lists of exact ints (list or tuple), which the
-# row encoder reuses, lists that mix ints and bools, which it must not, and
-# any other report value.
+# Sides of a verify row: flat lists of exact ints (list or tuple), whose text
+# the row encoder keeps in its memo, lists that mix ints and bools, which it
+# must not look up there, and any other report value.
 INT_LISTS = st.lists(st.integers(-1, 2) | st.integers(), max_size=5)
 ROW_SIDES = (
     INT_LISTS
@@ -644,7 +644,7 @@ def test_verify_json_rejects_what_json_text_rejects():
         with pytest.raises(TypeError):
             _verify_json(_verify_payload([_row(bad, bad, match=True)]))
     with pytest.raises(TypeError):
-        _verify_json(_verify_payload([_row([1], [1], **{"w": 1.5})]))
+        _verify_json(_verify_payload([_row([1], [1], w=1.5)]))
 
 
 def test_closed_pipe_exits_141_without_a_traceback():
