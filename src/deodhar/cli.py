@@ -7,14 +7,20 @@ Three subcommands:
   on any mismatch;
 * ``predict`` prints the per-piece regular-isotypic prediction table.
 
-Every command builds one JSON-ready payload and hands it to ``_emit``, which
-prints it in the chosen format.  JSON is written by ``_json_text``, byte for
-byte what ``json.dumps`` prints with ``indent=2`` and ``sort_keys=True``:
-whenever ``indent`` is set, the standard library skips its C encoder and runs
-a pure-Python one, which made printing the reports slower than computing them.
-A ``verify`` report's rows go through the row encoder ``_rows_json`` instead,
-which knows the row schema and reuses the text of repeated coefficient lists
-through a memo that lives for one report only; the result is the same bytes.
+``decompose`` and ``predict`` build one JSON-ready payload and hand it to
+``_emit``, which prints it in the chosen format.  JSON is written by
+``_json_text``, byte for byte what ``json.dumps`` prints with ``indent=2`` and
+``sort_keys=True``: whenever ``indent`` is set, the standard library skips its
+C encoder and runs a pure-Python one, which made printing the reports slower
+than computing them.  ``verify`` streams: the sweeps of its suite (``SUITES``)
+yield rows one at a time, ``_cmd_verify`` counts them and hands each to the
+row sink of the chosen format, and no row is kept, so memory does not grow
+with the number of checks.  Table lines are printed as rows arrive, since the
+summary comes last.  JSON prints the counts before ``rows`` and csv prints the
+union of parameter keys in its header, so those sinks encode each row once
+into a temporary file (the spool) and copy it out after the head.  The
+same bytes come out as from ``json.dumps`` and ``csv.writer`` on the whole
+report.
 Exit codes: 0 pass, 1 identity failure, 2 configuration error, 3 budget
 exceeded, 141 the reader of stdout closed it early (``run`` only).
 Identical configurations produce byte-identical output; no environment
@@ -25,10 +31,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
+import operator
 import os
+import shutil
 import sys
+import tempfile
 from json.encoder import encode_basestring_ascii as _str_text
 
 from . import cells, counting, flags, frobenius, sweeps
@@ -43,24 +54,22 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader closing early
 
-SUITES = ("deodhar-vs-rpoly", "flags", "gl3-example", "vanishing", "xq-models")
 FORMATS = ("table", "json", "csv")
 
 
-def _emit(fmt: str, payload: dict, columns, flat, lines=None, json_text=None) -> None:
+def _emit(fmt: str, payload: dict, columns, flat, lines=None) -> None:
     """Print payload in one output format.
 
-    json prints json_text(payload), by default ``_json_text``: the same bytes
-    as ``json.dumps`` with ``indent=2`` and ``sort_keys=True``, whose indented
-    form never reaches the C encoder.  ``verify`` passes ``_verify_json``,
-    which writes the rows through the row encoder, with a memo for that one
-    report.  csv writes the rows flat(payload) under the header
+    json prints ``_json_text(payload)``: the same bytes as ``json.dumps`` with
+    ``indent=2`` and ``sort_keys=True``, whose indented form never reaches the
+    C encoder.  csv writes the rows flat(payload) under the header
     columns(payload); table prints lines(payload), or the csv cells aligned
     in columns when lines is None.  Only the projection of the chosen format
-    runs.
+    runs.  ``verify`` does not come here: its rows stream through the sinks
+    of ``_cmd_verify``.
     """
     if fmt == "json":
-        print((json_text or _json_text)(payload))
+        print(_json_text(payload))
         return
     if lines is not None and fmt == "table":
         for line in lines(payload):
@@ -131,112 +140,6 @@ def _json_text(value, pad: str = "") -> str:
         items = [_json_text(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot encode {kind.__name__} as report JSON")
-
-
-# The keys of a verify row (``sweeps._row``), in the order JSON prints them.
-_ROW_KEYS = ("lhs", "match", "parameters", "rhs", "test")
-_ROW_KEY_SET = frozenset(_ROW_KEYS)
-_INT = frozenset((int,))
-
-
-def _verify_json(payload: dict) -> str:
-    """``_json_text(payload)`` for a verify payload, its rows by ``_rows_json``.
-
-    Every other payload key goes through ``_json_text``, in sorted order.  The
-    report is joined once from its pieces, so it is never copied whole.
-
-    >>> print(_verify_json({"rows": [], "checks": 0}))
-    {
-      "checks": 0,
-      "rows": []
-    }
-    """
-    out: list[str] = []
-    sep = "{\n  "
-    for key in sorted(payload):
-        out.append(sep + _str_text(key) + ": ")
-        if key == "rows":
-            _rows_json(payload[key], "  ", out)
-        else:
-            out.append(_json_text(payload[key], "  "))
-        sep = ",\n  "
-    out.append("\n}")
-    return "".join(out)
-
-
-def _rows_json(rows, pad: str, out: list[str]) -> None:
-    """Append to out the pieces of ``_json_text(rows, pad)``, for verify rows.
-
-    A row with exactly the keys of ``sweeps._row`` is written key by key in
-    sorted order.  A memo that lives for this call only (one report) holds the
-    text of every flat list of exact ints (the coefficients of an
-    R-polynomial, say), so each distinct list is encoded once and an ``rhs``
-    equal to its row's ``lhs`` gets the ``lhs`` text; the sorted layout of
-    each set of ``parameters`` keys is worked out once.  A list is looked up
-    only if every entry has type ``int``: ``[1] == [True]``, but they print
-    ``1`` and ``true``.  Any other row or value goes through ``_json_text``.
-
-    >>> rows = [{"test": "t", "parameters": {"w": "s"}, "lhs": [1], "rhs": [1],
-    ...          "match": True}]
-    >>> out = []
-    >>> _rows_json(rows, "  ", out)
-    >>> "".join(out) == _json_text(rows, "  ")
-    True
-    """
-    if type(rows) is not list or not rows:
-        out.append(_json_text(rows, pad))
-        return
-    inner = pad + "  "  # the braces of each row
-    key_pad = inner + "  "  # the keys of each row
-    val_pad = key_pad + "  "  # the entries of lhs, rhs and parameters
-    lhs_, match_, params_, rhs_, test_ = (f'\n{key_pad}"{k}": ' for k in _ROW_KEYS)
-    row_close, params_close = "\n" + inner + "}", "\n" + key_pad + "}"
-    lists: dict[tuple, str] = {}  # flat exact-int list -> its text at key_pad
-    layouts: dict[tuple, tuple] = {}  # parameter keys -> (sorted keys, their heads)
-
-    def side_text(value) -> str:
-        """The text of an lhs or rhs, from the memo if it is a flat exact-int list."""
-        kind = type(value)
-        if (kind is list or kind is tuple) and set(map(type, value)) <= _INT:
-            key = tuple(value)
-            text = lists.get(key)
-            if text is None:
-                text = lists[key] = _json_text(value, key_pad)
-            return text
-        return _json_text(value, key_pad)
-
-    sep, comma = "[\n" + inner, ",\n" + inner
-    for row in rows:
-        if type(row) is not dict or row.keys() != _ROW_KEY_SET:
-            out.append(sep + _json_text(row, inner))
-            sep = comma
-            continue
-        params = row["parameters"]
-        if type(params) is dict and params:
-            names = tuple(params)
-            layout = layouts.get(names)
-            if layout is None:
-                keys = sorted(params)
-                heads = [f"\n{val_pad}{_str_text(k)}: " for k in keys]
-                layout = layouts[names] = (keys, heads)
-            keys, heads = layout
-            values = [
-                head + (_str_text(v) if type(v) is str else _json_text(v, val_pad))
-                for head, v in zip(heads, map(params.__getitem__, keys))
-            ]
-            params_text = "{" + ",".join(values) + params_close
-        else:
-            params_text = _json_text(params, key_pad)
-        match, test = row["match"], row["test"]
-        match_text = "true" if match is True else _json_text(match, key_pad)
-        test_text = _str_text(test) if type(test) is str else _json_text(test, key_pad)
-        out.append(
-            f"{sep}{{{lhs_}{side_text(row['lhs'])},{match_}{match_text},"
-            f"{params_}{params_text},{rhs_}{side_text(row['rhs'])},{test_}{test_text}"
-            f"{row_close}"
-        )
-        sep = comma
-    out.append("\n" + pad + "]")
 
 
 def _cell_text(value) -> str:
@@ -363,96 +266,254 @@ def _cmd_decompose(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 
-def _verify_rows(args, rows: list[dict]) -> None:
-    """Append the rows of the chosen suite to rows, group by group.
+def _check_n(args) -> None:
+    if not 2 <= args.n <= flags.MAX_MATRIX_SIZE:
+        raise ConfigError(
+            f"--n must satisfy 2 <= n <= {flags.MAX_MATRIX_SIZE}, got {args.n}"
+        )
 
-    ``xq_model_rows`` appends each row as it is made, so after a BudgetError
-    rows holds every row made before it.
+
+def _check_k(args) -> None:
+    if args.k < 1:
+        raise ConfigError(f"--k must satisfy k >= 1, got {args.k}")
+
+
+def _check_max_rank(args) -> None:
+    top = max(rank for _, rank in sweeps.RANK_LE_3_TYPES)
+    if args.max_rank > top:
+        raise ConfigError(
+            f"--max-rank must be at most {top}, the largest rank swept; "
+            f"got {args.max_rank}"
+        )
+
+
+# suite -> (option check or None, its sweeps in report order: the name of a
+# ``sweeps`` function, then the options passed to it)
+SUITES = {
+    "deodhar-vs-rpoly": (
+        None,
+        (("oracle_triangle_rows", "type", "rank"), ("partition_rows", "type", "rank")),
+    ),
+    "flags": (
+        _check_n,
+        (("flag_census_rows", "n", "q"), ("double_cell_rows", "n", "q")),
+    ),
+    "gl3-example": (_check_k, (("gl3_rows", "q", "k"),)),
+    "vanishing": (
+        _check_max_rank,
+        (("vanishing_rows", "max_rank"), ("witness_rows", "max_rank")),
+    ),
+    "xq-models": (None, (("xq_model_rows", "max_qk", "max_nm"),)),
+}
+
+
+def _verify_rows(args):
+    """Check the options of the chosen suite; return its rows, sweep by sweep.
+
+    Each sweep is looked up in ``sweeps`` by name when its turn comes, so a
+    wrapper installed on the module after import sees the call.
     """
-    suite = args.suite
-    if suite == "deodhar-vs-rpoly":
-        rows += sweeps.oracle_triangle_rows(args.type, args.rank)
-        rows += sweeps.partition_rows(args.type, args.rank)
-    elif suite == "flags":
-        if not 2 <= args.n <= flags.MAX_MATRIX_SIZE:
-            raise ConfigError(
-                f"--n must satisfy 2 <= n <= {flags.MAX_MATRIX_SIZE}, got {args.n}"
-            )
-        rows += sweeps.flag_census_rows(args.n, args.q)
-        rows += sweeps.double_cell_rows(args.n, args.q)
-    elif suite == "gl3-example":
-        if args.k < 1:
-            raise ConfigError(f"--k must satisfy k >= 1, got {args.k}")
-        rows += sweeps.gl3_rows(args.q, args.k)
-    elif suite == "vanishing":
-        top = max(rank for _, rank in sweeps.RANK_LE_3_TYPES)
-        if args.max_rank > top:
-            raise ConfigError(
-                f"--max-rank must be at most {top}, the largest rank swept; "
-                f"got {args.max_rank}"
-            )
-        rows += sweeps.vanishing_rows(args.max_rank)
-        rows += sweeps.witness_rows(args.max_rank)
-    elif suite == "xq-models":
-        sweeps.xq_model_rows(args.max_qk, args.max_nm, out=rows)
-
-
-def _verify_columns(payload: dict) -> list[str]:
-    keys = sorted({k for r in payload["rows"] for k in r["parameters"]})
-    return ["test", *keys, "lhs", "rhs", "match"]
-
-
-def _verify_flat(payload: dict) -> list[dict]:
-    return [
-        {
-            "test": r["test"],
-            **r["parameters"],
-            "lhs": json.dumps(r["lhs"]),
-            "rhs": json.dumps(r["rhs"]),
-            "match": r["match"],
-        }
-        for r in payload["rows"]
-    ]
-
-
-def _verify_lines(payload: dict):
-    for r in payload["rows"]:
-        mark = "ok " if r["match"] else "FAIL"
-        params = json.dumps(r["parameters"], sort_keys=True)
-        yield f"{mark} {r['test']} {params} lhs={r['lhs']} rhs={r['rhs']}"
-    yield (
-        f"{payload['status']}: {payload['checks']} checks, "
-        f"{payload['failures']} failures"
+    check, groups = SUITES[args.suite]
+    if check is not None:
+        check(args)
+    return itertools.chain.from_iterable(
+        getattr(sweeps, name)(*(getattr(args, o) for o in options))
+        for name, *options in groups
     )
+
+
+def _int_list_memo(encode):
+    """encode(value), read from a memo when value is a flat list of exact ints.
+
+    The memo lives as long as the returned function, one report: the B3
+    triangle has 13,174 coefficient lists, 29 of them distinct.  A list or
+    tuple is looked up only if every entry has type ``int``: ``[1] == [True]``
+    and ``hash((1,)) == hash((True,))``, but they print ``1`` and ``true``.
+    """
+    memo: dict[tuple, str] = {}
+
+    def text(value) -> str:
+        kind = type(value)
+        if (kind is list or kind is tuple) and set(map(type, value)) <= _INT:
+            key = tuple(value)
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = encode(value)
+            return found
+        return encode(value)
+
+    return text
+
+
+_INT = frozenset((int,))
+# The keys of a verify row (``sweeps._row``), in the order JSON prints them.
+_ROW_KEYS = ("lhs", "match", "parameters", "rhs", "test")
+_ROW_KEY_SET = frozenset(_ROW_KEYS)
+# Indents inside "rows": a row's braces, its keys, the entries of its values.
+_ROW_PAD, _KEY_PAD, _VAL_PAD = " " * 4, " " * 6, " " * 8
+_LHS, _MATCH, _PARAMS, _RHS, _TEST = (f'\n{_KEY_PAD}"{k}": ' for k in _ROW_KEYS)
+_OPEN, _NEXT = "[\n" + _ROW_PAD, ",\n" + _ROW_PAD
+
+
+class _TableRows:
+    """Table output: one line per row as it arrives, the summary line last."""
+
+    def __init__(self, spool, out) -> None:
+        self.out = out
+
+    def put(self, row: dict) -> None:
+        mark = "ok " if row["match"] else "FAIL"
+        params = json.dumps(row["parameters"], sort_keys=True)
+        self.out.write(
+            f"{mark} {row['test']} {params} lhs={row['lhs']} rhs={row['rhs']}\n"
+        )
+
+    def write_report(self, head: dict) -> None:
+        self.out.write(
+            f"{head['status']}: {head['checks']} checks, {head['failures']} failures\n"
+        )
+
+
+class _JsonRows:
+    """JSON output: ``_json_text`` of the report, its rows spooled as they arrive.
+
+    put(row) writes to the spool the text of row at its place in ``"rows"``.
+    A row with exactly the keys of ``sweeps._row`` is written key by key in
+    sorted order, its lhs and rhs through ``_int_list_memo`` (so an rhs equal
+    to its lhs gets the lhs text), the sorted layout of each set of
+    ``parameters`` keys worked out once.  Any other row or value goes
+    through ``_json_text``.  write_report(head) writes the keys of head and
+    ``"rows"`` in sorted order, the rows copied from the spool.
+    """
+
+    def __init__(self, spool, out) -> None:
+        self.spool, self.out = spool, out
+        self.sep = _OPEN
+        self.side = _int_list_memo(functools.partial(_json_text, pad=_KEY_PAD))
+        self.layouts: dict[tuple, tuple] = {}  # parameter keys -> (sorted, heads)
+
+    def put(self, row) -> None:
+        sep, self.sep = self.sep, _NEXT
+        if type(row) is not dict or row.keys() != _ROW_KEY_SET:
+            self.spool.write(sep + _json_text(row, _ROW_PAD))
+            return
+        params = row["parameters"]
+        if type(params) is dict and params:
+            names = tuple(params)
+            layout = self.layouts.get(names)
+            if layout is None:
+                keys = sorted(params)
+                heads = [f"\n{_VAL_PAD}{_str_text(k)}: " for k in keys]
+                layout = self.layouts[names] = (keys, heads)
+            keys, heads = layout
+            values = [
+                head + (_str_text(v) if type(v) is str else _json_text(v, _VAL_PAD))
+                for head, v in zip(heads, map(params.__getitem__, keys))
+            ]
+            params_text = "{" + ",".join(values) + "\n" + _KEY_PAD + "}"
+        else:
+            params_text = _json_text(params, _KEY_PAD)
+        match, test, side = row["match"], row["test"], self.side
+        match_text = "true" if match is True else _json_text(match, _KEY_PAD)
+        test_text = _str_text(test) if type(test) is str else _json_text(test, _KEY_PAD)
+        self.spool.write(
+            f"{sep}{{{_LHS}{side(row['lhs'])},{_MATCH}{match_text},"
+            f"{_PARAMS}{params_text},{_RHS}{side(row['rhs'])},{_TEST}{test_text}"
+            f"\n{_ROW_PAD}}}"
+        )
+
+    def write_report(self, head: dict) -> None:
+        out, spool = self.out, self.spool
+        spool.write("[]" if self.sep == _OPEN else "\n  ]")
+        sep = "{\n  "
+        for key in sorted([*head, "rows"]):
+            out.write(sep + _str_text(key) + ": ")
+            if key == "rows":
+                spool.seek(0)
+                shutil.copyfileobj(spool, out)
+            else:
+                out.write(_json_text(head[key], "  "))
+            sep = ",\n  "
+        out.write("\n}\n")
+
+
+class _CsvRows:
+    """csv output: a header, then one record per row.
+
+    The header is ``test``, the sorted union of the parameter keys of the rows
+    put, ``lhs``, ``rhs`` and ``match``, so it is known only after the last
+    row.  put(row) spools a record in the row's own layout: the index of its
+    sorted parameter keys, a blank cell, then its cells, lhs and rhs as
+    ``json.dumps`` prints them (through ``_int_list_memo``), every field
+    quoted so that any text reads back.  write_report(head) writes the header
+    and reads the spool back, picking each record's cells in header order,
+    the blank under a key its row lacks.
+    """
+
+    def __init__(self, spool, out) -> None:
+        self.spool, self.out = spool, out
+        self.writer = csv.writer(spool, quoting=csv.QUOTE_ALL)
+        self.side = _int_list_memo(json.dumps)
+        self.layouts: dict[tuple, tuple] = {}  # parameter keys -> (index, sorted)
+
+    def put(self, row: dict) -> None:
+        params, side = row["parameters"], self.side
+        names = tuple(params)
+        layout = self.layouts.get(names)
+        if layout is None:
+            layout = self.layouts[names] = (str(len(self.layouts)), sorted(params))
+        index, keys = layout
+        cells = [index, "", _cell_text(row["test"])]
+        cells += [_cell_text(params[k]) for k in keys]
+        cells += [side(row["lhs"]), side(row["rhs"]), row["match"]]
+        self.writer.writerow(cells)
+
+    def write_report(self, head: dict) -> None:
+        keys = sorted({k for _, layout in self.layouts.values() for k in layout})
+        pick = {
+            index: operator.itemgetter(
+                2, *[3 + layout.index(k) if k in layout else 1 for k in keys], -3, -2, -1
+            )
+            for index, layout in self.layouts.values()
+        }
+        writer = csv.writer(self.out, lineterminator="\n")
+        writer.writerow(["test", *keys, "lhs", "rhs", "match"])
+        self.spool.seek(0)
+        for record in csv.reader(self.spool):
+            writer.writerow(pick[record[0]](record))
+
+
+_SINKS = {"table": _TableRows, "json": _JsonRows, "csv": _CsvRows}
 
 
 def _cmd_verify(args) -> int:
-    rows: list[dict] = []
+    checks = failures = 0
     budget_note = None
-    try:
-        _verify_rows(args, rows)
-    except BudgetError as exc:
-        budget_note = str(exc)
-    if not rows and budget_note is None:
-        raise ConfigError(f"suite {args.suite!r} ran zero checks with these parameters")
-    failures = [r for r in rows if not r["match"]]
-    status = "PASS" if not failures else "FAIL"
-    if budget_note is not None:
-        status = "BUDGET-EXCEEDED"
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "suite": args.suite,
-        "checks": len(rows),
-        "failures": len(failures),
-        "status": status,
-        "rows": rows,
-    }
-    if budget_note is not None:
-        payload["budget_exceeded"] = budget_note
-    _emit(
-        args.format, payload, _verify_columns, _verify_flat, _verify_lines, _verify_json
-    )
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        sink = _SINKS[args.format](spool, sys.stdout)
+        try:
+            for row in _verify_rows(args):
+                sink.put(row)
+                checks += 1
+                failures += not row["match"]
+        except BudgetError as exc:
+            budget_note = str(exc)
+        if not checks and budget_note is None:
+            raise ConfigError(
+                f"suite {args.suite!r} ran zero checks with these parameters"
+            )
+        head = {
+            "schema": SCHEMA,
+            "command": "verify",
+            "suite": args.suite,
+            "checks": checks,
+            "failures": failures,
+            "status": "PASS" if not failures else "FAIL",
+        }
+        if budget_note is not None:
+            head["status"] = "BUDGET-EXCEEDED"
+            head["budget_exceeded"] = budget_note
+        sink.write_report(head)
     if budget_note is not None:
         print(f"budget exceeded: {budget_note}", file=sys.stderr)
         return EXIT_BUDGET

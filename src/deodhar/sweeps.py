@@ -1,8 +1,10 @@
 """Exhaustive verification sweeps shared by the CLI and the test suite.
 
-Every ``*_rows`` function returns a list of comparison rows
+Every ``*_rows`` function is a generator of comparison rows
 ``{"test", "parameters", "lhs", "rhs", "match"}`` in a canonical order, so
-identical configurations produce byte-identical reports.  The helpers they
+identical configurations produce byte-identical reports; no sweep keeps its
+rows, so a consumer that does not keep them either runs in memory that does
+not grow with the number of checks.  The helpers they
 share return plain values: ``word_tree_polys`` the Deodhar polynomials and
 ``word_tree_vanishing`` the vanishing-criterion counts of every reduced word,
 ``xq_brute_count`` and ``xq_full_product_count`` point counts.  Every sweep
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator
 
 from . import cells, counting, flags, frobenius
 from .counting import IntPolynomial
@@ -39,8 +41,9 @@ RANK_LE_3_TYPES = (
     ("G", 2),
 )
 ORACLE_TYPES = (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2))
-# one row dict per (w, word, v) check: A4 (256,005) fits, D4 (1,379,685) would
-# need over 1 GB
+# one row per (w, word, v) check.  Rows are not kept, so the cap bounds time
+# and report size: A4 (256,005) takes seconds and prints 98 MB of json, D4
+# (1,379,685) would print over 500 MB
 MAX_TRIANGLE_CHECKS = 300_000
 
 
@@ -123,22 +126,27 @@ def word_tree_polys(rs: RootSystem) -> dict:
     return out
 
 
-def _row_sort_key(row: dict):
-    params = row["parameters"]
-    return (row["test"], tuple(sorted((k, str(v)) for k, v in params.items())))
+def _by_name(elements) -> list:
+    return sorted(elements, key=lambda x: x.word_str)
 
 
-def oracle_triangle_rows(type_label: str, rank: int) -> list[dict]:
+def oracle_triangle_rows(type_label: str, rank: int) -> Iterator[dict]:
     """deodhar_poly == r_polynomial for every v <= w and every reduced word.
 
     The checks are counted before the word tree is walked or any row is
-    built, and more than ``MAX_TRIANGLE_CHECKS`` raise ``BudgetError``.
+    made, and more than ``MAX_TRIANGLE_CHECKS`` raise ``BudgetError``.  Rows
+    come in report order, which sorts them by stringified parameters: with
+    type and rank fixed, v by name, then w by name, then the word.
     """
     rs = build_root_system(type_label, rank)
     elements = rs.weyl_elements()
     plan = [
-        (w, reduced_words(w), [(v, v.word_str) for v in elements if bruhat_leq(v, w)])
-        for w in elements
+        (
+            w,
+            sorted((word_str(letters), letters) for letters in reduced_words(w)),
+            {v for v in elements if bruhat_leq(v, w)},
+        )
+        for w in _by_name(elements)
     ]
     checks = sum(len(words) * len(below) for _, words, below in plan)
     if checks > MAX_TRIANGLE_CHECKS:
@@ -148,14 +156,13 @@ def oracle_triangle_rows(type_label: str, rank: int) -> list[dict]:
         )
     tree = word_tree_polys(rs)
     zero = IntPolynomial.zero()
-    rows = []
-    for w, words, below in plan:
-        rpolys = {v: counting.r_polynomial(v, w).coeffs for v, _ in below}
-        w_str = w.word_str
-        for letters in words:
-            groups = tree[letters]
-            display = word_str(letters)
-            for v, v_str in below:
+    for v in _by_name(elements):
+        v_str = v.word_str
+        for w, words, below in plan:
+            if v not in below:
+                continue
+            w_str, rhs = w.word_str, counting.r_polynomial(v, w).coeffs
+            for display, letters in words:
                 params = {
                     "type": type_label,
                     "rank": rank,
@@ -163,63 +170,53 @@ def oracle_triangle_rows(type_label: str, rank: int) -> list[dict]:
                     "word": display,
                     "v": v_str,
                 }
-                lhs = list(groups.get(v, zero).coeffs)
-                rows.append(_row("deodhar-vs-rpoly", params, lhs, list(rpolys[v])))
-    # rows come out w-major; the report is ordered by stringified parameters,
-    # and with type and rank fixed that is the order of (v, w, word)
-    rows.sort(key=_triangle_sort_key)
-    return rows
+                lhs = list(tree[letters].get(v, zero).coeffs)
+                yield _row("deodhar-vs-rpoly", params, lhs, list(rhs))
 
 
-def _triangle_sort_key(row: dict):
-    params = row["parameters"]
-    return (params["v"], params["w"], params["word"])
-
-
-def partition_rows(type_label: str, rank: int) -> list[dict]:
+def partition_rows(type_label: str, rank: int) -> Iterator[dict]:
     """sum_v deodhar_poly(word, v) == q^{l(w)} symbolically, canonical words."""
     rs = build_root_system(type_label, rank)
     tree = word_tree_polys(rs)
-    rows = []
     for w in rs.weyl_elements():
         total = IntPolynomial.zero()
         for poly in tree[w.canonical_word].values():
             total = total + poly
-        rows.append(
-            _row(
-                "cell-partition",
-                {"type": type_label, "rank": rank, "w": w.word_str},
-                list(total.coeffs),
-                list(counting.schubert_cell_poly(w).coeffs),
-            )
+        yield _row(
+            "cell-partition",
+            {"type": type_label, "rank": rank, "w": w.word_str},
+            list(total.coeffs),
+            list(counting.schubert_cell_poly(w).coeffs),
         )
-    return rows
 
 
 # -- brute-force flag legs ----------------------------------------------------
 
 
-def double_cell_rows(n: int, q: int) -> list[dict]:
-    """Flag-variety double-cell counts against both polynomial routes."""
+def double_cell_rows(n: int, q: int) -> Iterator[dict]:
+    """Flag-variety double-cell counts against both polynomial routes.
+
+    Rows come in report order, which sorts them by test and stringified
+    parameters: the Deodhar rows, then the R-polynomial rows, each by v and
+    then w by name.
+    """
     rs = build_root_system("A", n - 1)
     census = flags.double_cell_census(n, q)
     tree = word_tree_polys(rs)
-    rows = []
-    elements = rs.weyl_elements()
-    for w in elements:
-        groups = tree[w.canonical_word]
+    elements = _by_name(rs.weyl_elements())
+    zero = IntPolynomial.zero()
+    for test in ("double-cell-vs-deodhar", "double-cell-vs-rpoly"):
         for v in elements:
-            brute = census[w, v]
-            rp = counting.r_polynomial(v, w)(q)
-            dp = groups.get(v, IntPolynomial.zero())(q)
-            params = {"n": n, "q": q, "w": w.word_str, "v": v.word_str}
-            rows.append(_row("double-cell-vs-rpoly", params, brute, rp))
-            rows.append(_row("double-cell-vs-deodhar", params, brute, dp))
-    rows.sort(key=_row_sort_key)
-    return rows
+            for w in elements:
+                if test == "double-cell-vs-rpoly":
+                    count = counting.r_polynomial(v, w)(q)
+                else:
+                    count = tree[w.canonical_word].get(v, zero)(q)
+                params = {"n": n, "q": q, "w": w.word_str, "v": v.word_str}
+                yield _row(test, params, census[w, v], count)
 
 
-def flag_census_rows(n: int, q: int) -> list[dict]:
+def flag_census_rows(n: int, q: int) -> Iterator[dict]:
     """Flag count identities: Gaussian factorial, length generating function."""
     rs = build_root_system("A", n - 1)
     census = flags.double_cell_census(n, q)
@@ -227,23 +224,20 @@ def flag_census_rows(n: int, q: int) -> list[dict]:
     total = sum(census.values())
     by_length = sum(q**w.length for w in rs.weyl_elements())
     params = {"n": n, "q": q}
-    rows = [
-        _row("flag-census-total", params, total, flags.gaussian_flag_count(n, q)),
-        _row("flag-census-poincare", params, total, by_length),
-    ]
+    yield _row("flag-census-total", params, total, flags.gaussian_flag_count(n, q))
+    yield _row("flag-census-poincare", params, total, by_length)
     in_cell = Counter()
     for (w, _), c in census.items():
         in_cell[w] += c
     for w in rs.weyl_elements():
         params = {"n": n, "q": q, "w": w.word_str}
-        rows.append(_row("flag-census-cell", params, in_cell[w], q**w.length))
-    return rows
+        yield _row("flag-census-cell", params, in_cell[w], q**w.length)
 
 
 # -- GL3 worked example -------------------------------------------------------
 
 
-def gl3_rows(q: int, k: int) -> list[dict]:
+def gl3_rows(q: int, k: int) -> Iterator[dict]:
     rs = build_root_system("A", 2)
     w0 = rs.longest_element()
     counts = flags.gl3_example_counts(q, k)
@@ -254,36 +248,33 @@ def gl3_rows(q: int, k: int) -> list[dict]:
     closed_gamma = cells.Subexpression(word, (1, 0, 1))
     open_gamma = cells.Subexpression(word, (0, 0, 0))
     inv = frobenius.cell_invariants(closed_gamma, od)
-    rows = [
-        _row("gl3-unipotent-vs-flags", params, counts.x_full, dl),
-        _row(
-            "gl3-free-quotient",
-            params,
-            q * (counts.closed_orbits + counts.open_orbits),
-            counts.x_full,
-        ),
-        _row(
-            "gl3-closed-model",
-            params,
-            counts.closed_points,
-            frobenius.quotient_model(closed_gamma, od).point_count(k),
-        ),
-        _row(
-            "gl3-open-model",
-            params,
-            counts.open_points,
-            frobenius.quotient_model(open_gamma, od).point_count(k),
-        ),
-        _row(
-            "gl3-closed-invariants",
-            params,
-            [sorted(inv.n.items()), sorted(inv.m.items()), inv.n_bar, inv.m_bar],
-            [[(0, 0), (1, 1)], [(0, 0), (1, 0)], 0, 1],
-        ),
-    ]
+    yield _row("gl3-unipotent-vs-flags", params, counts.x_full, dl)
+    yield _row(
+        "gl3-free-quotient",
+        params,
+        q * (counts.closed_orbits + counts.open_orbits),
+        counts.x_full,
+    )
+    yield _row(
+        "gl3-closed-model",
+        params,
+        counts.closed_points,
+        frobenius.quotient_model(closed_gamma, od).point_count(k),
+    )
+    yield _row(
+        "gl3-open-model",
+        params,
+        counts.open_points,
+        frobenius.quotient_model(open_gamma, od).point_count(k),
+    )
+    yield _row(
+        "gl3-closed-invariants",
+        params,
+        [sorted(inv.n.items()), sorted(inv.m.items()), inv.n_bar, inv.m_bar],
+        [[(0, 0), (1, 1)], [(0, 0), (1, 0)], 0, 1],
+    )
     if k == 1:
-        rows.append(_row("gl3-k1-empty", params, counts.x_full, 0))
-    return rows
+        yield _row("gl3-k1-empty", params, counts.x_full, 0)
 
 
 # -- vanishing criterion ------------------------------------------------------
@@ -380,7 +371,7 @@ def _vanishing_by_enumeration(
     return with_witness, nontrivial, all_skip, clean and all_skip == 1
 
 
-def vanishing_rows(max_rank: int = 3) -> list[dict]:
+def vanishing_rows(max_rank: int = 3) -> Iterator[dict]:
     """Core of the vanishing theorem, swept over all diagram automorphisms.
 
     For every reduced word of every w, over the distinguished subexpressions
@@ -400,7 +391,6 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
     the twist adds no check of its own here; a brute-force oracle for the
     twisted Frobenius is still missing.
     """
-    rows = []
     for type_label, rank in RANK_LE_3_TYPES:
         if rank > max_rank:
             continue
@@ -432,24 +422,18 @@ def vanishing_rows(max_rank: int = 3) -> list[dict]:
                         "w": w_str,
                         "word": word_str(letters),
                     }
-                    rows.append(
-                        _row("vanishing-nontrivial", params, with_witness, nontrivial)
-                    )
+                    yield _row("vanishing-nontrivial", params, with_witness, nontrivial)
                     # the all-skip piece survives in degree r - |I| = l(w)
-                    rows.append(
-                        _row(
-                            "vanishing-survivor",
-                            params,
-                            [all_skip, clean, len(letters)],
-                            [1, True, w.length],
-                        )
+                    yield _row(
+                        "vanishing-survivor",
+                        params,
+                        [all_skip, clean, len(letters)],
+                        [1, True, w.length],
                     )
-    return rows
 
 
-def witness_rows(max_rank: int = 3) -> list[dict]:
+def witness_rows(max_rank: int = 3) -> Iterator[dict]:
     """vanishing_witness(x) exists iff x != w0, validated by the action."""
-    rows = []
     for type_label, rank in RANK_LE_3_TYPES:
         if rank > max_rank:
             continue
@@ -460,24 +444,20 @@ def witness_rows(max_rank: int = 3) -> list[dict]:
             valid = witness is None or rs.is_positive(
                 x.inverse().act(rs.simple_roots[witness])
             )
-            rows.append(
-                _row(
-                    "witness-root",
-                    {"type": type_label, "rank": rank, "x": x.word_str},
-                    [witness is not None, valid],
-                    [x != w0, True],
-                )
+            yield _row(
+                "witness-root",
+                {"type": type_label, "rank": rank, "x": x.word_str},
+                [witness is not None, valid],
+                [x != w0, True],
             )
-    return rows
 
 
 # -- uniqueness of the I = J subexpression -------------------------------------
 
 
-def unique_torus_rows(type_label: str, rank: int) -> list[dict]:
+def unique_torus_rows(type_label: str, rank: int) -> Iterator[dict]:
     """Exactly one I = J subexpression per Gamma_v: shape, maximality, order."""
     rs = build_root_system(type_label, rank)
-    rows = []
     for w in rs.weyl_elements():
         for letters in reduced_words(w):
             word = cells.ReducedWord.from_letters(rs, letters)
@@ -498,21 +478,18 @@ def unique_torus_rows(type_label: str, rank: int) -> list[dict]:
                         h is not g0 and cells.preceq(g0, h) for h in dist
                     )
                     ok_first = cells._filtration_sequence(dist)[0] == g0
-                rows.append(
-                    _row(
-                        "unique-torus-cell",
-                        {
-                            "type": type_label,
-                            "rank": rank,
-                            "w": w.word_str,
-                            "word": word.display,
-                            "v": v.word_str,
-                        },
-                        [ok_count, ok_shape, ok_maximal, ok_first],
-                        [True, True, True, True],
-                    )
+                yield _row(
+                    "unique-torus-cell",
+                    {
+                        "type": type_label,
+                        "rank": rank,
+                        "w": w.word_str,
+                        "word": word.display,
+                        "v": v.word_str,
+                    },
+                    [ok_count, ok_shape, ok_maximal, ok_first],
+                    [True, True, True, True],
                 )
-    return rows
 
 
 # -- Artin-Schreier models ------------------------------------------------------
@@ -564,16 +541,12 @@ def xq_full_product_count(q: int, n: int, m: int, k: int = 1) -> int:
     return count
 
 
-def xq_model_rows(
-    max_qk: int = 64, max_nm: int = 3, out: Optional[list] = None
-) -> list[dict]:
+def xq_model_rows(max_qk: int = 64, max_nm: int = 3) -> Iterator[dict]:
     """Closed-form X_q(n, m) point counts against the brute-force counters.
 
-    Each row is appended to out (a new list when None), which is returned,
-    as soon as it is made: when a count exceeds its budget, the BudgetError
-    leaves in out every row made before it.
+    Each row is yielded as soon as it is made: when a count exceeds its
+    budget, the consumer already holds every row made before the BudgetError.
     """
-    rows = [] if out is None else out
     for q in range(2, max_qk + 1):
         try:
             _factor_prime_power(q)
@@ -586,34 +559,22 @@ def xq_model_rows(
                 for m in range(max_nm + 1 - n):
                     params = {"q": q, "k": k, "n": n, "m": m}
                     count = frobenius.xq_point_count(q, n, m, k)
-                    rows.append(
-                        _row(
-                            "xq-closed-vs-brute",
-                            params,
-                            count,
-                            xq_brute_count(q, n, m, k),
-                        )
+                    yield _row(
+                        "xq-closed-vs-brute", params, count, xq_brute_count(q, n, m, k)
                     )
                     if qk ** (1 + n) * max(1, (qk - 1) ** m) <= 70_000:
-                        rows.append(
-                            _row(
-                                "xq-full-product",
-                                params,
-                                count,
-                                xq_full_product_count(q, n, m, k),
-                            )
-                        )
-                    rows.append(
-                        _row(
-                            "yqs-s1-equals-xq",
+                        yield _row(
+                            "xq-full-product",
                             params,
-                            frobenius.yqs_point_count(q, 1, n, m, k),
                             count,
+                            xq_full_product_count(q, n, m, k),
                         )
+                    yield _row(
+                        "yqs-s1-equals-xq",
+                        params,
+                        frobenius.yqs_point_count(q, 1, n, m, k),
+                        count,
                     )
                     if n == 0:
-                        rows.append(
-                            _row("xq-divisible-by-q", params, count % q, 0)
-                        )
+                        yield _row("xq-divisible-by-q", params, count % q, 0)
             k += 1
-    return rows

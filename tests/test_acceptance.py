@@ -33,6 +33,7 @@ def _report(name, timer, detail):
 
 
 def _assert_rows(rows):
+    rows = list(rows)
     bad = [r for r in rows if not r["match"]]
     assert not bad, f"{len(bad)} failing checks, first: {bad[:3]}"
     return len(rows)
@@ -78,7 +79,7 @@ def test_criterion_2_oracle_triangle():
 def test_a4_oracle_triangle_and_partition(monkeypatch):
     # both sweeps read one reduced-word tree, walked once per system
     with _Timer(30.0) as t:
-        rows = sweeps.oracle_triangle_rows("A", 4)
+        rows = list(sweeps.oracle_triangle_rows("A", 4))
         assert len(rows) == 256_005
         _assert_rows(rows)
     _report("a4 oracle-triangle", t, f"{len(rows)} polynomial identities")
@@ -97,7 +98,7 @@ def test_a4_oracle_triangle_and_partition(monkeypatch):
 
     monkeypatch.setattr(counting, "cell_count_poly", counted)
     with _Timer(5.0) as t:
-        rows = sweeps.partition_rows("A", 4)
+        rows = list(sweeps.partition_rows("A", 4))
         assert len(rows) == 120
         _assert_rows(rows)
     assert walks == []
@@ -182,7 +183,7 @@ def test_criterion_6_gl3_worked_example():
             if k == 1:
                 assert counts.x_full == 0 and x_c + x_o == 0
         _assert_rows(
-            sweeps.gl3_rows(2, 1) + sweeps.gl3_rows(2, 2) + sweeps.gl3_rows(3, 1)
+            [*sweeps.gl3_rows(2, 1), *sweeps.gl3_rows(2, 2), *sweeps.gl3_rows(3, 1)]
         )
     _report(
         "criterion-6 gl3-worked-example",

@@ -1,9 +1,13 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,14 @@ from hypothesis import example, given, strategies as st
 
 import deodhar
 from deodhar import cells, flags, frobenius, sweeps
-from deodhar.cli import EXIT_BROKEN_PIPE, _json_text, _verify_json, main
+from deodhar.cli import (
+    EXIT_BROKEN_PIPE,
+    _cell_text,
+    _CsvRows,
+    _json_text,
+    _JsonRows,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -263,10 +274,39 @@ def test_verify_vanishing_rejects_max_rank_above_three(capsys, max_rank):
 )
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_verify_zero_checks_is_config_error(capsys, argv, fmt):
+    # a stream must not print a header or a table line before a row exists
     code, out, err = run_cli(capsys, "verify", *argv, "--format", fmt)
     assert code == 2
-    assert "PASS" not in out
+    assert out == ""
     assert "zero checks" in err
+
+
+def test_verify_looks_up_each_sweep_when_it_runs(capsys, monkeypatch):
+    # perfbench/tracer.py wraps the sweeps after ``import deodhar.cli``
+    calls = []
+    for name in ("oracle_triangle_rows", "partition_rows"):
+        sweep = getattr(sweeps, name)
+        monkeypatch.setattr(
+            sweeps, name, lambda *a, _s=sweep, _n=name: calls.append(_n) or _s(*a)
+        )
+    code, _, _ = run_cli(capsys, "verify", "deodhar-vs-rpoly", "--format", "json")
+    assert code == 0
+    assert calls == ["oracle_triangle_rows", "partition_rows"]
+
+
+def test_verify_b3_json_memory_does_not_grow_with_the_rows():
+    # 6,587 rows and 2.4 MB of json; before the stream the rows and the
+    # joined report peaked at 9.5 MiB traced
+    argv = ["verify", "deodhar-vs-rpoly", "--type", "B", "--rank", "3", "--format", "json"]
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * 2**20
 
 
 def test_verify_csv_format(capsys):
@@ -598,6 +638,17 @@ VERIFY_PAYLOADS = st.fixed_dictionaries(
 )
 
 
+def _verify_json(payload: dict) -> str:
+    """The json ``verify`` prints for payload: each row through the json sink,
+    then the head around the spooled rows."""
+    out = io.StringIO()
+    sink = _JsonRows(io.StringIO(), out)
+    for row in payload["rows"]:
+        sink.put(row)
+    sink.write_report({k: v for k, v in payload.items() if k != "rows"})
+    return out.getvalue()
+
+
 def _verify_payload(rows, **extra) -> dict:
     return {
         "schema": "deodhar.v1",
@@ -619,7 +670,7 @@ def _row(lhs, rhs, match=None, **parameters) -> dict:
 
 @given(VERIFY_PAYLOADS)
 def test_verify_json_equals_indented_json_dumps(payload):
-    assert _verify_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert _verify_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -636,7 +687,7 @@ def test_verify_json_equals_indented_json_dumps(payload):
 )
 def test_verify_json_keeps_ints_bools_and_mismatches_apart(rows):
     for payload in (_verify_payload(rows), _verify_payload(rows, budget_exceeded="x")):
-        assert _verify_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+        assert _verify_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_json_rejects_what_json_text_rejects():
@@ -645,6 +696,59 @@ def test_verify_json_rejects_what_json_text_rejects():
             _verify_json(_verify_payload([_row(bad, bad, match=True)]))
     with pytest.raises(TypeError):
         _verify_json(_verify_payload([_row([1], [1], w=1.5)]))
+
+
+def _csv_by_projection(rows) -> str:
+    """csv of rows as the whole report was projected before the stream: the
+    header is the sorted union of parameter keys, lhs and rhs are json."""
+    keys = sorted({k for r in rows for k in r["parameters"]})
+    names = ["test", *keys, "lhs", "rhs", "match"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    for r in rows:
+        flat = {
+            "test": r["test"],
+            **r["parameters"],
+            "lhs": json.dumps(r["lhs"]),
+            "rhs": json.dumps(r["rhs"]),
+            "match": r["match"],
+        }
+        writer.writerow([_cell_text(flat.get(c)) for c in names])
+    return buf.getvalue()
+
+
+# csv cells: text with a delimiter, a quote or a line break in it, key sets
+# that differ from row to row, and parameter keys that are not column names.
+CSV_TEXT = st.text(st.sampled_from('ab,"\r\n \\'), max_size=4)
+CSV_ROWS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "test": CSV_TEXT,
+            "parameters": st.dictionaries(
+                st.sampled_from(["rank", "type", "v", "w", "word"])
+                | CSV_TEXT.filter(lambda k: k not in ("test", "lhs", "rhs", "match")),
+                st.integers() | CSV_TEXT | st.lists(CSV_TEXT, max_size=2),
+                max_size=4,
+            ),
+            "lhs": ROW_SIDES,
+            "rhs": ROW_SIDES,
+            "match": st.booleans(),
+        }
+    ),
+    max_size=8,
+)
+
+
+@given(CSV_ROWS)
+@example([{"test": "t", "parameters": {"w": "a\rb"}, "lhs": [1], "rhs": [True], "match": True}])
+def test_verify_csv_sink_equals_the_whole_report_projection(rows):
+    out = io.StringIO()
+    sink = _CsvRows(io.StringIO(newline=""), out)
+    for row in rows:
+        sink.put(row)
+    sink.write_report({})
+    assert out.getvalue() == _csv_by_projection(rows)
 
 
 def test_closed_pipe_exits_141_without_a_traceback():

@@ -132,8 +132,17 @@ def test_r_polynomial_degree_and_positivity(type_label, rank):
 @pytest.mark.parametrize("type_label,rank", [("C", 2), ("C", 3)])
 def test_oracle_triangle_type_c(type_label, rank):
     # the B/C pairs share a Weyl group but exercise transposed Cartan data
-    rows = sweeps.oracle_triangle_rows(type_label, rank)
+    rows = list(sweeps.oracle_triangle_rows(type_label, rank))
     assert rows and all(r["match"] for r in rows)
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 2), ("G", 2)])
+def test_oracle_triangle_rows_come_in_report_order(type_label, rank):
+    # the report orders rows by (v, w, word); the sweep yields them so, unsorted
+    rows = list(sweeps.oracle_triangle_rows(type_label, rank))
+    assert rows == sorted(
+        rows, key=lambda r: (r["parameters"]["v"], r["parameters"]["w"], r["parameters"]["word"])
+    )
 
 
 def test_schubert_cell_poly():

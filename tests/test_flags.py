@@ -345,7 +345,7 @@ def test_gl3_example_counts():
 def test_gl3_model_rows_q3_k2():
     from deodhar import sweeps
 
-    rows = sweeps.gl3_rows(3, 2)
+    rows = list(sweeps.gl3_rows(3, 2))
     assert rows and all(r["match"] for r in rows)
 
 

@@ -429,7 +429,7 @@ def test_vanishing_rows_cross_check_trips_on_corruption(
     _w0_image_simple.cache_clear()
     monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
     with pytest.raises(AssertionError, match="word tree and enumeration disagree"):
-        sweeps.vanishing_rows(max_rank=2)
+        list(sweeps.vanishing_rows(max_rank=2))
     monkeypatch.undo()
     _w0_image_simple.cache_clear()
     assert all(row["match"] for row in sweeps.vanishing_rows(max_rank=2))
