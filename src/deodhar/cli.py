@@ -322,8 +322,18 @@ def _verify_rows(args):
     )
 
 
+_INT = frozenset((int,))
+# The keys of a verify row (``sweeps._row``), in the order JSON prints them.
+_ROW_KEYS = ("lhs", "match", "parameters", "rhs", "test")
+_ROW_KEY_SET = frozenset(_ROW_KEYS)
+# Indents inside "rows": a row's braces, its keys, the entries of its values.
+_ROW_PAD, _KEY_PAD, _VAL_PAD = " " * 4, " " * 6, " " * 8
+_LHS, _MATCH, _PARAMS, _RHS, _TEST = (f'\n{_KEY_PAD}"{k}": ' for k in _ROW_KEYS)
+_OPEN, _NEXT = "[\n" + _ROW_PAD, ",\n" + _ROW_PAD
+
+
 def _int_list_memo(encode):
-    """encode(value), read from a memo when value is a flat list of exact ints.
+    """Return a function of value: encode(value), from a memo for flat int lists.
 
     The memo lives as long as the returned function, one report: the B3
     triangle has 13,174 coefficient lists, 29 of them distinct.  A list or
@@ -343,16 +353,6 @@ def _int_list_memo(encode):
         return encode(value)
 
     return text
-
-
-_INT = frozenset((int,))
-# The keys of a verify row (``sweeps._row``), in the order JSON prints them.
-_ROW_KEYS = ("lhs", "match", "parameters", "rhs", "test")
-_ROW_KEY_SET = frozenset(_ROW_KEYS)
-# Indents inside "rows": a row's braces, its keys, the entries of its values.
-_ROW_PAD, _KEY_PAD, _VAL_PAD = " " * 4, " " * 6, " " * 8
-_LHS, _MATCH, _PARAMS, _RHS, _TEST = (f'\n{_KEY_PAD}"{k}": ' for k in _ROW_KEYS)
-_OPEN, _NEXT = "[\n" + _ROW_PAD, ",\n" + _ROW_PAD
 
 
 class _TableRows:
