@@ -89,9 +89,12 @@ class Subexpression:
     __slots__ = ("word", "bits", "partials", "end", "I", "J", "tilde_betas")
 
     def __init__(self, word: ReducedWord, bits: Iterable[int]):
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != word.r or any(b not in (0, 1) for b in bits):
+        bits = tuple(bits)
+        if len(bits) != word.r or any(
+            not isinstance(b, int) or b not in (0, 1) for b in bits
+        ):
             raise ConfigError("bits must be a 0/1 vector matching the word length")
+        bits = tuple(map(int, bits))
         self.word = word
         self.bits = bits
         sys = word.system

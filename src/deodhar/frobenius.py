@@ -192,6 +192,8 @@ class RegularCharacter:
 
     @classmethod
     def from_mapping(cls, components: Mapping[int, int]) -> "RegularCharacter":
+        if not all(isinstance(x, int) for item in components.items() for x in item):
+            raise ConfigError(f"character components {components!r} are not integers")
         return cls(tuple(sorted((int(k), int(v)) for k, v in components.items())))
 
     @classmethod
@@ -242,7 +244,7 @@ def _require_regular(psi: RegularCharacter, od: OrbitData) -> None:
 # -- cell invariants ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellInvariants:
     """Per-orbit exponents of the quotient factorisation of one cell."""
 

@@ -278,6 +278,8 @@ class FqField:
         if n == 0:
             return 1
         if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("negative power of zero in a finite field")
             return 0
         return self._exp[(self._log[a] * n) % (self.order - 1)]
 

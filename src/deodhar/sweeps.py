@@ -4,11 +4,12 @@ Every ``*_rows`` function is a generator of comparison rows
 ``{"test", "parameters", "lhs", "rhs", "match"}`` in a canonical order, so
 identical configurations produce byte-identical reports; no sweep keeps its
 rows, so a consumer that does not keep them either runs in memory that does
-not grow with the number of checks.  The helpers they
-share return plain values: ``word_tree_polys`` the Deodhar polynomials and
-``word_tree_vanishing`` the vanishing-criterion counts of every reduced word,
-``xq_brute_count`` and ``xq_full_product_count`` point counts.  Every sweep
-runs serially in the calling process.
+not grow with the number of checks.  The helpers they share return plain
+values: ``word_tree_polys`` the Deodhar polynomials and ``word_tree_vanishing``
+the vanishing-criterion counts of every reduced word, each read off one walk
+of the reduced-word tree (``_word_tree``), and ``xq_brute_count`` and
+``xq_full_product_count`` point counts.  Every sweep runs serially in the
+calling process.
 """
 
 from __future__ import annotations
@@ -57,73 +58,99 @@ def _row(test: str, parameters: dict, lhs, rhs) -> dict:
     }
 
 
-# -- oracle triangle ----------------------------------------------------------
+# -- the tree of reduced words and the oracle triangle ------------------------
+
+
+def _word_tree(rs: RootSystem, root, take, forced_take) -> Iterator[tuple]:
+    """Yield ``(letters, states)`` for every reduced word of W, depth first.
+
+    Every prefix of a reduced word is reduced, so the words form one tree
+    rooted at the empty word; a node at w has a child for each letter s with
+    l(ws) > l(w).  states ``{(x, label): count}`` counts the word's
+    distinguished subexpressions by end index x; the root's one ends at e
+    with label root.  Appending s reads Deodhar's cell structure left to
+    right: if s is forced at x, l(xs) < l(x) in the one checked table
+    ``cells._forced_letters``, it is taken to xs with label
+    ``forced_take[s][xs][label]``; otherwise it is skipped (stay at x, label
+    unchanged) or taken (go to xs, label ``take[label]``).  Consumers only
+    read states.
+    """
+    rmul, down = rs._rmul, cells._forced_letters(rs)
+    stack = [((), 0, {(0, root): 1})]
+    while stack:
+        letters, w, states = stack.pop()
+        yield letters, states
+        for s, row in enumerate(rmul):
+            forced = down[s]
+            if forced[w]:
+                continue
+            jump = forced_take[s]
+            child: dict = {}
+            get = child.get
+            for key, c in states.items():
+                x, label = key
+                xs = row[x]
+                if forced[x]:
+                    key = xs, jump[xs][label]
+                else:
+                    child[key] = get(key, 0) + c
+                    key = xs, take[label]
+                child[key] = get(key, 0) + c
+            stack.append((letters + (s,), row[w], child))
 
 
 @lru_cache(maxsize=None)
 def word_tree_polys(rs: RootSystem) -> dict:
     """Deodhar polynomial of every reduced word of W at every end v.
 
-    Returns ``{letters: {v: deodhar_poly(word, v)}}`` for every reduced word
-    of every element, with only the nonzero polynomials kept.  Every prefix
-    of a reduced word is reduced, so the words form one tree rooted at the
-    empty word; it is walked once per root system and the result is cached,
-    so a failed check while walking caches nothing.
+    Returns ``{letters: {v: deodhar_poly(word, v)}}`` for every reduced word,
+    with only the nonzero polynomials kept, from one ``_word_tree`` walk per
+    root system; it is cached, so a failed check while walking caches
+    nothing.  A label is (n, |I|), the forced and the taken letters so far,
+    which a skip leaves unchanged; the cell shape is (n, r - |I|), and a
+    node's polynomial at x sums c q^n (q-1)^m over its labels.  Enumerating
+    subexpressions (``counting.deodhar_poly``) is the cross-check route.
 
-    Each node carries, for every end x of its distinguished subexpressions,
-    the histogram of cell shapes (n, m).  Appending a letter s reads Deodhar's
-    cell structure left to right: if l(xs) < l(x) the letter is forced and
-    goes to xs with n + 1; otherwise it is either skipped (stay at x, m + 1)
-    or taken (go to xs, shape unchanged).  The forced test is read from the
-    one table ``cells._forced_letters``, which checks every entry against the
-    root-sign test when it is built.  A node's polynomial at x is
-    sum c q^n (q-1)^m over its histogram.  Enumerating the subexpressions
-    (``counting.deodhar_poly``) is the cross-check route.
+    >>> from deodhar.counting import r_polynomial
+    >>> from deodhar.rootdata import build_root_system
+    >>> a2 = build_root_system("A", 2)
+    >>> tree = word_tree_polys(a2)
+    >>> len(tree)
+    7
+    >>> e, w0 = a2.identity(), a2.longest_element()
+    >>> tree[w0.canonical_word][e] == r_polynomial(e, w0)
+    True
     """
-    rmul, down = rs._rmul, cells._forced_letters(rs)
     elements = rs.weyl_elements()
-    shape_coeffs: dict = {}
-    polys: dict = {}  # histogram -> polynomial
+    top = len(rs.positive_roots)  # n <= |I| < l(w0) wherever a letter is added
+    take = {(n, t): (n, t + 1) for n in range(top) for t in range(top)}
+    forced = {(n, t): (n + 1, t + 1) for n in range(top) for t in range(top)}
+    shapes: dict = {}  # (n, m) -> coefficients of q^n (q-1)^m
+    polys: dict = {}  # (r, labels) -> polynomial
 
-    def poly(hist: dict) -> IntPolynomial:
-        key = frozenset(hist.items())
-        p = polys.get(key)
+    def poly(r: int, labels: frozenset) -> IntPolynomial:
+        p = polys.get((r, labels))
         if p is None:
-            acc = [0] * (max(n + m for n, m in hist) + 1)
-            for shape, c in hist.items():
-                coeffs = shape_coeffs.get(shape)
-                if coeffs is None:
+            acc = [0] * (r + 1)
+            for (n, t), c in labels:
+                shape = n, r - t
+                if shape not in shapes:
                     cell = cells.CellShape(*shape)
-                    coeffs = counting.cell_count_poly(cell).coeffs
-                    shape_coeffs[shape] = coeffs
-                for j, a in enumerate(coeffs):
+                    shapes[shape] = counting.cell_count_poly(cell).coeffs
+                for j, a in enumerate(shapes[shape]):
                     acc[j] += c * a
-            p = polys[key] = IntPolynomial.from_coeffs(acc)
+            p = polys[r, labels] = IntPolynomial.from_coeffs(acc)
         return p
 
-    out: dict = {}
-    stack = [((), 0, {0: {(0, 0): 1}})]
-    while stack:
-        letters, w, states = stack.pop()
-        out[letters] = {elements[x]: poly(hist) for x, hist in states.items()}
-        for i, row in enumerate(rmul):
-            forced = down[i]
-            if forced[w]:
-                continue
-            child: dict = {}
-            for x, hist in states.items():
-                xs = row[x]
-                to = child.setdefault(xs, {})
-                if forced[x]:
-                    for (n, m), c in hist.items():
-                        to[n + 1, m] = to.get((n + 1, m), 0) + c
-                else:
-                    stay = child.setdefault(x, {})
-                    for (n, m), c in hist.items():
-                        stay[n, m + 1] = stay.get((n, m + 1), 0) + c
-                        to[n, m] = to.get((n, m), 0) + c
-            stack.append((letters + (i,), row[w], child))
-    return out
+    def read(r: int, states: dict) -> dict:
+        by_end: dict = {}
+        for (x, label), c in states.items():
+            by_end.setdefault(x, []).append((label, c))
+        return {elements[x]: poly(r, frozenset(got)) for x, got in by_end.items()}
+
+    # the forced update is the same at every letter and end
+    walk = _word_tree(rs, (0, 0), take, [[forced] * len(elements)] * rs.rank)
+    return {letters: read(len(letters), states) for letters, states in walk}
 
 
 def _by_name(elements) -> list:
@@ -143,7 +170,7 @@ def oracle_triangle_rows(type_label: str, rank: int) -> Iterator[dict]:
     plan = [
         (
             w,
-            sorted((word_str(letters), letters) for letters in reduced_words(w)),
+            [(word_str(letters), letters) for letters in reduced_words(w)],
             {v for v in elements if bruhat_leq(v, w)},
         )
         for w in _by_name(elements)
@@ -280,65 +307,37 @@ def gl3_rows(q: int, k: int) -> Iterator[dict]:
 # -- vanishing criterion ------------------------------------------------------
 
 
-# path tags of word_tree_vanishing
+# word_tree_vanishing's labels, and their updates by a take and a witnessing take
 _ALL_SKIP, _TAKEN, _WITNESSED = 0, 1, 2
+_TAKE = (_TAKEN, _TAKEN, _WITNESSED)
+_WITNESS = (_WITNESSED,) * 3
 
 
 def word_tree_vanishing(rs: RootSystem) -> dict:
     """Vanishing data of Gamma_e for every reduced word of W, from one walk.
 
-    Returns ``{letters: (with_witness, nontrivial, all_skip, clean)}`` for
-    every reduced word of every element: of the distinguished subexpressions
-    ending at the identity, how many have a positive affine orbit exponent,
-    how many are not all-skip, how many are all-skip, and whether the
-    all-skip one has no leftover coordinates (w0(-alpha_s) simple at every
-    letter).
-
-    The words form one tree, walked as in ``word_tree_polys``.  Each node
-    counts its distinguished subexpressions by (x, tag), x the partial product
-    and tag one of all-skip so far, taken without a witness, witnessed; the
-    pair is keyed 3 x + tag, so a node's row reads the keys 0, 1, 2.
-    Appending a letter s: if s is forced at x (``cells._forced_letters``) it
-    is taken to xs, and that position lies in I minus J, since J is read at
-    the partial product after the letter; the path becomes witnessed when
-    w0(xs(-alpha_s)) is a simple root (``frobenius._w0_image_simple``), which
-    makes n_a > 0 for the orbit of that root.  Otherwise s is either skipped
-    (stay at x) or taken (go to xs, a position in J), and neither changes the
-    witness.  clean is carried along the path, and the result is not
-    cached: ``vanishing_rows`` checks it against the enumeration route.
+    Returns ``{letters: (with_witness, nontrivial, all_skip, clean)}``: of
+    the distinguished subexpressions ending at e, how many have a positive
+    affine orbit exponent, how many are not all-skip, how many are all-skip,
+    and whether the all-skip one has no leftover coordinates (w0(-alpha_s)
+    simple at every letter, read off the letters alone).  The ``_word_tree`` label is all-skip so far,
+    taken without a witness, or witnessed.  A forced letter taken to xs is a
+    position in I minus J (J is read after the letter); it witnesses n_a > 0
+    when w0(xs(-alpha_s)) is a simple root (``frobenius._w0_image_simple``).
+    Not cached: ``vanishing_rows`` checks it against the enumeration route.
     """
-    rmul, down = rs._rmul, cells._forced_letters(rs)
     image = frobenius._w0_image_simple(rs)
+    forced = [[_WITNESS if simple else _TAKE for simple in row] for row in image]
+    unclean = {s for s, row in enumerate(image) if not row[0]}
     out: dict = {}
-    stack = [((), 0, {_ALL_SKIP: 1}, True)]
-    while stack:
-        letters, w, states, clean = stack.pop()
-        witnessed = states.get(_WITNESSED, 0)
+    for letters, states in _word_tree(rs, _ALL_SKIP, _TAKE, forced):
+        witnessed = states.get((0, _WITNESSED), 0)
         out[letters] = (
             witnessed,
-            states.get(_TAKEN, 0) + witnessed,
-            states.get(_ALL_SKIP, 0),
-            clean,
+            states.get((0, _TAKEN), 0) + witnessed,
+            states.get((0, _ALL_SKIP), 0),
+            unclean.isdisjoint(letters),
         )
-        for i, row in enumerate(rmul):
-            forced = down[i]
-            if forced[w]:
-                continue
-            simple = image[i]
-            child: dict = {}
-            get = child.get
-            for key, c in states.items():
-                x, tag = divmod(key, 3)
-                xs = row[x]
-                taken = tag or _TAKEN
-                if forced[x]:
-                    key = 3 * xs + (_WITNESSED if simple[xs] else taken)
-                    child[key] = get(key, 0) + c
-                else:
-                    child[key] = get(key, 0) + c
-                    key = 3 * xs + taken
-                    child[key] = get(key, 0) + c
-            stack.append((letters + (i,), row[w], child, clean and simple[0]))
     return out
 
 

@@ -193,6 +193,15 @@ def test_preceq():
         preceq(Subexpression(other_word, (0, 0, 0)), top)
 
 
+def test_subexpression_rejects_bits_that_are_not_integers():
+    _, word = _a2_word()
+    with pytest.raises(ConfigError, match="0/1 vector"):
+        Subexpression(word, (0.5, 1, 1.9))
+    with pytest.raises(ConfigError, match="0/1 vector"):
+        Subexpression(word, (0, 1.0, 0))
+    assert Subexpression(word, (True, False, True)).bits == (1, 0, 1)
+
+
 def test_preceq_is_a_partial_order():
     rs = build_root_system("B", 2)
     word = ReducedWord.from_letters(rs, rs.longest_element().canonical_word)

@@ -14,7 +14,13 @@ from deodhar.counting import (
     schubert_cell_poly,
 )
 from deodhar.flags import double_cell_count
-from deodhar.rootdata import RootSystem, build_root_system, bruhat_leq, reduced_words
+from deodhar.rootdata import (
+    RootSystem,
+    build_root_system,
+    bruhat_leq,
+    reduced_words,
+    word_str,
+)
 
 coeff_lists = st.lists(st.integers(-50, 50), max_size=6)
 
@@ -180,6 +186,39 @@ def test_word_tree_equals_enumeration(type_label, rank):
                     assert polys.get(v, zero) == deodhar_poly(word, v), (letters, v)
     assert len(tree) == words
     assert sweeps.word_tree_polys(rs) is tree
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", sweeps.RANK_LE_3_TYPES + (("A", 4), ("D", 4))
+)
+def test_word_tree_walks_every_reduced_word_once(type_label, rank):
+    # a label no update changes, so only the walk itself is under test; the
+    # walk is stopped at the first word longer than w0 or past the count, so
+    # a walk without the prune fails instead of running on
+    rs = build_root_system(type_label, rank)
+    elements = rs.weyl_elements()
+    fixed = (0,)
+    walk = sweeps._word_tree(rs, 0, fixed, [[fixed] * len(elements)] * rank)
+    expected = None
+    if (type_label, rank) != ("D", 4):
+        expected = {letters for w in elements for letters in reduced_words(w)}
+        for w in elements:  # the triangle's word order is the display order
+            displays = [word_str(letters) for letters in reduced_words(w)]
+            assert displays == sorted(displays), w
+    count = {"B3": 209, "A4": 3061, "D4": 9719}.get(
+        f"{type_label}{rank}", len(expected or ())
+    )
+    top = rs.longest_element().length
+    words = []
+    for letters, states in walk:
+        assert len(letters) <= top, letters
+        words.append(letters)
+        assert len(words) <= count
+        assert states.get((0, 0), 0) >= 1  # the all-skip path ends at e
+    assert len(words) == count
+    assert len(set(words)) == count
+    if expected is not None:
+        assert set(words) == expected
 
 
 def test_word_tree_corrupted_length_trips_j_check():

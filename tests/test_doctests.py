@@ -2,7 +2,7 @@
 
 import doctest
 
-from deodhar import cli, counting, flags, frobenius
+from deodhar import cli, counting, flags, frobenius, sweeps
 
 
 def test_cli_doctests():
@@ -27,3 +27,9 @@ def test_frobenius_doctests():
     results = doctest.testmod(frobenius, verbose=False)
     assert results.failed == 0
     assert results.attempted >= 2
+
+
+def test_sweeps_doctests():
+    results = doctest.testmod(sweeps, verbose=False)
+    assert results.failed == 0
+    assert results.attempted >= 5

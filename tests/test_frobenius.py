@@ -1,5 +1,7 @@
 """Twist data, cell invariants, Artin-Schreier models and predictions."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from deodhar import frobenius, sweeps
@@ -223,6 +225,23 @@ def test_regular_characters():
     # the twisted orbit {s, t} has q_a = 4, so 2 is a valid code there
     twisted = orbit_data(rs, 2, (1, 0))
     assert is_regular(RegularCharacter.from_mapping({0: 2}), twisted)
+
+
+def test_regular_character_rejects_components_that_are_not_integers():
+    with pytest.raises(ConfigError, match="not integers"):
+        RegularCharacter.from_mapping({0: 1.7, 1: 1})
+    with pytest.raises(ConfigError, match="not integers"):
+        RegularCharacter.from_mapping({0.0: 1, 1: 1})
+    assert RegularCharacter.from_mapping({1: 1, 0: 2}).components == ((0, 2), (1, 1))
+
+
+def test_cell_invariants_are_frozen():
+    rs, od = _split_a2()
+    word = ReducedWord.from_letters(rs, (0, 1, 0))
+    inv = cell_invariants(Subexpression(word, (1, 0, 1)), od)
+    with pytest.raises(FrozenInstanceError):
+        inv.n_bar = 5
+    assert inv.n_bar == 0
 
 
 def test_isotypic_predictions():

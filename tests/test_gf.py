@@ -209,3 +209,17 @@ def test_zero_division():
     f = field(9)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+
+
+def test_negative_power_of_zero_raises():
+    f = field(4)
+    with pytest.raises(ZeroDivisionError):
+        f.pow(0, -1)
+    assert f.pow(0, 0) == 1 and f.pow(0, 3) == 0
+
+
+@pytest.mark.parametrize("q", [5, 8, 9])
+def test_power_minus_one_is_the_inverse(q):
+    f = field(q)
+    for a in f.nonzero():
+        assert f.pow(a, -1) == f.inv(a)
