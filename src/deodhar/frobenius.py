@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import cells
@@ -246,12 +247,25 @@ def _require_regular(psi: RegularCharacter, od: OrbitData) -> None:
 
 @dataclass(frozen=True)
 class CellInvariants:
-    """Per-orbit exponents of the quotient factorisation of one cell."""
+    """Per-orbit exponents of the quotient factorisation of one cell.
 
-    n: dict[int, int]  # orbit representative -> n_a(gamma)
-    m: dict[int, int]  # orbit representative -> m_a(gamma)
+    ``n`` and ``m`` are read-only copies of the mappings passed in; they
+    compare equal to plain dicts, and equal values hash equal.
+    """
+
+    n: Mapping[int, int]  # orbit representative -> n_a(gamma)
+    m: Mapping[int, int]  # orbit representative -> m_a(gamma)
     n_bar: int
     m_bar: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", MappingProxyType(dict(self.n)))
+        object.__setattr__(self, "m", MappingProxyType(dict(self.m)))
+
+    def __hash__(self) -> int:
+        return hash(
+            (frozenset(self.n.items()), frozenset(self.m.items()), self.n_bar, self.m_bar)
+        )
 
     def total_dimension(self) -> int:
         return self.n_bar + self.m_bar + sum(self.n.values()) + sum(self.m.values())
@@ -303,8 +317,7 @@ def xq_point_count(q: int, n: int, m: int, k: int = 1) -> int:
     applies (solve for mu_1); with n = 0 the count is exhaustive.
     """
     _factor_prime_power(q)
-    if n < 0 or m < 0 or k < 1:
-        raise ConfigError("n, m must be nonnegative and k positive")
+    _check_model_exponents(n, m, k)
     if n >= 1:
         return q ** (n * k) * (q**k - 1) ** m
     return _artin_schreier_count(q, m, k, power=1)
@@ -321,14 +334,25 @@ def yqs_point_count(q: int, s: int, n: int, m: int, k: int = 1) -> int:
     p = _factor_prime_power(q)[0]
     if s % p == 0:
         raise ConfigError(f"s={s} must be coprime to the characteristic {p}")
-    if n < 0 or m < 0 or k < 1:
-        raise ConfigError("n, m must be nonnegative and k positive")
+    _check_model_exponents(n, m, k)
     if n >= 1:
         return q ** (n * k) * (q**k - 1) ** m
     return _artin_schreier_count(q, m, k, power=s)
 
 
+def _check_model_exponents(n: int, m: int, k: int) -> None:
+    if n < 0 or m < 0 or k < 1:
+        raise ConfigError("n, m must be nonnegative and k positive")
+
+
 def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
+    """Exhaustive count of zeta^q - zeta = lambda_1^power + ... + lambda_m^power
+    over F_{q^k}, the lambda_j nonzero.
+
+    One ``_difference_walk`` from every zeta^q - zeta runs over the first
+    m - 1 coordinates; the last is read through its power fibre, the number
+    of nonzero lambda with each value of lambda^power.
+    """
     qk = q**k
     if qk > MAX_FIELD_ORDER:
         raise BudgetError(
@@ -337,7 +361,6 @@ def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
     if m >= 1 and qk * (qk - 1) ** (m - 1) > MAX_MODEL_TUPLES:
         raise BudgetError("brute-force model count exceeds the tuple budget")
     f = field(qk)
-    sub = f.sub_table()
     targets = [f.sub(f.pow(z, q), z) for z in f.elements()]
     if m == 0:
         count = targets.count(0)
@@ -348,9 +371,7 @@ def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
         for x in powers:
             power_fibre[x] += 1
         ranges = [powers] * (m - 1)
-        count = 0
-        for target in targets:
-            count += _difference_walk(sub, target, ranges, power_fibre)
+        count = _difference_walk(f.packed_sub_table(), targets, ranges, power_fibre)
     if count % q:
         raise AssertionError("Artin-Schreier count is not divisible by q")
     return count

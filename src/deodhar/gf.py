@@ -29,21 +29,26 @@ XOR in characteristic 2 and digit arithmetic otherwise.  Subtraction and
 multiplication also have q x q lookup tables, ``sub_table()`` and
 ``mul_table()``, built lazily from ``add``/``neg`` and the log tables on
 first use and kept on the interned field: ``sub`` is one lookup, and the
-brute-force oracles index table rows in their inner loops.  The
-Artin-Schreier point counters share one walk over coordinate tuples
-(``_difference_walk``): it reduces each prefix once and counts the last
-coordinate along the subtraction-table row of its prefix.
+brute-force oracles index table rows in their inner loops.
+``packed_sub_table()`` holds the same rows packed, one byte an entry (two
+bytes above q = 256).  The Artin-Schreier point counters share one walk over
+coordinate tuples (``_difference_walk``): it takes every start value at
+once, builds each level of partial differences in C by joining packed rows,
+and counts the zero end values of the last level with ``count(0)`` (or sums
+them through a fibre), in slices of at most ``WALK_SLICE`` entries.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, partial
 
 from .errors import ConfigError
 
 MAX_FIELD_ORDER = 512
+# the most entries in one level slice of ``_difference_walk``: 16 KiB a
+# level (32 KiB for two-byte rows), whatever the number of coordinates
+WALK_SLICE = 1 << 14
 _PRIMES = (2, 3, 5, 7)
 
 # ascending coefficient tuples, including the leading 1
@@ -159,6 +164,7 @@ class FqField:
         self._digits = [self._decode(a) for a in range(q)]
         self._add_table: list[list[int]] | None = None
         self._sub_table: list[list[int]] | None = None
+        self._packed_sub_table: list[Sequence[int]] | None = None
         self._mul_table: list[list[int]] | None = None
         self._build_log_tables()
 
@@ -252,6 +258,19 @@ class FqField:
             ]
         return self._sub_table
 
+    def packed_sub_table(self) -> list[Sequence[int]]:
+        """``sub_table()`` with each row packed: ``bytes`` for q <= 256,
+        two-byte ``array('H')`` above."""
+        if self._packed_sub_table is None:
+            if self.order <= 256:
+                pack = bytes
+            else:
+                from array import array
+
+                pack = partial(array, "H")
+            self._packed_sub_table = list(map(pack, self.sub_table()))
+        return self._packed_sub_table
+
     def mul_table(self) -> list[list[int]]:
         """Rows ``t[a][b] == a * b``, built from the log-table ``mul``."""
         if self._mul_table is None:
@@ -303,51 +322,64 @@ def field(q: int) -> FqField:
 
 
 def _difference_walk(
-    sub: list[list[int]],
-    acc: int,
+    rows: list[Sequence[int]],
+    roots: Sequence[int],
     ranges: list[Sequence[int]],
     fibre: list[int] | None = None,
 ) -> int:
-    """Exhaustive count over the tuples c of ``itertools.product(*ranges)``.
+    """Exhaustive count over the pairs (root, c), c in ``itertools.product(*ranges)``.
 
-    ``sub`` is a field's ``sub_table()``.  Without ``fibre`` this is the
-    number of tuples with ``acc - c_1 - ... - c_r == 0``, and the last range
-    must be ``elements()`` or ``nonzero()``; with ``fibre`` it is the sum of
-    ``fibre[acc - c_1 - ... - c_r]``.  An empty ``ranges`` counts the empty
-    tuple alone.
+    ``rows`` is a field's ``packed_sub_table()`` and ``roots`` a list of
+    start values, repeats allowed: each entry counts on its own.  Without
+    ``fibre`` this is the number of pairs with ``root - c_1 - ... - c_r == 0``;
+    with ``fibre`` it is the sum of ``fibre[root - c_1 - ... - c_r]``.  An
+    empty ``ranges`` counts each root with the empty tuple.  A range is a
+    ``range`` of field elements, such as ``elements()`` or ``nonzero()``, or
+    an explicit list of them.
 
-    The partial difference of each prefix is reduced once and shared by all
-    its extensions.  The last coordinate is scanned in C along the table row
-    of its prefix, so every tuple's end value is still read and tested: no
-    two tuples are merged by their partial differences.
+    Level j holds the partial difference of every (root, c_1..c_j), in
+    product order, packed like a table row.  Level j + 1 is built in C: for
+    each entry a, the part of row a that the range picks (the whole row for
+    ``elements()``, ``row[1:]`` for ``nonzero()``, the listed entries for
+    an explicit list), joined with ``b"".join``.  The last level is read
+    with one ``count(0)``, or summed through ``fibre`` (by
+    ``bytes.translate`` when the rows are bytes and every weight fits in a
+    byte), so every pair's end value is read and tested: no two pairs are
+    merged by their partial differences.  Levels are cut into slices of at
+    most ``WALK_SLICE`` entries and walked depth first, so at most one slice
+    per level is held at a time.
     """
-    if not ranges:
-        return int(acc == 0) if fibre is None else fibre[acc]
-    *prefix, last = ranges
+    row = rows[0]
+    pack = bytes if type(row) is bytes else partial(type(row), row.typecode)
+    # per level, entry a is the packed row of a - c over the level's range
+    parts = [
+        [x[r.start : r.stop : r.step] for x in rows]
+        if isinstance(r, range)
+        else [pack(map(x.__getitem__, r)) for x in rows]
+        for r in ranges
+    ]
     if fibre is None:
-        # row[0] is the end value of the lambda = 0 entry, absent from nonzero()
-        skip_zero = 0 not in last
-
-        def leaf(row):
-            return row.count(0) - (skip_zero and row[0] == 0)
-
+        read = lambda level: level.count(0)
+    elif pack is bytes and 0 <= min(fibre) and max(fibre) < 256:
+        # each byte translated to its weight, then the weights summed in C
+        weights = bytes(fibre) + bytes(256 - len(fibre))
+        read = lambda level: sum(level.translate(weights))
     else:
-
-        def leaf(row):
-            return sum(map(fibre.__getitem__, map(row.__getitem__, last)))
-
-    if not prefix:
-        return leaf(sub[acc])
+        read = lambda level: sum(map(fibre.__getitem__, level))
+    steps = [max(1, WALK_SLICE // len(r)) for r in ranges]
+    end = len(ranges)
     total = 0
-    # an explicit stack of (partial difference, depth): a model may have more
-    # coordinates than the recursion limit allows
-    stack = [(acc, 0)]
-    last_depth = len(prefix) - 1
+    # (level slice, depth, start of the next part to expand); an explicit
+    # stack, as a model may have more coordinates than the recursion limit
+    stack = [(pack(roots), 0, 0)]
     while stack:
-        a, depth = stack.pop()
-        children = map(sub[a].__getitem__, prefix[depth])
-        if depth == last_depth:
-            total += sum(map(leaf, map(sub.__getitem__, children)))
-        else:
-            stack.extend(zip(children, repeat(depth + 1)))
+        level, depth, start = stack.pop()
+        if depth == end:
+            total += read(level)
+            continue
+        stop = start + steps[depth]
+        if stop < len(level):
+            stack.append((level, depth, stop))
+        picked = map(parts[depth].__getitem__, level[start:stop])
+        stack.append((pack(b"".join(picked)), depth + 1, 0))
     return total

@@ -497,47 +497,43 @@ def unique_torus_rows(type_label: str, rank: int) -> Iterator[dict]:
 def xq_brute_count(q: int, n: int, m: int, k: int = 1) -> int:
     """Exhaustive count of X_q(n, m)(F_{q^k}), independent of the closed form.
 
-    For each zeta, counts the tuples of every coordinate but the last, each
-    with its admissible completions.  The last affine coordinate always
+    Counts the pairs of a zeta and a tuple of every coordinate but the last,
+    each with its admissible completions.  The last affine coordinate always
     completes uniquely, so with m = 0 each zeta adds the number of tuples.
     A last torus coordinate completes when the difference left is nonzero,
-    so with m >= 1 each zeta adds the tuples less those that
-    ``_difference_walk`` finds with difference 0.  ``xq_model_rows`` runs it
-    with no tuple cap, for every field order up to ``max_qk``.
+    so with m >= 1 the count is the number of pairs less those that one
+    ``_difference_walk`` from every zeta^q - zeta finds with difference 0.
+    ``xq_model_rows`` runs it with no tuple cap, for every field order up to
+    ``max_qk``.
     """
+    frobenius._check_model_exponents(n, m, k)
     f = field(q**k)
-    sub = f.sub_table()
     if m == 0:
         ranges = [f.elements()] * (n - 1)
     else:
         ranges = [f.elements()] * n + [f.nonzero()] * (m - 1)
-    tuples = math.prod(map(len, ranges))
-    count = 0
-    for zeta in f.elements():
-        target = f.sub(f.pow(zeta, q), zeta)
-        if m:
-            count += tuples - _difference_walk(sub, target, ranges)
-        elif n:
-            count += tuples
-        else:
-            count += target == 0
-    return count
+    targets = [f.sub(f.pow(zeta, q), zeta) for zeta in f.elements()]
+    pairs = len(targets) * math.prod(map(len, ranges))
+    if m:
+        return pairs - _difference_walk(f.packed_sub_table(), targets, ranges)
+    if n:
+        return pairs
+    return targets.count(0)
 
 
 def xq_full_product_count(q: int, n: int, m: int, k: int = 1) -> int:
     """Naive full-product count of X_q(n, m)(F_{q^k}): every coordinate is
-    enumerated and each tuple is tested against the equation.
+    enumerated and each (zeta, tuple) is tested against the equation, in one
+    ``_difference_walk`` from every zeta^q - zeta.
 
     ``xq_model_rows`` runs it only where the q^k * q^{kn} * (q^k - 1)^m
     tuples number at most 70,000.
     """
+    frobenius._check_model_exponents(n, m, k)
     f = field(q**k)
-    sub = f.sub_table()
     ranges = [f.elements()] * n + [f.nonzero()] * m
-    count = 0
-    for zeta in f.elements():
-        count += _difference_walk(sub, f.sub(f.pow(zeta, q), zeta), ranges)
-    return count
+    targets = [f.sub(f.pow(zeta, q), zeta) for zeta in f.elements()]
+    return _difference_walk(f.packed_sub_table(), targets, ranges)
 
 
 def xq_model_rows(max_qk: int = 64, max_nm: int = 3) -> Iterator[dict]:

@@ -8,6 +8,7 @@ from deodhar import frobenius, sweeps
 from deodhar.cells import ReducedWord, Subexpression, enumerate_distinguished
 from deodhar.errors import ConfigError, EmptyCellError, PreconditionError
 from deodhar.frobenius import (
+    CellInvariants,
     RegularCharacter,
     _w0_image_simple,
     cell_invariants,
@@ -242,6 +243,26 @@ def test_cell_invariants_are_frozen():
     with pytest.raises(FrozenInstanceError):
         inv.n_bar = 5
     assert inv.n_bar == 0
+    for field_map in (inv.n, inv.m):
+        with pytest.raises(TypeError):
+            field_map[0] = 7
+    assert inv.total_dimension() == 2
+    assert inv.n == {0: 0, 1: 1} and inv.m == {0: 0, 1: 0}
+
+
+def test_cell_invariants_hash_by_value():
+    rs, od = _split_a2()
+    word = ReducedWord.from_letters(rs, (0, 1, 0))
+    inv = cell_invariants(Subexpression(word, (1, 0, 1)), od)
+    # the same values, built apart and with the keys inserted in another order
+    twin = CellInvariants(n={1: 1, 0: 0}, m={1: 0, 0: 0}, n_bar=inv.n_bar, m_bar=inv.m_bar)
+    assert twin == inv and hash(twin) == hash(inv)
+    assert len({inv, twin, cell_invariants(Subexpression(word, (0, 0, 0)), od)}) == 2
+    # the mappings passed in are copied, so changing them later changes nothing
+    n = {0: 0, 1: 1}
+    held = CellInvariants(n=n, m={0: 0, 1: 0}, n_bar=0, m_bar=0)
+    n[0] = 7
+    assert held.n == {0: 0, 1: 1}
 
 
 def test_isotypic_predictions():

@@ -1,11 +1,13 @@
 """Finite field tables: axioms checked exhaustively on small orders."""
 
 import itertools
+import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from deodhar import frobenius
+from deodhar import frobenius, gf
 from deodhar.errors import BudgetError, ConfigError
 from deodhar.frobenius import xq_point_count, yqs_point_count
 from deodhar.gf import _MODULUS, _difference_walk, _factor_prime_power, field
@@ -137,6 +139,13 @@ def test_xq_brute_counts_match_point_count_extensions(q, k):
     assert xq_brute_count(q, 0, 0, k) == q
 
 
+@pytest.mark.parametrize("count", [xq_brute_count, xq_full_product_count, xq_point_count])
+@pytest.mark.parametrize("n,m,k", [(-1, 0, 1), (0, -1, 1), (-1, 2, 1), (1, -2, 1), (0, 0, 0), (1, 1, -1)])
+def test_brute_counters_reject_negative_exponents(count, n, m, k):
+    with pytest.raises(ConfigError, match="n, m must be nonnegative and k positive"):
+        count(2, n, m, k)
+
+
 def test_artin_schreier_count_budgets(monkeypatch):
     with pytest.raises(BudgetError, match="field of order 1024"):
         xq_point_count(2, 0, 1, 10)
@@ -155,41 +164,149 @@ def test_artin_schreier_count_budgets(monkeypatch):
         xq_point_count(4, 0, 3)
 
 
-def _product_count(f, acc, ranges, fibre=None):
+def _product_count(f, roots, ranges, fibre=None):
     # plain enumeration with add/neg, independent of the subtraction table
     total = 0
-    for c in itertools.product(*ranges):
-        a = acc
-        for x in c:
-            a = f.add(a, f.neg(x))
-        total += (a == 0) if fibre is None else fibre[a]
+    for acc in roots:
+        for c in itertools.product(*ranges):
+            a = acc
+            for x in c:
+                a = f.add(a, f.neg(x))
+            total += (a == 0) if fibre is None else fibre[a]
     return total
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 25])
+def _walk_kinds(f):
+    q = f.order
+    return {
+        "E": f.elements(),
+        "N": f.nonzero(),
+        # explicit lists with repeated entries
+        "P": [f.pow(x, 3) for x in f.nonzero()],
+        "R": [0, 1, 1, q - 1, 0],
+    }
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 25, 27])
 def test_difference_walk_matches_product_enumeration(q):
     f = field(q)
-    sub = f.sub_table()
-    kinds = {"E": f.elements(), "N": f.nonzero()}
-    fibre = [f.pow(x, 3) for x in f.elements()]  # arbitrary weights
-    for spec in ("", "E", "N", "EE", "NN", "EN", "NE", "EEN", "NNN", "NEE", "ENE"):
-        if q ** len(spec) > 1000:
-            continue
+    rows = f.packed_sub_table()
+    kinds = _walk_kinds(f)
+    fibre = [(x * x + 1) % 11 for x in f.elements()]  # arbitrary weights, fibre[0] > 0
+    root_sets = (
+        list(f.elements()),
+        [0, 0, 1, 1, 1, q - 1],  # repeated roots each count on their own
+        [f.sub(f.pow(z, f.char), z) for z in f.elements()],  # p-to-1 targets
+    )
+    for spec in ("", "E", "N", "P", "R", "EE", "NN", "EN", "NE", "PR", "RP", "EEN", "NNN", "NEE", "ENE", "RRR"):
         ranges = [kinds[c] for c in spec]
-        for acc in f.elements():
-            count = _difference_walk(sub, acc, ranges)
+        if q * math.prod(map(len, ranges)) > 4000:
+            continue
+        for roots in root_sets:
+            count = _difference_walk(rows, roots, ranges)
             assert type(count) is int
-            assert count == _product_count(f, acc, ranges)
-            assert _difference_walk(sub, acc, ranges, fibre) == _product_count(
-                f, acc, ranges, fibre
+            assert count == _product_count(f, roots, ranges)
+            assert _difference_walk(rows, roots, ranges, fibre) == _product_count(
+                f, roots, ranges, fibre
             )
-    # the empty tuple alone: counted iff the start value is already 0
-    assert _difference_walk(sub, 0, []) == 1
-    assert _difference_walk(sub, 1, []) == 0
+    # the empty tuple alone: each root counts iff it is already 0
+    assert _difference_walk(rows, [0], []) == 1
+    assert _difference_walk(rows, [1], []) == 0
+    assert _difference_walk(rows, [0, 1, 0], []) == 2
     # from 0 the one zero end value is the lambda = 0 entry, which nonzero() skips
-    assert _difference_walk(sub, 0, [f.elements()]) == 1
-    assert _difference_walk(sub, 0, [f.nonzero()]) == 0
-    assert _difference_walk(sub, 0, [f.elements(), f.nonzero()]) == q - 1
+    assert _difference_walk(rows, [0], [f.elements()]) == 1
+    assert _difference_walk(rows, [0], [f.nonzero()]) == 0
+    assert _difference_walk(rows, [0], [f.elements(), f.nonzero()]) == q - 1
+
+
+@pytest.mark.parametrize("q", [343, 512])
+def test_difference_walk_on_two_byte_rows(q):
+    f = field(q)
+    rows = f.packed_sub_table()
+    assert rows[0].typecode == "H" and rows[q - 1][0] == q - 1
+    fibre = [f.pow(x, 5) for x in f.elements()]
+    short = [
+        [range(0, 6)],
+        [range(q - 4, q), [1, 1, q - 1, 300]],
+        [[300, 2, 2], range(1, 5), [q - 1, 0]],
+    ]
+    roots = [0, 1, 1, 300, q - 1, 0]
+    for ranges in short:
+        assert _difference_walk(rows, roots, ranges) == _product_count(f, roots, ranges)
+        assert _difference_walk(rows, roots, ranges, fibre) == _product_count(
+            f, roots, ranges, fibre
+        )
+    # whole rows: from every root, each tuple has exactly one completion
+    assert _difference_walk(rows, list(f.elements()), [f.elements()]) == q
+    assert _difference_walk(rows, list(f.elements()), [f.nonzero()]) == q - 1
+
+
+@pytest.mark.parametrize("q", [4, 5, 9])
+@pytest.mark.parametrize("walk_slice", [1, 3, 7, 64])
+def test_difference_walk_slice_path(monkeypatch, q, walk_slice):
+    f = field(q)
+    rows = f.packed_sub_table()
+    kinds = _walk_kinds(f)
+    fibre = [(x * x + 1) % 11 for x in f.elements()]
+    roots = list(f.elements()) + [0, 1]
+    monkeypatch.setattr(gf, "WALK_SLICE", walk_slice)
+    for spec in ("E", "NE", "ENR", "PPN"):
+        ranges = [kinds[c] for c in spec]
+        assert _difference_walk(rows, roots, ranges) == _product_count(f, roots, ranges)
+        assert _difference_walk(rows, roots, ranges, fibre) == _product_count(
+            f, roots, ranges, fibre
+        )
+
+
+def test_difference_walk_depth_beyond_the_recursion_limit():
+    # F_2 has one nonzero element, so every level keeps one entry per root
+    f = field(2)
+    depth = sys.getrecursionlimit() + 10
+    rows = f.packed_sub_table()
+    assert _difference_walk(rows, [0, 1], [f.nonzero()] * depth) == 1
+    assert _difference_walk(rows, [0, 1], [f.nonzero()] * (depth + 1)) == 1
+
+
+def _reached_entries(f, roots, ranges):
+    # every (a, c) the enumeration subtracts: a partial difference, c its next coordinate
+    reached = set()
+    level = list(roots)
+    for r in ranges:
+        reached.update((a, c) for a in level for c in r)
+        level = [f.sub(a, c) for a in level for c in r]
+    return reached
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_difference_walk_reads_every_entry(q):
+    f = field(q)
+    rows = f.packed_sub_table()
+    kinds = _walk_kinds(f)
+    root_sets = [[r] for r in f.elements()] + [list(f.elements())]
+    # weights that tell apart end-value multisets of fewer than 1000 entries
+    fibre = [1000**v for v in f.elements()]
+    for spec in ("E", "N", "R", "EN", "NN", "PE", "NR"):
+        ranges = [kinds[c] for c in spec]
+        reached = set()
+        for roots in root_sets:
+            reached |= _reached_entries(f, roots, ranges)
+        for weights in (None, fibre):
+            base = [_difference_walk(rows, roots, ranges, weights) for roots in root_sets]
+            for a, b in itertools.product(f.elements(), repeat=2):
+                changed = False
+                for value in f.elements():
+                    if value == rows[a][b]:
+                        continue
+                    corrupted = list(rows)
+                    row = bytearray(rows[a])
+                    row[b] = value
+                    corrupted[a] = bytes(row)
+                    changed |= base != [
+                        _difference_walk(corrupted, roots, ranges, weights) for roots in root_sets
+                    ]
+                # a reached entry changes the count for some root set; an
+                # entry no tuple reaches is not read at all
+                assert changed == ((a, b) in reached), (spec, weights is None, a, b)
 
 
 @pytest.mark.parametrize("q", [0, 1, 6, 12, 11, -4])
