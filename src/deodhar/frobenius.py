@@ -33,7 +33,7 @@ from typing import Mapping, Optional
 
 from . import cells
 from .errors import BudgetError, ConfigError, EmptyCellError, PreconditionError
-from .gf import MAX_FIELD_ORDER, _difference_walk, _factor_prime_power, field
+from .gf import MAX_FIELD_ORDER, FqField, _difference_walk, _factor_prime_power, field
 from .rootdata import RootSystem, WeylElement
 
 MAX_MODEL_TUPLES = 4 * 10**6
@@ -345,6 +345,11 @@ def _check_model_exponents(n: int, m: int, k: int) -> None:
         raise ConfigError("n, m must be nonnegative and k positive")
 
 
+def _artin_schreier_targets(f: FqField, q: int) -> list[int]:
+    """zeta^q - zeta for every zeta of ``f``, in element order, repeats kept."""
+    return [f.sub(f.pow(zeta, q), zeta) for zeta in f.elements()]
+
+
 def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
     """Exhaustive count of zeta^q - zeta = lambda_1^power + ... + lambda_m^power
     over F_{q^k}, the lambda_j nonzero.
@@ -361,7 +366,7 @@ def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
     if m >= 1 and qk * (qk - 1) ** (m - 1) > MAX_MODEL_TUPLES:
         raise BudgetError("brute-force model count exceeds the tuple budget")
     f = field(qk)
-    targets = [f.sub(f.pow(z, q), z) for z in f.elements()]
+    targets = _artin_schreier_targets(f, q)
     if m == 0:
         count = targets.count(0)
     else:

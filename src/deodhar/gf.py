@@ -29,25 +29,20 @@ XOR in characteristic 2 and digit arithmetic otherwise.  Subtraction and
 multiplication also have q x q lookup tables, ``sub_table()`` and
 ``mul_table()``, built lazily from ``add``/``neg`` and the log tables on
 first use and kept on the interned field: ``sub`` is one lookup, and the
-brute-force oracles index table rows in their inner loops.
-``packed_sub_table()`` holds the same rows packed, one byte an entry (two
-bytes above q = 256).  The Artin-Schreier point counters share one walk over
-coordinate tuples (``_difference_walk``): it takes every start value at
-once, builds each level of partial differences in C by joining packed rows,
-and counts the zero end values of the last level with ``count(0)`` (or sums
-them through a fibre), in slices of at most ``WALK_SLICE`` entries.
+brute-force oracles index table rows in their inner loops.  The
+Artin-Schreier point counters walk ``packed_sub_table()``, the same rows
+packed into bytes, in ``_difference_walk``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import ConfigError
 
 MAX_FIELD_ORDER = 512
-# the most entries in one level slice of ``_difference_walk``: 16 KiB a
-# level (32 KiB for two-byte rows), whatever the number of coordinates
+# the most entries in one level slice of ``_difference_walk``
 WALK_SLICE = 1 << 14
 _PRIMES = (2, 3, 5, 7)
 
@@ -259,16 +254,15 @@ class FqField:
         return self._sub_table
 
     def packed_sub_table(self) -> list[Sequence[int]]:
-        """``sub_table()`` with each row packed: ``bytes`` for q <= 256,
-        two-byte ``array('H')`` above."""
+        """``sub_table()`` rows as ``bytes``, or ``array('H')`` above q = 256."""
         if self._packed_sub_table is None:
+            rows = self.sub_table()
             if self.order <= 256:
-                pack = bytes
+                self._packed_sub_table = list(map(bytes, rows))
             else:
                 from array import array
 
-                pack = partial(array, "H")
-            self._packed_sub_table = list(map(pack, self.sub_table()))
+                self._packed_sub_table = [array("H", row) for row in rows]
         return self._packed_sub_table
 
     def mul_table(self) -> list[list[int]]:
@@ -327,31 +321,18 @@ def _difference_walk(
     ranges: list[Sequence[int]],
     fibre: list[int] | None = None,
 ) -> int:
-    """Exhaustive count over the pairs (root, c), c in ``itertools.product(*ranges)``.
+    """Exhaustive count of the pairs (root, c), c in ``product(*ranges)``,
+    with ``root - c_1 - ... - c_r == 0``; with ``fibre``, the sum of
+    ``fibre[root - c_1 - ... - c_r]`` (weights below 256 on byte rows).
 
-    ``rows`` is a field's ``packed_sub_table()`` and ``roots`` a list of
-    start values, repeats allowed: each entry counts on its own.  Without
-    ``fibre`` this is the number of pairs with ``root - c_1 - ... - c_r == 0``;
-    with ``fibre`` it is the sum of ``fibre[root - c_1 - ... - c_r]``.  An
-    empty ``ranges`` counts each root with the empty tuple.  A range is a
-    ``range`` of field elements, such as ``elements()`` or ``nonzero()``, or
-    an explicit list of them.
-
-    Level j holds the partial difference of every (root, c_1..c_j), in
-    product order, packed like a table row.  Level j + 1 is built in C: for
-    each entry a, the part of row a that the range picks (the whole row for
-    ``elements()``, ``row[1:]`` for ``nonzero()``, the listed entries for
-    an explicit list), joined with ``b"".join``.  The last level is read
-    with one ``count(0)``, or summed through ``fibre`` (by
-    ``bytes.translate`` when the rows are bytes and every weight fits in a
-    byte), so every pair's end value is read and tested: no two pairs are
-    merged by their partial differences.  Levels are cut into slices of at
-    most ``WALK_SLICE`` entries and walked depth first, so at most one slice
-    per level is held at a time.
+    ``rows`` is a ``packed_sub_table()``; repeated roots count on their own.
+    Each level of partial differences is joined from row slices in C, in
+    slices of at most ``WALK_SLICE`` entries, and the last is read whole, so
+    every pair's end value is tested.
     """
     row = rows[0]
-    pack = bytes if type(row) is bytes else partial(type(row), row.typecode)
-    # per level, entry a is the packed row of a - c over the level's range
+    pack = bytes if type(row) is bytes else lambda data: type(row)(row.typecode, data)
+    # per level, entry a is a - c packed over the level's range
     parts = [
         [x[r.start : r.stop : r.step] for x in rows]
         if isinstance(r, range)
@@ -360,8 +341,8 @@ def _difference_walk(
     ]
     if fibre is None:
         read = lambda level: level.count(0)
-    elif pack is bytes and 0 <= min(fibre) and max(fibre) < 256:
-        # each byte translated to its weight, then the weights summed in C
+    elif pack is bytes:
+        # each byte translated to its weight in C
         weights = bytes(fibre) + bytes(256 - len(fibre))
         read = lambda level: sum(level.translate(weights))
     else:
@@ -369,8 +350,7 @@ def _difference_walk(
     steps = [max(1, WALK_SLICE // len(r)) for r in ranges]
     end = len(ranges)
     total = 0
-    # (level slice, depth, start of the next part to expand); an explicit
-    # stack, as a model may have more coordinates than the recursion limit
+    # (level slice, depth, next start); a model may be deeper than the recursion limit
     stack = [(pack(roots), 0, 0)]
     while stack:
         level, depth, start = stack.pop()

@@ -512,7 +512,7 @@ def xq_brute_count(q: int, n: int, m: int, k: int = 1) -> int:
         ranges = [f.elements()] * (n - 1)
     else:
         ranges = [f.elements()] * n + [f.nonzero()] * (m - 1)
-    targets = [f.sub(f.pow(zeta, q), zeta) for zeta in f.elements()]
+    targets = frobenius._artin_schreier_targets(f, q)
     pairs = len(targets) * math.prod(map(len, ranges))
     if m:
         return pairs - _difference_walk(f.packed_sub_table(), targets, ranges)
@@ -532,7 +532,7 @@ def xq_full_product_count(q: int, n: int, m: int, k: int = 1) -> int:
     frobenius._check_model_exponents(n, m, k)
     f = field(q**k)
     ranges = [f.elements()] * n + [f.nonzero()] * m
-    targets = [f.sub(f.pow(zeta, q), zeta) for zeta in f.elements()]
+    targets = frobenius._artin_schreier_targets(f, q)
     return _difference_walk(f.packed_sub_table(), targets, ranges)
 
 
