@@ -33,7 +33,7 @@ from typing import Mapping, Optional
 
 from . import cells
 from .errors import BudgetError, ConfigError, EmptyCellError, PreconditionError
-from .gf import MAX_FIELD_ORDER, FqField, _difference_walk, _factor_prime_power, field
+from .gf import MAX_FIELD_ORDER, _difference_walk, _factor_prime_power, field
 from .rootdata import RootSystem, WeylElement
 
 MAX_MODEL_TUPLES = 4 * 10**6
@@ -314,13 +314,10 @@ def xq_point_count(q: int, n: int, m: int, k: int = 1) -> int:
 
     X_q(n, m) is the hypersurface zeta^q - zeta = sum mu_i + sum lambda_j in
     (G_a)^{n+1} x (G_m)^m.  With n >= 1 the closed form q^{nk} (q^k - 1)^m
-    applies (solve for mu_1); with n = 0 the count is exhaustive.
+    applies (solve for mu_1); with n = 0 the count is exhaustive.  X_q(n, m)
+    is Y_{q,1}(n, m), so both are counted by ``yqs_point_count``.
     """
-    _factor_prime_power(q)
-    _check_model_exponents(n, m, k)
-    if n >= 1:
-        return q ** (n * k) * (q**k - 1) ** m
-    return _artin_schreier_count(q, m, k, power=1)
+    return yqs_point_count(q, 1, n, m, k)
 
 
 def yqs_point_count(q: int, s: int, n: int, m: int, k: int = 1) -> int:
@@ -345,9 +342,11 @@ def _check_model_exponents(n: int, m: int, k: int) -> None:
         raise ConfigError("n, m must be nonnegative and k positive")
 
 
-def _artin_schreier_targets(f: FqField, q: int) -> list[int]:
-    """zeta^q - zeta for every zeta of ``f``, in element order, repeats kept."""
-    return [f.sub(f.pow(zeta, q), zeta) for zeta in f.elements()]
+@lru_cache(maxsize=None)
+def _artin_schreier_targets(qk: int, q: int) -> tuple[int, ...]:
+    """zeta^q - zeta for every zeta of F_{qk}, in element order, repeats kept."""
+    f = field(qk)
+    return tuple(f.sub(f.pow(zeta, q), zeta) for zeta in f.elements())
 
 
 def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
@@ -366,7 +365,7 @@ def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
     if m >= 1 and qk * (qk - 1) ** (m - 1) > MAX_MODEL_TUPLES:
         raise BudgetError("brute-force model count exceeds the tuple budget")
     f = field(qk)
-    targets = _artin_schreier_targets(f, q)
+    targets = _artin_schreier_targets(qk, q)
     if m == 0:
         count = targets.count(0)
     else:

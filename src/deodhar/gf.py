@@ -23,13 +23,16 @@ count in this repository is bit-for-bit reproducible:
     49   x^2 + 6x + 3
     343  x^3 + 6x^2 + 4
 
-Each modulus is re-verified irreducible at construction time.  Multiplication
-runs through discrete-log tables over the smallest generator; addition is
-XOR in characteristic 2 and digit arithmetic otherwise.  Subtraction and
-multiplication also have q x q lookup tables, ``sub_table()`` and
-``mul_table()``, built lazily from ``add``/``neg`` and the log tables on
-first use and kept on the interned field: ``sub`` is one lookup, and the
-brute-force oracles index table rows in their inner loops.  The
+The modulus is proved irreducible at construction time by the search for
+the smallest primitive element: F_p[x]/(f) has an element of multiplicative
+order q - 1 exactly when every nonzero residue is a unit, so a reducible
+modulus raises ``ConfigError``.  Multiplication runs through discrete-log
+tables over that generator; addition is XOR in characteristic 2 and digit
+arithmetic otherwise.  Subtraction and multiplication also have q x q lookup
+tables, ``sub_table()`` and ``mul_table()``, built from ``add``/``neg`` and
+the log tables on first use and kept through ``functools.lru_cache`` on the
+interned field, like every table kept across calls: ``sub`` is one lookup,
+and the brute-force oracles index table rows in their inner loops.  The
 Artin-Schreier point counters walk ``packed_sub_table()``, the same rows
 packed into bytes, in ``_difference_walk``.
 """
@@ -101,44 +104,6 @@ def _poly_mul_mod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) 
     return out
 
 
-def _poly_divides(d: list[int], f: list[int], p: int) -> bool:
-    # monic trial division of f by monic d over F_p
-    rem = list(f)
-    while len(rem) >= len(d) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(d):
-            break
-        c = rem[-1]
-        shift = len(rem) - len(d)
-        for i, x in enumerate(d):
-            rem[shift + i] = (rem[shift + i] - c * x) % p
-    return not any(rem)
-
-
-def _verify_irreducible(modulus: tuple[int, ...], p: int) -> None:
-    e = len(modulus) - 1
-    f = list(modulus)
-
-    def monic_polys(deg):
-        # all monic polynomials of the given degree over F_p
-        def rec(coeffs):
-            if len(coeffs) == deg:
-                yield coeffs + [1]
-                return
-            for c in range(p):
-                yield from rec(coeffs + [c])
-
-        yield from rec([])
-
-    for deg in range(1, e // 2 + 1):
-        for d in monic_polys(deg):
-            if _poly_divides(d, f, p):
-                raise ConfigError(
-                    f"modulus table entry for p={p}, degree {e} is reducible"
-                )
-
-
 class FqField:
     """The finite field with q elements; obtain instances via :func:`field`."""
 
@@ -155,12 +120,7 @@ class FqField:
             if q not in _MODULUS:
                 raise ConfigError(f"no modulus table entry for field order {q}")
             self.modulus = _MODULUS[q]
-            _verify_irreducible(self.modulus, p)
         self._digits = [self._decode(a) for a in range(q)]
-        self._add_table: list[list[int]] | None = None
-        self._sub_table: list[list[int]] | None = None
-        self._packed_sub_table: list[Sequence[int]] | None = None
-        self._mul_table: list[list[int]] | None = None
         self._build_log_tables()
 
     # -- encoding ---------------------------------------------------------
@@ -189,19 +149,21 @@ class FqField:
                 _poly_mul_mod(self._digits[a], self._digits[b], self.modulus, p)
             )
 
-        generator = None
-        for g in range(2, q):
-            x, order = g, 1
-            while x != 1:
-                x = raw_mul(x, g)
+        # the smallest element of multiplicative order q - 1 (g = 1 only for
+        # q = 2); powers are followed for at most q - 1 steps, as a zero
+        # divisor's never reach 1
+        for generator in range(1, q):
+            x, order = generator, 1
+            while x != 1 and order < q - 1:
+                x = raw_mul(x, generator)
                 order += 1
-            if order == q - 1:
-                generator = g
+            if x == 1 and order == q - 1:
                 break
-        if generator is None and q == 2:
-            generator = 1
-        if generator is None:
-            raise ConfigError(f"no generator found for field of order {q}")
+        else:
+            raise ConfigError(
+                f"the modulus for field order {q} is reducible: "
+                f"no element has multiplicative order {q - 1}"
+            )
         self.generator = generator
         exp = [1] * (2 * (q - 1))
         log = [0] * q
@@ -220,18 +182,10 @@ class FqField:
     def add(self, a: int, b: int) -> int:
         if self.char == 2:
             return a ^ b
+        p = self.char
         if self.degree == 1:
-            return (a + b) % self.char
-        if self._add_table is None:
-            p = self.char
-            self._add_table = [
-                [
-                    self._encode([(x + y) % p for x, y in zip(self._digits[a], self._digits[b])])
-                    for b in range(self.order)
-                ]
-                for a in range(self.order)
-            ]
-        return self._add_table[a][b]
+            return (a + b) % p
+        return self._encode([(x + y) % p for x, y in zip(self._digits[a], self._digits[b])])
 
     def neg(self, a: int) -> int:
         if self.char == 2:
@@ -244,34 +198,26 @@ class FqField:
     def sub(self, a: int, b: int) -> int:
         return self.sub_table()[a][b]
 
+    @lru_cache(maxsize=None)
     def sub_table(self) -> list[list[int]]:
         """Rows ``t[a][b] == a - b``, built from ``add`` and ``neg``."""
-        if self._sub_table is None:
-            negs = [self.neg(b) for b in range(self.order)]
-            self._sub_table = [
-                [self.add(a, nb) for nb in negs] for a in range(self.order)
-            ]
-        return self._sub_table
+        negs = [self.neg(b) for b in range(self.order)]
+        return [[self.add(a, nb) for nb in negs] for a in range(self.order)]
 
+    @lru_cache(maxsize=None)
     def packed_sub_table(self) -> list[Sequence[int]]:
         """``sub_table()`` rows as ``bytes``, or ``array('H')`` above q = 256."""
-        if self._packed_sub_table is None:
-            rows = self.sub_table()
-            if self.order <= 256:
-                self._packed_sub_table = list(map(bytes, rows))
-            else:
-                from array import array
+        rows = self.sub_table()
+        if self.order <= 256:
+            return list(map(bytes, rows))
+        from array import array
 
-                self._packed_sub_table = [array("H", row) for row in rows]
-        return self._packed_sub_table
+        return [array("H", row) for row in rows]
 
+    @lru_cache(maxsize=None)
     def mul_table(self) -> list[list[int]]:
         """Rows ``t[a][b] == a * b``, built from the log-table ``mul``."""
-        if self._mul_table is None:
-            self._mul_table = [
-                [self.mul(a, b) for b in range(self.order)] for a in range(self.order)
-            ]
-        return self._mul_table
+        return [[self.mul(a, b) for b in range(self.order)] for a in range(self.order)]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -284,9 +230,6 @@ class FqField:
         n = self.order - 1
         return self._exp[(n - self._log[a]) % n]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if n == 0:
             return 1
@@ -295,9 +238,6 @@ class FqField:
                 raise ZeroDivisionError("negative power of zero in a finite field")
             return 0
         return self._exp[(self._log[a] * n) % (self.order - 1)]
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.char)
 
     def elements(self) -> range:
         return range(self.order)

@@ -46,6 +46,8 @@ ORACLE_TYPES = (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2))
 # and report size: A4 (256,005) takes seconds and prints 98 MB of json, D4
 # (1,379,685) would print over 500 MB
 MAX_TRIANGLE_CHECKS = 300_000
+# the most (zeta, tuple) pairs the naive leg of ``xq_model_rows`` enumerates
+MAX_FULL_PRODUCT_TUPLES = 70_000
 
 
 def _row(test: str, parameters: dict, lhs, rhs) -> dict:
@@ -512,7 +514,7 @@ def xq_brute_count(q: int, n: int, m: int, k: int = 1) -> int:
         ranges = [f.elements()] * (n - 1)
     else:
         ranges = [f.elements()] * n + [f.nonzero()] * (m - 1)
-    targets = frobenius._artin_schreier_targets(f, q)
+    targets = frobenius._artin_schreier_targets(f.order, q)
     pairs = len(targets) * math.prod(map(len, ranges))
     if m:
         return pairs - _difference_walk(f.packed_sub_table(), targets, ranges)
@@ -527,12 +529,12 @@ def xq_full_product_count(q: int, n: int, m: int, k: int = 1) -> int:
     ``_difference_walk`` from every zeta^q - zeta.
 
     ``xq_model_rows`` runs it only where the q^k * q^{kn} * (q^k - 1)^m
-    tuples number at most 70,000.
+    tuples number at most ``MAX_FULL_PRODUCT_TUPLES``.
     """
     frobenius._check_model_exponents(n, m, k)
     f = field(q**k)
     ranges = [f.elements()] * n + [f.nonzero()] * m
-    targets = frobenius._artin_schreier_targets(f, q)
+    targets = frobenius._artin_schreier_targets(f.order, q)
     return _difference_walk(f.packed_sub_table(), targets, ranges)
 
 
@@ -557,7 +559,7 @@ def xq_model_rows(max_qk: int = 64, max_nm: int = 3) -> Iterator[dict]:
                     yield _row(
                         "xq-closed-vs-brute", params, count, xq_brute_count(q, n, m, k)
                     )
-                    if qk ** (1 + n) * max(1, (qk - 1) ** m) <= 70_000:
+                    if qk ** (1 + n) * (qk - 1) ** m <= MAX_FULL_PRODUCT_TUPLES:
                         yield _row(
                             "xq-full-product",
                             params,

@@ -11,12 +11,19 @@ from deodhar import frobenius, gf
 from deodhar.errors import BudgetError, ConfigError
 from deodhar.frobenius import xq_point_count, yqs_point_count
 from deodhar.gf import _MODULUS, _difference_walk, _factor_prime_power, field
-from deodhar.sweeps import xq_brute_count, xq_full_product_count
+from deodhar.sweeps import xq_brute_count, xq_full_product_count, xq_model_rows
 
 ALL_ORDERS = sorted(
     {2, 3, 5, 7} | set(_MODULUS.keys())
 )
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]
+
+# the smallest primitive element of every supported order; the log tables
+# are laid out over it
+GENERATORS = {
+    2: 1, 3: 2, 4: 2, 5: 2, 7: 3, 8: 2, 9: 3, 16: 2, 25: 5, 27: 3, 32: 2,
+    49: 7, 64: 2, 81: 3, 125: 5, 128: 2, 243: 3, 256: 2, 343: 7, 512: 2,
+}
 
 
 @pytest.mark.parametrize("q", ALL_ORDERS)
@@ -24,6 +31,7 @@ def test_fields_construct(q):
     f = field(q)
     assert f.order == q
     assert f.char in (2, 3, 5, 7)
+    assert f.generator == GENERATORS[q]
     # the generator really has full multiplicative order
     seen = set()
     x = 1
@@ -31,6 +39,30 @@ def test_fields_construct(q):
         seen.add(x)
         x = f.mul(x, f.generator)
     assert len(seen) == q - 1
+
+
+@pytest.mark.parametrize(
+    "q,modulus",
+    [
+        (4, (1, 0, 1)),  # x^2 + 1 = (x + 1)^2 over F_2
+        (16, (1, 0, 1, 0, 1)),  # (x^2 + x + 1)^2 over F_2
+        (27, (0, 0, 0, 1)),  # x^3
+    ],
+)
+def test_reducible_modulus_rejected(monkeypatch, q, modulus):
+    monkeypatch.setitem(gf._MODULUS, q, modulus)
+    with pytest.raises(ConfigError, match=f"field order {q} is reducible"):
+        gf.FqField(q)
+
+
+def test_irreducible_replacement_modulus_accepted(monkeypatch):
+    # x^2 + 1 has no root over F_3, so it is irreducible
+    monkeypatch.setitem(gf._MODULUS, 9, (1, 0, 1))
+    f = gf.FqField(9)
+    assert f is not field(9)
+    assert len({f.pow(f.generator, i) for i in range(8)}) == 8
+    # x = 3 squares to -1 = 2
+    assert f.mul(3, 3) == 2
 
 
 def test_bad_orders_rejected():
@@ -52,7 +84,6 @@ def test_field_axioms_exhaustive(q):
         assert f.add(a, f.neg(a)) == 0
         if a != 0:
             assert f.mul(a, f.inv(a)) == 1
-            assert f.mul(f.div(1, a), a) == 1
         # x^q = x
         assert f.pow(a, q) == a
     for a in els:
@@ -71,9 +102,10 @@ def test_field_axioms_exhaustive(q):
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_frobenius_is_additive(q):
     f = field(q)
+    p = f.char
     for a in f.elements():
         for b in f.elements():
-            assert f.frobenius(f.add(a, b)) == f.add(f.frobenius(a), f.frobenius(b))
+            assert f.pow(f.add(a, b), p) == f.add(f.pow(a, p), f.pow(b, p))
 
 
 def test_f4_explicit_table():
@@ -117,6 +149,32 @@ def test_tables_agree_with_reference_operations(q):
         assert [f.sub(a, b) for b in f.elements()] == sub[a]
     # built once and kept on the interned field
     assert field(q).sub_table() is sub and field(q).mul_table() is mul
+
+
+def test_tables_cached_once_per_field():
+    f = gf.FqField(5)  # not interned, so its tables are new
+    before = gf.FqField.sub_table.cache_info()
+    rows = f.sub_table()
+    assert f.sub(3, 4) == 4 and f.packed_sub_table()[3] == bytes(rows[3])
+    after = gf.FqField.sub_table.cache_info()
+    assert after.misses == before.misses + 1
+    assert after.hits == before.hits + 2
+    assert after.currsize == before.currsize + 1
+
+
+def test_artin_schreier_targets_built_once_per_field():
+    frobenius._artin_schreier_targets.cache_clear()
+    rows = list(xq_model_rows(32, 3))
+    info = frobenius._artin_schreier_targets.cache_info()
+    # one (q^k, q) pair for each prime power q and k with q^k <= 32
+    orders = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)
+    pairs = {(q**k, q) for q in orders for k in range(1, 6) if q**k <= 32}
+    assert info.misses == info.currsize == len(pairs) == 19
+    assert all(row["match"] for row in rows)
+    targets = frobenius._artin_schreier_targets(9, 3)
+    assert type(targets) is tuple and len(targets) == 9
+    # zeta -> zeta^3 - zeta is F_3-linear with kernel F_3: each value three times
+    assert sorted(targets.count(v) for v in set(targets)) == [3, 3, 3]
 
 
 @pytest.mark.parametrize("q", [9, 25, 27])
