@@ -18,16 +18,17 @@ The double-cell census reaches every flag without building it.  The
 opposite cell of a flag reads, column by column, the top-most nonzero row of
 each column once it is reduced against the reduced columns before it, and
 that reduction depends only on the columns so far.  So each Schubert cell is
-gone through one column at a time, over all of its column prefixes at once:
-a prefix is one index into flat lists, one per row, of its reduced unit
-columns, and by linearity the next column's choices are its reduced base
-unit plus multiples of its reduced free units, one comprehension per row.
-Top-most rows, pivot scaling and unit reduction are likewise one
-comprehension per row over every prefix, and the opposite cell so far is
-kept as a base-n code.  The last column has no free entries and its pivot
-is the one row left over, so every flag is one entry of the last free
-column's codes; that column is expanded ``CENSUS_SLICE`` prefixes at a time,
-which bounds the memory, and reads only the units it needs.  Nothing is
+gone through one column at a time, over all of its column prefixes at once.
+A reduced unit column is one ``bytes`` string, its n rows concatenated, one
+byte lane per prefix, so each step is a few C calls: the next column's
+choices are joined from q-lane chunks; top-most rows, pivots and base-n
+opposite-cell codes (below n^(n-1), so n <= 4) come from ``translate`` masks
+and big ints; and each field op of the unit reduction is one ``translate``
+of the pair index a * q + b, or a comprehension once q * q > 256.  The last
+column has no free entries and its pivot is the one row left over, so every
+flag is one lane of the last free column's codes; that column is expanded
+``CENSUS_SLICE`` prefixes at a time, which bounds the memory, and keeps only
+nonzero masks, so F_343 and F_512 (n = 2 only) store no element.  Nothing is
 counted in closed form and no prefixes are merged.  The first flag reaching
 each (cell, opposite cell) pair is rebuilt from its index and checked
 through ``canonical_flag``.
@@ -39,7 +40,7 @@ import itertools
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .errors import BudgetError, ConfigError
@@ -50,6 +51,8 @@ Perm = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
 
 MAX_FLAG_COUNT = 10**6
+# the census's opposite-cell codes, below n^(n-1), fit its byte lanes up to
+# n = 4; it refuses a larger n
 MAX_MATRIX_SIZE = 4
 # prefixes of the census's last free column expanded at once, which bounds
 # its memory
@@ -329,45 +332,104 @@ def double_cell_count(n: int, q: int, w: WeylElement, v: WeylElement) -> int:
     return sum(1 for flag in cell if _opposite_perm(f, flag) == v_perm)
 
 
-def _repeat(values: list[int], k: int) -> list[int]:
-    """Each entry k times in a row: a prefix's value for each of its k children."""
-    if k == 1:
-        return values
-    times = range(k)
-    return [x for x in values for _ in times]
+# the nonzero mask of a row of byte lanes: 0xff where the entry is nonzero
+_NONZERO = bytes(1) + b"\xff" * 255
+# byte lanes read as one big int, the first lane most significant
+_int = partial(int.from_bytes, byteorder="big")
+
+
+class _Chunks(dict):
+    """x + a c for every a of F_q, as lanes or, with ``masks``, their nonzero
+    masks, at the key x * q + c; each chunk is built on first use."""
+
+    def __init__(self, q: int, masks: bool):
+        self.f, self.masks = field(q), masks
+
+    def __missing__(self, key: int) -> bytes:
+        sub, mul = self.f.sub_table(), self.f.mul_table()
+        x, c = divmod(key, self.f.order)
+        lanes = [sub[x][m] for m in mul[sub[0][c]]]
+        chunk = bytes([255 * (y != 0) for y in lanes] if self.masks else lanes)
+        self[key] = chunk
+        return chunk
+
+
+_chunks = lru_cache(maxsize=None)(_Chunks)
+
+
+@lru_cache(maxsize=None)
+def _field_pair_tables(q: int) -> tuple:
+    """1 / b (0 for b = 0) as a ``translate`` table, then a * b and a - b at
+    the pair index a * q + b: ``translate`` tables while q * q <= 256, else
+    lists of one-lane chunks."""
+    f = field(q)
+    inv = bytes([0, *map(f.inv, f.nonzero())]).ljust(256, b"\0")
+    tables = [bytes(itertools.chain(*t)) for t in (f.mul_table(), f.sub_table())]
+    if q * q <= 256:
+        return inv, *(t.ljust(256, b"\0") for t in tables)
+    return inv, *([bytes((y,)) for y in t] for t in tables)
+
+
+def _pair_op(table, a: bytes, b: bytes, q: int) -> bytes:
+    """``table[x * q + y]`` for each lane x of a and its lane y of b, joined:
+    while q * q <= 256 the index is one big-int lane add read by one
+    ``translate`` or join, past that bound a comprehension."""
+    if q * q > 256:
+        return b"".join([table[x * q + y] for x, y in zip(a, b)])
+    index = (_int(a) * q + _int(b)).to_bytes(len(a), "big")
+    if type(table) is bytes:
+        return index.translate(table)
+    return b"".join(map(table.__getitem__, index))
+
+
+@lru_cache(maxsize=None)
+def _repeat_chunks(k: int) -> list[bytes]:
+    return [bytes((y,)) * k for y in range(256)]
+
+
+def _repeat(lanes: bytes, k: int) -> bytes:
+    """Each lane k times in a row: a prefix's lane for each of its k children."""
+    return lanes if k == 1 else b"".join(map(_repeat_chunks(k).__getitem__, lanes))
 
 
 def _expand_column(
-    sub: list[list[int]],
-    minus_row: list[list[int]],
-    units: dict[int, list[list[int]]],
-    pivot_row: int,
-    free_rows: list[int],
-) -> tuple[list[list[int]], int]:
-    """Column entries, row by row, of every child of every prefix.
+    units: dict[int, bytes], pivot_row: int, free_rows: list[int], q: int, masks: bool
+) -> tuple[bytes, int]:
+    """Column lanes, rows concatenated, of every child of every prefix, and
+    the number of children per prefix; with ``masks``, the last free row
+    gives nonzero masks.
 
     A child is its prefix's reduced base unit plus a multiple of each reduced
     free unit, the free rows taken in turn, so children come in product order.
-    Returns the rows and the number of children per prefix.
     """
     col, k = units[pivot_row], 1
-    q = len(minus_row)
     for i in free_rows:
-        col = [
-            [sub[x][m] for x, c in zip(col_x, _repeat(unit_x, k)) for m in minus_row[c]]
-            for col_x, unit_x in zip(col, units[i])
-        ]
+        chunks = _chunks(q, masks and i == free_rows[-1])
+        col = _pair_op(chunks, col, _repeat(units[i], k), q)
         k *= q
     return col, k
 
 
-def _top_rows(col: list[list[int]]) -> list[int]:
-    """Top-most nonzero row of each column, found bottom up one row at a time."""
-    n = len(col)
-    top = [n - 1] * len(col[0])
-    for x in range(n - 2, -1, -1):
-        top = [x if c else t for c, t in zip(col[x], top)]
-    return top
+def _child_codes(
+    masks: bytes, n: int, codes: bytes, k: int
+) -> tuple[bytes, list[int]]:
+    """Each child's opposite-cell code, its prefix's code then its top-most
+    nonzero row in base n, from the nonzero masks of the column's n rows;
+    and per row, the mask of the lanes whose top-most nonzero row it is."""
+    size = len(masks) // n
+    seen, picks = 0, []
+    for x in range(0, len(masks), size):
+        picks.append(_int(masks[x : x + size]) & ~seen)
+        seen |= picks[-1]
+    top = sum(x * pick for x, pick in enumerate(picks)) // 255
+    return (_int(_repeat(codes, k)) * n + top).to_bytes(size, "big"), picks
+
+
+def _gather(col: bytes, picks: list[int]) -> bytes:
+    """Each lane's entry in the row that ``picks`` selects for it."""
+    size = len(col) // len(picks)
+    rows = [_int(col[x : x + size]) for x in range(0, len(col), size)]
+    return sum(map(int.__and__, rows, picks)).to_bytes(size, "big")
 
 
 @lru_cache(maxsize=None)
@@ -387,52 +449,50 @@ def double_cell_census(
     """
     f = field(q)
     _check_flag_budget(n, q)
-    sub, mul = f.sub_table(), f.mul_table()
-    neg = sub[0]
-    # minus_row[c][a] == -a c, so adding a c to x reads sub[x][minus_row[c][a]]
-    minus_row = [[mul[neg[a]][c] for a in f.elements()] for c in f.elements()]
-    inv_mul = [mul[0], *(mul[f.inv(x)] for x in f.nonzero())]
+    if n ** (n - 1) > 256:
+        raise ConfigError(f"census codes below {n}^{n - 1} overflow the byte lanes")
     elements = _permutation_table(build_root_system("A", n - 1))[1]
     census: Counter = Counter()
     for sigma in itertools.permutations(range(n)):
         free = _free_rows(sigma)
-        # units[r][x]: row x of the unit column e_r reduced against the columns
-        # so far, one entry per prefix; codes: the opposite cell so far, base n
-        units = {r: [[int(x == r)] for x in range(n)] for r in range(n)}
-        codes = [0]
+        # units[r]: the unit column e_r reduced against the columns so far, its
+        # n rows concatenated, one byte lane per prefix; codes: the opposite
+        # cell so far, base n, one lane per prefix
+        units = {r: bytes(int(x == r) for x in range(n)) for r in range(n)}
+        codes = bytes(1)
         for j in range(n - 2):
-            col, k = _expand_column(sub, minus_row, units, sigma[j], free[j])
-            top = _top_rows(col)
-            codes = [c + t for c, t in zip(_repeat([c * n for c in codes], k), top)]
-            # scale[i]: the mul row of 1 / (pivot entry) of child i; each unit
-            # a later free column reads subtracts the multiple of the column
-            # that clears its entry in the pivot row
-            scale = [inv_mul[col[t][i]] for i, t in enumerate(top)]
+            inv, mul, sub = _field_pair_tables(q)
+            col, k = _expand_column(units, sigma[j], free[j], q, masks=False)
+            codes, picks = _child_codes(col.translate(_NONZERO), n, codes, k)
+            # scale: 1 / (pivot entry) of each child; each unit a later free
+            # column reads subtracts the multiple of the column that clears
+            # its entry in the pivot row
+            scale = _gather(col, picks).translate(inv)
             later = {r for l in range(j + 1, n - 1) for r in (sigma[l], *free[l])}
             reduced = {}
             for r in later:
-                rows = [_repeat(u_x, k) for u_x in units[r]]
-                factor = [
-                    mul[s[rows[t][i]]] for i, (t, s) in enumerate(zip(top, scale))
-                ]
-                reduced[r] = [
-                    [sub[u][m[x]] for u, m, x in zip(u_x, factor, col_x)]
-                    for u_x, col_x in zip(rows, col)
-                ]
+                u = _repeat(units[r], k)
+                factor = _pair_op(mul, _gather(u, picks), scale, q)
+                reduced[r] = _pair_op(sub, u, _pair_op(mul, factor * n, col, q), q)
             units = reduced
 
         # the last column has no free entries and its pivot is the row left
         # over, so each flag's opposite cell is its code after the last free
         # column; each slice reads only the units that column needs
         pivot_row, free_last = sigma[n - 2], free[n - 2]
-        codes = [c * n for c in codes]
+        prefixes = len(codes)
         per_prefix = q ** len(free_last)
+        row_starts = range(0, n * prefixes, prefixes)
         cell: Counter = Counter()
-        for start in range(0, len(codes), CENSUS_SLICE):
-            part = slice(start, start + CENSUS_SLICE)
-            needed = {r: [u[part] for u in units[r]] for r in (pivot_row, *free_last)}
-            col, k = _expand_column(sub, minus_row, needed, pivot_row, free_last)
-            keys = [c + t for c, t in zip(_repeat(codes[part], k), _top_rows(col))]
+        for start in range(0, prefixes, CENSUS_SLICE):
+            stop = min(start + CENSUS_SLICE, prefixes)
+            needed = {
+                r: b"".join(units[r][x + start : x + stop] for x in row_starts)
+                for r in (pivot_row, *free_last)
+            }
+            col, k = _expand_column(needed, pivot_row, free_last, q, masks=True)
+            masks = col if free_last else col.translate(_NONZERO)
+            keys = _child_codes(masks, n, codes[start:stop], k)[0]
             counts = Counter(keys)
             for key in counts:
                 if key not in cell:

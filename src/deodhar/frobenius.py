@@ -349,6 +349,18 @@ def _artin_schreier_targets(qk: int, q: int) -> tuple[int, ...]:
     return tuple(f.sub(f.pow(zeta, q), zeta) for zeta in f.elements())
 
 
+@lru_cache(maxsize=None)
+def _power_fibre(qk: int, power: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """lambda^power for every nonzero lambda of F_{qk}, in element order, and
+    the number of nonzero lambda with lambda^power equal to each value."""
+    f = field(qk)
+    powers = tuple(f.pow(lam, power) for lam in f.nonzero())
+    fibre = [0] * qk
+    for x in powers:
+        fibre[x] += 1
+    return powers, tuple(fibre)
+
+
 def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
     """Exhaustive count of zeta^q - zeta = lambda_1^power + ... + lambda_m^power
     over F_{q^k}, the lambda_j nonzero.
@@ -364,18 +376,13 @@ def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
         )
     if m >= 1 and qk * (qk - 1) ** (m - 1) > MAX_MODEL_TUPLES:
         raise BudgetError("brute-force model count exceeds the tuple budget")
-    f = field(qk)
     targets = _artin_schreier_targets(qk, q)
     if m == 0:
         count = targets.count(0)
     else:
-        powers = [f.pow(lam, power) for lam in f.nonzero()]
-        # number of nonzero lambda with lambda^power equal to each value
-        power_fibre = [0] * qk
-        for x in powers:
-            power_fibre[x] += 1
-        ranges = [powers] * (m - 1)
-        count = _difference_walk(f.packed_sub_table(), targets, ranges, power_fibre)
+        powers, power_fibre = _power_fibre(qk, power)
+        rows = field(qk).packed_sub_table()
+        count = _difference_walk(rows, targets, [powers] * (m - 1), power_fibre)
     if count % q:
         raise AssertionError("Artin-Schreier count is not divisible by q")
     return count

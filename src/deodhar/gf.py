@@ -259,7 +259,7 @@ def _difference_walk(
     rows: list[Sequence[int]],
     roots: Sequence[int],
     ranges: list[Sequence[int]],
-    fibre: list[int] | None = None,
+    fibre: Sequence[int] | None = None,
 ) -> int:
     """Exhaustive count of the pairs (root, c), c in ``product(*ranges)``,
     with ``root - c_1 - ... - c_r == 0``; with ``fibre``, the sum of

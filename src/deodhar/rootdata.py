@@ -291,7 +291,7 @@ class WeylElement:
 
     @property
     def word_str(self) -> str:
-        return word_str(self.canonical_word)
+        return _word_names(self.system)[self.index]
 
     def left_descents(self) -> frozenset[int]:
         return self.system._left_descents[self.index]
@@ -334,6 +334,12 @@ def reduced_words(w: WeylElement) -> tuple[tuple[int, ...], ...]:
         return words
 
     return tuple(sorted(rec(w)))
+
+
+@lru_cache(maxsize=None)
+def _word_names(rs: RootSystem) -> tuple[str, ...]:
+    """``word_str`` of every element's canonical word, built on first use."""
+    return tuple(map(word_str, rs._words))
 
 
 def word_str(letters: Iterable[int]) -> str:

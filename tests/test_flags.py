@@ -205,7 +205,13 @@ def test_double_cell_count_matches_census(q):
 
 
 @pytest.mark.parametrize(
-    "n,q", [(2, 5), (3, 2), (3, 3), (3, 4), (3, 9), (4, 2), (4, 3), (4, 4)]
+    "n,q",
+    [
+        (2, 5), (3, 2), (3, 3), (3, 4), (3, 9), (4, 2), (4, 3), (4, 4),
+        # the last field whose pair index a * q + b fits a byte, the first odd
+        # extension field past it, and elements wider than a byte
+        (3, 16), (3, 25), (2, 343),
+    ],
 )
 def test_double_cell_census_equals_per_flag_route(monkeypatch, n, q):
     # the per-flag route: build every flag and reduce its reversed rows
@@ -257,6 +263,25 @@ def test_double_cell_census_checks_each_pair_once(monkeypatch, size):
     for fl in enumerate_flags(4, 3):
         firsts.setdefault((fl.pivots, opposite(f, fl)), fl)
     assert checked == list(firsts.values())
+
+
+def test_double_cell_census_refuses_codes_wider_than_a_byte(monkeypatch):
+    # with the cap raised, the per-flag route reaches every flag of GL_5 over
+    # F_2, and their base-5 opposite-cell codes pass 255, so byte lanes would
+    # wrap: the census refuses instead of miscounting
+    monkeypatch.setattr(flags, "MAX_MATRIX_SIZE", 5)
+    f = field(2)
+    all_flags = enumerate_flags(5, 2)
+    assert len(all_flags) == 9765
+    codes = {
+        sum(t * 5**e for e, t in enumerate(flags._opposite_perm(f, fl)[-2::-1]))
+        for fl in all_flags
+    }
+    # v = (4, 3, 2, 1, 0) reads 4321 in base 5
+    assert max(codes) == 586
+    double_cell_census.cache_clear()
+    with pytest.raises(ConfigError, match="byte lanes"):
+        double_cell_census(5, 2)
 
 
 def test_double_cell_census_memory_is_bounded_by_the_slice():

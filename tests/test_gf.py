@@ -177,6 +177,31 @@ def test_artin_schreier_targets_built_once_per_field():
     assert sorted(targets.count(v) for v in set(targets)) == [3, 3, 3]
 
 
+def test_power_fibres_built_once_per_power():
+    frobenius._power_fibre.cache_clear()
+    pow_calls = []
+    pow_ = gf.FqField.pow
+
+    def counted(self, a, n):
+        pow_calls.append(n)
+        return pow_(self, a, n)
+
+    try:
+        gf.FqField.pow = counted
+        first = frobenius.yqs_point_count(9, 2, 0, 3)
+        cold = len(pow_calls)
+        assert frobenius.yqs_point_count(9, 2, 0, 3) == first
+    finally:
+        gf.FqField.pow = pow_
+    # the second count reads the cached fibre and raises nothing to a power
+    assert len(pow_calls) == cold
+    assert frobenius._power_fibre.cache_info().misses == 1
+    powers, fibre = frobenius._power_fibre(9, 2)
+    assert type(powers) is tuple and type(fibre) is tuple
+    # squaring on F_9^*: each nonzero square is hit twice, 0 never
+    assert fibre[0] == 0 and sorted(set(fibre[1:])) == [0, 2] and sum(fibre) == 8
+
+
 @pytest.mark.parametrize("q", [9, 25, 27])
 def test_xq_brute_counts_match_point_count_odd_extensions(q):
     for n in range(3):

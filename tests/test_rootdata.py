@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from deodhar import rootdata
 from deodhar.errors import ConfigError
 from deodhar.rootdata import (
+    RootSystem,
     build_root_system,
     bruhat_leq,
     reduced_words,
+    word_str,
 )
 
 ALL_TYPES = [
@@ -211,6 +214,25 @@ def test_canonical_word_is_least_reduced_word():
         for w in rs.weyl_elements():
             words = reduced_words(w)
             assert w.canonical_word == min(words)
+
+
+@pytest.mark.parametrize("type_label,rank", ALL_TYPES)
+def test_word_str_reads_the_canonical_word(type_label, rank):
+    for w in build_root_system(type_label, rank).weyl_elements():
+        assert w.word_str == word_str(w.canonical_word)
+    assert build_root_system(type_label, rank).identity().word_str == "e"
+
+
+def test_element_names_built_on_first_use():
+    before = rootdata._word_names.cache_info()
+    rs = RootSystem("B", 2)  # not interned, so its names are new
+    # construction builds no names
+    assert rootdata._word_names.cache_info() == before
+    assert rs.longest_element().word_str == "stst"
+    assert [w.word_str for w in rs.weyl_elements()][:3] == ["e", "s", "t"]
+    after = rootdata._word_names.cache_info()
+    assert after.misses == before.misses + 1
+    assert after.hits == before.hits + 8
 
 
 def test_descents_nonempty_iff_nonidentity():
