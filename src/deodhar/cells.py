@@ -17,7 +17,9 @@ read from one table per root system (``_forced_letters``), checked entry by
 entry against the root-sign test x(alpha_s) < 0 when it is built.  J, the
 first violation of a subexpression and the pruning of the walk all read that
 table; every ``Subexpression`` also asserts that its J equals the set of
-positions whose twisted root beta~_i = gamma^i(-beta_i) is positive.
+positions whose twisted root beta~_i = gamma^i(-beta_i) is positive, reading
+beta~_i and its sign from the root system's permutation table at the index
+of -beta_i (``_negative_simple_roots``).
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .errors import BudgetError, ConfigError, EmptyCellError, NotComparableError
 from .rootdata import Root, RootSystem, WeylElement, bruhat_leq, word_str
 
 MAX_WORD_LENGTH = 20
+_BITS = frozenset((0, 1))
 
 
 @dataclass(frozen=True)
@@ -90,35 +94,39 @@ class Subexpression:
 
     def __init__(self, word: ReducedWord, bits: Iterable[int]):
         bits = tuple(bits)
-        if len(bits) != word.r or any(
-            not isinstance(b, int) or b not in (0, 1) for b in bits
+        if (
+            len(bits) != word.r
+            or not all(map(isinstance, bits, repeat(int)))
+            or not _BITS.issuperset(bits)
         ):
             raise ConfigError("bits must be a 0/1 vector matching the word length")
         bits = tuple(map(int, bits))
         self.word = word
         self.bits = bits
         sys = word.system
-        parts = [sys.identity()]
-        for i, b in enumerate(bits):
-            parts.append(
-                parts[-1] * sys.simple_reflection(word.letters[i]) if b else parts[-1]
-            )
+        letters = word.letters
+        y = sys.identity()
+        parts, ys = [y], []  # gamma^0..gamma^r; the indices of gamma^1..gamma^r
+        for s, b in zip(letters, bits):
+            if b:
+                y = y * sys.simple_reflection(s)
+            parts.append(y)
+            ys.append(y.index)
         self.partials = tuple(parts)
-        self.end = parts[-1]
-        self.I = frozenset(i + 1 for i, b in enumerate(bits) if b)
-        # beta~_i = gamma^i(-beta_i)
-        self.tilde_betas = tuple(
-            parts[i + 1].act(tuple(-c for c in word.simple_root(i)))
-            for i in range(word.r)
-        )
+        self.end = y
+        self.I = frozenset([i for i, b in enumerate(bits, 1) if b])
+        # beta~_i = gamma^i(-beta_i), a root index read off gamma^i's permutation
+        perms, neg = sys._perms, _negative_simple_roots(sys)
+        images = [perms[y][neg[s]] for y, s in zip(ys, letters)]
+        roots = sys.roots
+        self.tilde_betas = tuple([roots[k] for k in images])
         forced = _forced_letters(sys)
         self.J = frozenset(
-            i + 1 for i, s in enumerate(word.letters) if forced[s][parts[i + 1].index]
+            [i for i, (s, y) in enumerate(zip(letters, ys), 1) if forced[s][y]]
         )
-        j_sign = frozenset(
-            i + 1 for i in range(word.r) if sys.is_positive(self.tilde_betas[i])
-        )
-        if self.J != j_sign:
+        # the negative roots come first, so a root index at or past n_neg is positive
+        n_neg = len(roots) - len(sys.positive_roots)
+        if self.J != frozenset([i for i, k in enumerate(images, 1) if k >= n_neg]):
             raise AssertionError(
                 f"descent and root-sign computations of J disagree on {self}"
             )
@@ -195,6 +203,12 @@ def _forced_letters(rs: RootSystem) -> tuple[tuple[bool, ...], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _negative_simple_roots(rs: RootSystem) -> tuple[int, ...]:
+    """neg[s]: the index in ``rs.roots`` of -alpha_s, for every letter s."""
+    return tuple(rs._root_index[tuple(-c for c in a)] for a in rs.simple_roots)
+
+
 def _walk(
     word: ReducedWord, prune: bool, end: Optional[WeylElement] = None
 ) -> list[Subexpression]:
@@ -202,7 +216,10 @@ def _walk(
 
     With prune, a forced letter (one the running partial product has as a
     right descent) must be taken, so only distinguished subexpressions are
-    reached.  Only leaves ending at end are kept when end is given.
+    reached.  Only leaves ending at end are kept when end is given, and the
+    walk turns back as soon as the partial product y can no longer reach end:
+    every letter changes the length by at most one, so once |l(y) - l(end)|
+    exceeds the letters left no leaf below ends at end.
     """
     if word.r > MAX_WORD_LENGTH:
         raise BudgetError(
@@ -211,13 +228,17 @@ def _walk(
     sys = word.system
     r = word.r
     letters = word.letters
-    rmul, forced = sys._rmul, _forced_letters(sys)
+    rmul, forced, lengths = sys._rmul, _forced_letters(sys), sys._lengths
+    target = None if end is None else end.index
+    goal = None if end is None else lengths[target]
     out: list[Subexpression] = []
 
     def rec(i: int, bits: list[int], x: int) -> None:
         if i == r:
-            if end is None or x == end.index:
+            if target is None or x == target:
                 out.append(Subexpression(word, bits))
+            return
+        if target is not None and abs(lengths[x] - goal) > r - i:
             return
         s = letters[i]
         xs = rmul[s][x]

@@ -14,11 +14,12 @@ Three subcommands:
 C encoder and runs a pure-Python one, which made printing the reports slower
 than computing them.  ``verify`` streams: the sweeps of its suite (``SUITES``)
 yield rows one at a time, ``_cmd_verify`` counts them and hands each to the
-row sink of the chosen format, and no row is kept, so memory does not grow
-with the number of checks.  Table lines are printed as rows arrive, since the
-summary comes last.  JSON prints the counts before ``rows`` and csv prints the
-union of parameter keys in its header, so those sinks encode each row once
-into a temporary file (the spool) and copy it out after the head.  The
+row sink of the chosen format, and no row is kept beyond a block of
+``JSON_ROW_BLOCK``, so memory does not grow with the number of checks.  Table
+lines are printed as rows arrive, since the summary comes last.  JSON prints
+the counts before ``rows`` and csv prints the union of parameter keys in its
+header, so those sinks encode each row once into a temporary file (the spool),
+json a block of rows at a time, and copy it out after the head.  The
 same bytes come out as from ``json.dumps`` and ``csv.writer`` on the whole
 report.
 Exit codes: 0 pass, 1 identity failure, 2 configuration error, 3 budget
@@ -322,10 +323,15 @@ def _verify_rows(args):
     )
 
 
-_INT = frozenset((int,))
+# Rows the json sink collects before it encodes them together.
+JSON_ROW_BLOCK = 64
+_INT, _BOOL, _STR = frozenset((int,)), frozenset((bool,)), frozenset((str,))
+_SCALARS = frozenset((int, bool, str, type(None)))
+_BOOL_TEXT = {True: "true", False: "false"}
 # The keys of a verify row (``sweeps._row``), in the order JSON prints them.
 _ROW_KEYS = ("lhs", "match", "parameters", "rhs", "test")
 _ROW_KEY_SET = frozenset(_ROW_KEYS)
+_ROW_SCALARS = operator.itemgetter("lhs", "match", "rhs", "test")
 # Indents inside "rows": a row's braces, its keys, the entries of its values.
 _ROW_PAD, _KEY_PAD, _VAL_PAD = " " * 4, " " * 6, " " * 8
 _LHS, _MATCH, _PARAMS, _RHS, _TEST = (f'\n{_KEY_PAD}"{k}": ' for k in _ROW_KEYS)
@@ -333,26 +339,60 @@ _OPEN, _NEXT = "[\n" + _ROW_PAD, ",\n" + _ROW_PAD
 
 
 def _int_list_memo(encode):
-    """Return a function of value: encode(value), from a memo for flat int lists.
+    """Return a function of value: encode(value), from a memo for flat lists.
 
     The memo lives as long as the returned function, one report: the B3
     triangle has 13,174 coefficient lists, 29 of them distinct.  A list or
-    tuple is looked up only if every entry has type ``int``: ``[1] == [True]``
-    and ``hash((1,)) == hash((True,))``, but they print ``1`` and ``true``.
+    tuple is looked up if every entry has type ``int``, ``bool``, ``str`` or
+    ``None``.  An all-``int`` list is keyed by ``tuple(value)``, any other by
+    the types of its entries and their values: ``[1] == [True]`` and
+    ``hash((1,)) == hash((True,))``, but they print ``1`` and ``true``.
     """
     memo: dict[tuple, str] = {}
 
     def text(value) -> str:
         kind = type(value)
-        if (kind is list or kind is tuple) and set(map(type, value)) <= _INT:
+        if kind is not list and kind is not tuple:
+            return encode(value)
+        kinds = set(map(type, value))
+        if kinds <= _INT:
             key = tuple(value)
-            found = memo.get(key)
-            if found is None:
-                found = memo[key] = encode(value)
-            return found
-        return encode(value)
+        elif kinds <= _SCALARS:
+            key = tuple(map(type, value)), tuple(value)
+        else:
+            return encode(value)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = encode(value)
+        return found
 
     return text
+
+
+def _column_text(values: tuple, encode):
+    """The texts of one column of values, by one ``map`` for the column's type.
+
+    A column of exact ``str``, ``int`` or ``bool`` is encoded directly; any
+    other goes through encode.
+    """
+    kinds = set(map(type, values))
+    if kinds == _STR:
+        return map(_str_text, values)
+    if kinds == _INT:
+        return map(int.__repr__, values)
+    if kinds == _BOOL:
+        return map(_BOOL_TEXT.__getitem__, values)
+    return map(encode, values)
+
+
+def _layout_key(row):
+    """The parameter keys of a verify row whose parameters are a non-empty
+    dict, in their own order; None for any other row."""
+    if type(row) is dict and row.keys() == _ROW_KEY_SET:
+        params = row["parameters"]
+        if type(params) is dict and params:
+            return tuple(params)
+    return None
 
 
 class _TableRows:
@@ -375,54 +415,81 @@ class _TableRows:
 
 
 class _JsonRows:
-    """JSON output: ``_json_text`` of the report, its rows spooled as they arrive.
+    """JSON output: ``_json_text`` of the report, its rows spooled in blocks.
 
-    put(row) writes to the spool the text of row at its place in ``"rows"``.
-    A row with exactly the keys of ``sweeps._row`` is written key by key in
-    sorted order, its lhs and rhs through ``_int_list_memo`` (so an rhs equal
-    to its lhs gets the lhs text), the sorted layout of each set of
-    ``parameters`` keys worked out once.  Any other row or value goes
-    through ``_json_text``.  write_report(head) writes the keys of head and
-    ``"rows"`` in sorted order, the rows copied from the spool.
+    put(row) collects rows and encodes every ``JSON_ROW_BLOCK`` of them
+    (read when the sink is made) into the spool, at their place in
+    ``"rows"``.  A block is cut into runs of consecutive rows with the keys
+    of ``sweeps._row`` and the same ``parameters`` keys (a layout).  Each
+    layout gets one ``%`` template, the row's keys and its parameter keys in
+    sorted order, worked out once; a run's columns are taken with
+    ``operator.itemgetter`` and each is encoded by one ``map`` for its type
+    (``_column_text``), lhs and rhs through ``_int_list_memo`` (so an rhs
+    equal to its lhs gets the lhs text).  Any other row goes through
+    ``_json_text``.  write_report(head) encodes the rows left, then writes
+    the keys of head and ``"rows"`` in sorted order, the rows copied from the
+    spool.
     """
 
     def __init__(self, spool, out) -> None:
         self.spool, self.out = spool, out
+        self.block = JSON_ROW_BLOCK
+        self.rows: list = []
         self.sep = _OPEN
         self.side = _int_list_memo(functools.partial(_json_text, pad=_KEY_PAD))
-        self.layouts: dict[tuple, tuple] = {}  # parameter keys -> (sorted, heads)
+        self.value = functools.partial(_json_text, pad=_KEY_PAD)
+        self.param = functools.partial(_json_text, pad=_VAL_PAD)
+        self.layouts: dict[tuple, tuple] = {}  # parameter keys -> (template, getters)
 
     def put(self, row) -> None:
-        sep, self.sep = self.sep, _NEXT
-        if type(row) is not dict or row.keys() != _ROW_KEY_SET:
-            self.spool.write(sep + _json_text(row, _ROW_PAD))
-            return
-        params = row["parameters"]
-        if type(params) is dict and params:
-            names = tuple(params)
-            layout = self.layouts.get(names)
-            if layout is None:
-                keys = sorted(params)
-                heads = [f"\n{_VAL_PAD}{_str_text(k)}: " for k in keys]
-                layout = self.layouts[names] = (keys, heads)
-            keys, heads = layout
-            values = [
-                head + (_str_text(v) if type(v) is str else _json_text(v, _VAL_PAD))
-                for head, v in zip(heads, map(params.__getitem__, keys))
+        rows = self.rows
+        rows.append(row)
+        if len(rows) >= self.block:
+            self._flush()
+
+    def _layout(self, names: tuple) -> tuple:
+        layout = self.layouts.get(names)
+        if layout is None:
+            keys = sorted(names)
+            heads = [
+                f"\n{_VAL_PAD}{_str_text(k).replace('%', '%%')}: %s" for k in keys
             ]
-            params_text = "{" + ",".join(values) + "\n" + _KEY_PAD + "}"
-        else:
-            params_text = _json_text(params, _KEY_PAD)
-        match, test, side = row["match"], row["test"], self.side
-        match_text = "true" if match is True else _json_text(match, _KEY_PAD)
-        test_text = _str_text(test) if type(test) is str else _json_text(test, _KEY_PAD)
-        self.spool.write(
-            f"{sep}{{{_LHS}{side(row['lhs'])},{_MATCH}{match_text},"
-            f"{_PARAMS}{params_text},{_RHS}{side(row['rhs'])},{_TEST}{test_text}"
-            f"\n{_ROW_PAD}}}"
-        )
+            template = (
+                f"{{{_LHS}%s,{_MATCH}%s,{_PARAMS}{{{','.join(heads)}\n{_KEY_PAD}}},"
+                f"{_RHS}%s,{_TEST}%s\n{_ROW_PAD}}}"
+            )
+            getters = [operator.itemgetter(k) for k in keys]
+            layout = self.layouts[names] = (template, getters)
+        return layout
+
+    def _run_text(self, rows: list, names: tuple):
+        template, getters = self._layout(names)
+        lhs, match, rhs, test = zip(*map(_ROW_SCALARS, rows))
+        params = [row["parameters"] for row in rows]
+        columns = [
+            _column_text(lhs, self.side),
+            _column_text(match, self.value),
+            *(_column_text(tuple(map(get, params)), self.param) for get in getters),
+            _column_text(rhs, self.side),
+            _column_text(test, self.value),
+        ]
+        return map(template.__mod__, zip(*columns))
+
+    def _flush(self) -> None:
+        rows, self.rows = self.rows, []
+        if not rows:
+            return
+        texts = []
+        for names, run in itertools.groupby(rows, _layout_key):
+            if names is None:
+                texts.extend(_json_text(row, _ROW_PAD) for row in run)
+            else:
+                texts.extend(self._run_text(list(run), names))
+        sep, self.sep = self.sep, _NEXT
+        self.spool.write(sep + _NEXT.join(texts))
 
     def write_report(self, head: dict) -> None:
+        self._flush()
         out, spool = self.out, self.spool
         spool.write("[]" if self.sep == _OPEN else "\n  ]")
         sep = "{\n  "

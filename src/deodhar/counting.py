@@ -154,7 +154,8 @@ def r_polynomial(
     Pick s with sw < w.  If sv < v then R_{v,w} = R_{sv,sw}; otherwise
     R_{v,w} = (q-1) R_{v,sw} + q R_{sv,sw}.  Bases: R_{w,w} = 1 and
     R_{v,w} = 0 unless v <= w.  The default descent choice is the smallest
-    index; the result is descent-independent (a tested property).  Every
+    index; the result is descent-independent (a tested property), and a
+    choice outside w's left descents raises ConfigError.  Every
     value is cached, keyed by (v, w) and the descent choice, and each step of
     the recursion is a call of this function.
 
@@ -170,12 +171,27 @@ def r_polynomial(
         return IntPolynomial.one()
     if not bruhat_leq(v, w):
         return IntPolynomial.zero()
-    s = v.system.simple_reflection((_descent or min)(w.left_descents()))
+    descents = w.left_descents()
+    i = (_descent or min)(descents)
+    if i not in descents:
+        raise ConfigError(
+            f"descent chooser returned {i!r}, not a left descent of {w.word_str} "
+            f"(left descents {sorted(descents)})"
+        )
+    s = v.system.simple_reflection(i)
     sw = s * w
     sv = s * v
     # the default is passed as the top-level calls pass it, so they share keys
     descent = () if _descent is None else (_descent,)
     if sv.length < v.length:
         return r_polynomial(sv, sw, *descent)
-    lower, upper = r_polynomial(v, sw, *descent), r_polynomial(sv, sw, *descent)
-    return _Q_MINUS_1 * lower + IntPolynomial.q_power(1) * upper
+    lower = r_polynomial(v, sw, *descent).coeffs
+    upper = r_polynomial(sv, sw, *descent).coeffs
+    # (q - 1) lower + q upper, coefficient by coefficient
+    out = [0] * (max(len(lower), len(upper)) + 1)
+    for j, c in enumerate(lower):
+        out[j] -= c
+        out[j + 1] += c
+    for j, c in enumerate(upper):
+        out[j + 1] += c
+    return IntPolynomial.from_coeffs(out)

@@ -180,6 +180,17 @@ def _w0_image_simple(rs: RootSystem) -> tuple[tuple[bool, ...], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _w0_simple_index(rs: RootSystem) -> dict:
+    """{root: a} for every root whose image under w0 is the simple root alpha_a.
+
+    Read off w0's row of the permutation table; built once per root system.
+    """
+    simple = {rs._root_index[a]: i for i, a in enumerate(rs.simple_roots)}
+    w0 = rs._perms[-1]
+    return {root: simple[w0[k]] for k, root in enumerate(rs.roots) if w0[k] in simple}
+
+
 # -- regular characters -------------------------------------------------------
 
 
@@ -276,28 +287,28 @@ def cell_invariants(gamma: cells.Subexpression, od: OrbitData) -> CellInvariants
 
     n_a counts positions in I minus J (affine coordinates), m_a positions
     outside I (torus coordinates); n_bar and m_bar absorb the positions whose
-    w0-image is not a simple root.
+    w0-image is not a simple root.  The simple root w0(beta~_i), if any, is
+    read from the per-system table ``_w0_simple_index``.
     """
     if not gamma.is_distinguished:
         raise EmptyCellError(f"{gamma.display} is not distinguished")
     sys = gamma.word.system
     if od.system is not sys:
         raise ConfigError("orbit data belongs to a different root system")
-    w0 = sys.longest_element()
-    n = {rep: 0 for rep in od.representatives}
-    m = {rep: 0 for rep in od.representatives}
-    simple_index = {root: i for i, root in enumerate(sys.simple_roots)}
-    for i in range(gamma.r):
-        pos = i + 1
-        image = w0.act(gamma.tilde_betas[i])
-        idx = simple_index.get(image)
+    w0_simple = _w0_simple_index(sys)
+    reps, orbits = od.representatives, od.root_orbits
+    n = dict.fromkeys(reps, 0)
+    m = dict.fromkeys(reps, 0)
+    I, J = gamma.I, gamma.J
+    for pos, beta in enumerate(gamma.tilde_betas, 1):
+        idx = w0_simple.get(beta)
         if idx is None:
             continue
-        rep = od.representative_of(idx)
-        if pos in gamma.I and pos not in gamma.J:
-            n[rep] += 1
-        elif pos not in gamma.I:
+        rep = orbits[idx][0]
+        if pos not in I:
             m[rep] += 1
+        elif pos not in J:
+            n[rep] += 1
     shape = gamma.cell_shape()
     n_bar = shape.n_affine - sum(n.values())
     m_bar = shape.m_torus - sum(m.values())

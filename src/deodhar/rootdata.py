@@ -314,26 +314,21 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     return bool(v.system._bruhat[w.index] >> v.index & 1)
 
 
+@lru_cache(maxsize=None)
 def reduced_words(w: WeylElement) -> tuple[tuple[int, ...], ...]:
-    """All reduced words of w, sorted lexicographically."""
-    memo: dict[WeylElement, tuple[tuple[int, ...], ...]] = {}
+    """All reduced words of w, sorted lexicographically; cached per element.
 
-    def rec(u: WeylElement) -> tuple[tuple[int, ...], ...]:
-        got = memo.get(u)
-        if got is not None:
-            return got
-        if u.is_identity:
-            words: tuple[tuple[int, ...], ...] = ((),)
-        else:
-            acc = []
-            for i in sorted(u.left_descents()):
-                su = u.system.simple_reflection(i) * u
-                acc.extend((i,) + rest for rest in rec(su))
-            words = tuple(acc)
-        memo[u] = words
-        return words
-
-    return tuple(sorted(rec(w)))
+    The words of w are (i,) + a word of s_i w for each left descent i; taking
+    the descents in increasing order keeps the result sorted.
+    """
+    if w.is_identity:
+        return ((),)
+    sys = w.system
+    return tuple(
+        (i,) + rest
+        for i in sorted(w.left_descents())
+        for rest in reduced_words(sys._elements[sys._lmul[i][w.index]])
+    )
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,15 @@
 """Subexpression combinatorics against hand-computed and exhaustive oracles."""
 
+import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from deodhar import cells
 from deodhar.cells import (
     _forced_letters,
+    _walk,
     CellShape,
     ReducedWord,
     Subexpression,
@@ -23,6 +26,7 @@ from deodhar.errors import (
     NotComparableError,
 )
 from deodhar.rootdata import RootSystem, build_root_system, bruhat_leq, reduced_words
+from deodhar.sweeps import RANK_LE_3_TYPES
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3)]
 
@@ -292,3 +296,74 @@ def test_subexpression_properties(data):
         assert shape.dimension <= bound
         assert (shape.dimension == bound) == (gamma.I == gamma.J)
         assert shape.n_affine + shape.m_torus == word.r - len(gamma.J)
+
+
+def _bits(subs) -> list:
+    return [g.bits for g in subs]
+
+
+def _bits_by_end(subs) -> dict:
+    """{v: the bits of the subexpressions ending at v, in their order}."""
+    out: dict = {}
+    for g in subs:
+        out.setdefault(g.end, []).append(g.bits)
+    return out
+
+
+@pytest.mark.parametrize("type_label, rank", RANK_LE_3_TYPES)
+def test_end_pruned_walks_equal_the_filtered_walks(type_label, rank):
+    # every reduced word and every v: the walks that turn back once the end is
+    # out of reach keep exactly the leaves of the full walks, in their order
+    rs = build_root_system(type_label, rank)
+    elements = rs.weyl_elements()
+    for w in elements:
+        for letters in reduced_words(w):
+            word = ReducedWord.from_letters(rs, letters)
+            dist = _bits_by_end(enumerate_distinguished(word))
+            every = _bits_by_end(subexpressions(word))
+            for v in elements:
+                assert _bits(enumerate_distinguished(word, v)) == dist.get(v, [])
+                assert _bits(_walk(word, prune=False, end=v)) == every.get(v, [])
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 4), ("D", 4)])
+def test_end_pruned_walk_at_identity_on_rank_four(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    e = rs.identity()
+    for w in rs.weyl_elements():
+        word = ReducedWord.from_letters(rs, w.canonical_word)
+        assert _bits(enumerate_distinguished(word, e)) == _bits(
+            g for g in enumerate_distinguished(word) if g.end == e
+        )
+
+
+@pytest.mark.parametrize("type_label, rank", RANK_LE_3_TYPES)
+def test_table_built_subexpression_equals_products_and_action(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    for w in rs.weyl_elements():
+        word = ReducedWord.from_letters(rs, w.canonical_word)
+        for bits in itertools.product((0, 1), repeat=word.r):
+            gamma = Subexpression(word, bits)
+            parts = [rs.identity()]
+            for letter, b in zip(word.letters, bits):
+                parts.append(parts[-1] * rs.simple_reflection(letter) if b else parts[-1])
+            betas = tuple(
+                parts[i + 1].act(tuple(-c for c in word.simple_root(i)))
+                for i in range(word.r)
+            )
+            assert gamma.partials == tuple(parts)
+            assert gamma.end == parts[-1]
+            assert gamma.tilde_betas == betas
+            assert gamma.I == {i + 1 for i, b in enumerate(bits) if b}
+            assert gamma.J == {i + 1 for i, beta in enumerate(betas) if rs.is_positive(beta)}
+
+
+def test_flipped_forced_letter_trips_the_subexpression_j_check(monkeypatch):
+    rs, word = _a2_word()
+    table = [list(row) for row in _forced_letters(rs)]
+    s = rs.simple_reflection(0).index
+    table[0][s] = not table[0][s]  # s is a right descent of s: forced, now not
+    flipped = tuple(map(tuple, table))
+    monkeypatch.setattr(cells, "_forced_letters", lambda system: flipped)
+    with pytest.raises(AssertionError, match="descent and root-sign"):
+        Subexpression(word, (1, 0, 0))

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import deodhar
-from deodhar import cells, flags, frobenius, sweeps
+from deodhar.errors import BudgetError
+from deodhar import cells, cli, flags, frobenius, sweeps
 from deodhar.cli import (
     EXIT_BROKEN_PIPE,
     _cell_text,
@@ -638,11 +639,15 @@ VERIFY_PAYLOADS = st.fixed_dictionaries(
 )
 
 
-def _verify_json(payload: dict) -> str:
+def _verify_json(payload: dict, block=None) -> str:
     """The json ``verify`` prints for payload: each row through the json sink,
-    then the head around the spooled rows."""
+    then the head around the spooled rows; block, if given, replaces
+    ``cli.JSON_ROW_BLOCK``."""
     out = io.StringIO()
-    sink = _JsonRows(io.StringIO(), out)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(cli, "JSON_ROW_BLOCK", block)
+        sink = _JsonRows(io.StringIO(), out)
     for row in payload["rows"]:
         sink.put(row)
     sink.write_report({k: v for k, v in payload.items() if k != "rows"})
@@ -673,21 +678,93 @@ def test_verify_json_equals_indented_json_dumps(payload):
     assert _verify_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        # [1] == [True] and hash((1,)) == hash((True,)), but they print 1 and true
-        [_row([1], [1], w="s"), _row([True], [True], w="s"), _row([1], [True], w="t")],
-        [_row([True], [1], w="s"), _row((1,), [1], w="s"), _row([1, 0], (True, 0))],
-        [_row([0, -1, 1], [0, 1], match=False, v="e", w="s"), _row(2, [2], v="e")],
-        [_row([], [], w="e"), _row([], (), w="e"), _row([], [0], w="e")],
-        [],
+# [1] == [True] and hash((1,)) == hash((True,)), but they print 1 and true
+KEEPS_APART = {
+    "int-then-bool": [
+        _row([1], [1], w="s"), _row([True], [True], w="s"), _row([1], [True], w="t")
     ],
-    ids=["int-then-bool", "bool-then-int", "mismatch", "empty-lists", "no-rows"],
-)
+    "bool-then-int": [
+        _row([True], [1], w="s"), _row((1,), [1], w="s"), _row([1, 0], (True, 0))
+    ],
+    "mismatch": [_row([0, -1, 1], [0, 1], match=False, v="e", w="s"), _row(2, [2], v="e")],
+    "empty-lists": [_row([], [], w="e"), _row([], (), w="e"), _row([], [0], w="e")],
+    "no-rows": [],
+}
+# Flat lists of ints, bools, strings and None share the memo, keyed apart.
+KEEPS_APART_IN_BLOCKS = {
+    **KEEPS_APART,
+    "scalar-lists": [
+        _row([1, True, 3], [1, True, 3], w="s"),
+        _row([1, 1, 3], [1, True, 3], w="s"),
+        _row(["1", None], ["1", None], w="s"),
+        _row([None, "1"], ["1", None], w="t"),
+        _row([True, "a"], [1, "a"], w="t"),
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", KEEPS_APART.values(), ids=KEEPS_APART)
 def test_verify_json_keeps_ints_bools_and_mismatches_apart(rows):
     for payload in (_verify_payload(rows), _verify_payload(rows, budget_exceeded="x")):
         assert _verify_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@given(VERIFY_PAYLOADS)
+def test_verify_json_equals_indented_json_dumps_in_small_blocks(payload):
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    for block in (1, 2, 3):
+        assert _verify_json(payload, block) == expected
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize(
+    "rows", KEEPS_APART_IN_BLOCKS.values(), ids=KEEPS_APART_IN_BLOCKS
+)
+def test_verify_json_keeps_ints_bools_and_mismatches_apart_in_blocks(rows, block):
+    for payload in (_verify_payload(rows), _verify_payload(rows, budget_exceeded="x")):
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert _verify_json(payload, block) == expected
+
+
+@pytest.mark.parametrize("block", [2, 3, 4, None])
+def test_verify_json_layout_changes_inside_a_block(block):
+    # parameter key sets (and orders) change from row to row, a parameter key
+    # and value hold "%", and rows that are not verify rows come in between
+    rows = [
+        _row([1], [1], w="s"),
+        _row([1, 2], [1, 2], v="e", w="t"),
+        _row([1], [1], w="s", v="e"),
+        {"not": "a verify row"},
+        _row([3], [3], w="u"),
+        _row([1], [1]),
+        {**_row([1], [1], w="s"), "parameters": ["w", "s"]},
+        _row(4, 4, **{"%s": "%d", "w%": 1}),
+        _row([True], [1], w="s"),
+    ]
+    payload = _verify_payload([r for r in rows if "match" in r])
+    payload["rows"] = rows
+    assert _verify_json(payload, block) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("made", [2, 3, 5])
+def test_verify_json_budget_after_a_partial_block_keeps_every_row(
+    capsys, monkeypatch, made
+):
+    monkeypatch.setattr(cli, "JSON_ROW_BLOCK", 3)
+    rows = [sweeps._row("t", {"i": i, "w": "s"}, [i], [i]) for i in range(made)]
+
+    def sweep(max_qk, max_nm):
+        yield from rows
+        raise BudgetError("no more rows")
+
+    monkeypatch.setattr(sweeps, "xq_model_rows", sweep)
+    code, out, err = run_cli(capsys, "verify", "xq-models", "--format", "json")
+    assert code == 3
+    assert "no more rows" in err
+    report = json.loads(out)
+    assert report["status"] == "BUDGET-EXCEEDED"
+    assert report["checks"] == made
+    assert report["rows"] == rows
 
 
 def test_verify_json_rejects_what_json_text_rejects():

@@ -13,6 +13,7 @@ from deodhar.counting import (
     r_polynomial,
     schubert_cell_poly,
 )
+from deodhar.errors import ConfigError
 from deodhar.flags import double_cell_count
 from deodhar.rootdata import (
     RootSystem,
@@ -110,6 +111,18 @@ def test_r_polynomial_a2_unrolled():
     rs = build_root_system("A", 2)
     e = rs.identity()
     assert r_polynomial(e, rs.longest_element()).coeffs == (-1, 2, -2, 1)
+
+
+def test_r_polynomial_rejects_a_chooser_outside_the_descents():
+    rs = build_root_system("A", 2)
+    e, t, w0 = rs.identity(), rs.simple_reflection(1), rs.longest_element()
+    # t's only left descent is t; the chooser picks s, which used to recurse
+    # until RecursionError
+    with pytest.raises(ConfigError, match="returned 0, not a left descent of t "):
+        r_polynomial(e, t, lambda d: 0)
+    # s is a left descent of w0 but not of s w0 = ts, one step down
+    with pytest.raises(ConfigError, match="returned 0, not a left descent of ts "):
+        r_polynomial(e, w0, lambda d: 0)
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 2), ("B", 2), ("G", 2)])
