@@ -300,7 +300,9 @@ def preceq(delta: Subexpression, gamma: Subexpression) -> bool:
 
 def _filtration_sequence(dist: list[Subexpression]) -> tuple[Subexpression, ...]:
     # Kahn's algorithm from the top of the closure order; ties broken by
-    # (descending cell dimension, lexicographically smallest bits).
+    # (descending cell dimension, lexicographically smallest bits).  The
+    # preorder is not graded by dimension (on A4 a 6-dimensional cell can lie
+    # below a 5-dimensional one), so a sort on that key alone is no filtration.
     k = len(dist)
     above = [
         [j for j in range(k) if j != i and preceq(dist[i], dist[j])] for i in range(k)

@@ -19,9 +19,9 @@ row sink of the chosen format, and no row is kept beyond a block of
 lines are printed as rows arrive, since the summary comes last.  JSON prints
 the counts before ``rows`` and csv prints the union of parameter keys in its
 header, so those sinks encode each row once into a temporary file (the spool),
-json a block of rows at a time, and copy it out after the head.  The
-same bytes come out as from ``json.dumps`` and ``csv.writer`` on the whole
-report.
+json a block of consecutive rows with the same parameter keys at a time, all
+through one path, and copy it out after the head.  The same bytes come out as
+from ``json.dumps`` and ``csv.writer`` on the whole report.
 Exit codes: 0 pass, 1 identity failure, 2 configuration error, 3 budget
 exceeded, 141 the reader of stdout closed it early (``run`` only).
 Identical configurations produce byte-identical output; no environment
@@ -63,11 +63,11 @@ def _emit(fmt: str, payload: dict, columns, flat, lines=None) -> None:
 
     json prints ``_json_text(payload)``: the same bytes as ``json.dumps`` with
     ``indent=2`` and ``sort_keys=True``, whose indented form never reaches the
-    C encoder.  csv writes the rows flat(payload) under the header
-    columns(payload); table prints lines(payload), or the csv cells aligned
-    in columns when lines is None.  Only the projection of the chosen format
-    runs.  ``verify`` does not come here: its rows stream through the sinks
-    of ``_cmd_verify``.
+    C encoder.  csv writes the rows flat(payload) under the header columns;
+    table prints lines(payload), or the csv cells aligned in columns when
+    lines is None.  Only the projection of the chosen format runs.
+    ``verify`` does not come here: its rows stream through the sinks of
+    ``_cmd_verify``.
     """
     if fmt == "json":
         print(_json_text(payload))
@@ -76,19 +76,18 @@ def _emit(fmt: str, payload: dict, columns, flat, lines=None) -> None:
         for line in lines(payload):
             print(line)
         return
-    names = columns(payload)
-    text = [[_cell_text(row.get(c)) for c in names] for row in flat(payload)]
+    text = [[_cell_text(row.get(c)) for c in columns] for row in flat(payload)]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
+        writer.writerow(columns)
         writer.writerows(text)
         sys.stdout.write(buf.getvalue())
         return
     widths = [
-        max([len(c)] + [len(row[i]) for row in text]) for i, c in enumerate(names)
+        max([len(c)] + [len(row[i]) for row in text]) for i, c in enumerate(columns)
     ]
-    print("  ".join(c.ljust(w) for c, w in zip(names, widths)))
+    print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
     print("  ".join("-" * w for w in widths))
     for row in text:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
@@ -260,7 +259,7 @@ def _cmd_decompose(args) -> int:
         "word": word.display,
         "rows": rows,
     }
-    _emit(args.format, payload, lambda _: _DECOMPOSE_COLUMNS, lambda p: p["rows"])
+    _emit(args.format, payload, _DECOMPOSE_COLUMNS, lambda p: p["rows"])
     return EXIT_OK
 
 
@@ -330,7 +329,6 @@ _SCALARS = frozenset((int, bool, str, type(None)))
 _BOOL_TEXT = {True: "true", False: "false"}
 # The keys of a verify row (``sweeps._row``), in the order JSON prints them.
 _ROW_KEYS = ("lhs", "match", "parameters", "rhs", "test")
-_ROW_KEY_SET = frozenset(_ROW_KEYS)
 _ROW_SCALARS = operator.itemgetter("lhs", "match", "rhs", "test")
 # Indents inside "rows": a row's braces, its keys, the entries of its values.
 _ROW_PAD, _KEY_PAD, _VAL_PAD = " " * 4, " " * 6, " " * 8
@@ -385,16 +383,6 @@ def _column_text(values: tuple, encode):
     return map(encode, values)
 
 
-def _layout_key(row):
-    """The parameter keys of a verify row whose parameters are a non-empty
-    dict, in their own order; None for any other row."""
-    if type(row) is dict and row.keys() == _ROW_KEY_SET:
-        params = row["parameters"]
-        if type(params) is dict and params:
-            return tuple(params)
-    return None
-
-
 class _TableRows:
     """Table output: one line per row as it arrives, the summary line last."""
 
@@ -417,24 +405,24 @@ class _TableRows:
 class _JsonRows:
     """JSON output: ``_json_text`` of the report, its rows spooled in blocks.
 
-    put(row) collects rows and encodes every ``JSON_ROW_BLOCK`` of them
-    (read when the sink is made) into the spool, at their place in
-    ``"rows"``.  A block is cut into runs of consecutive rows with the keys
-    of ``sweeps._row`` and the same ``parameters`` keys (a layout).  Each
-    layout gets one ``%`` template, the row's keys and its parameter keys in
-    sorted order, worked out once; a run's columns are taken with
+    Rows are the dicts ``sweeps._row`` makes: its five keys, ``parameters`` a
+    dict.  put(row) collects rows while their parameter keys (a layout) stay
+    the same, up to ``JSON_ROW_BLOCK`` of them (read when the sink is made),
+    and encodes each such block into the spool, at its place in ``"rows"``.
+    Each layout gets one ``%`` template, the row's keys and its parameter
+    keys in sorted order, worked out once; a block's columns are taken with
     ``operator.itemgetter`` and each is encoded by one ``map`` for its type
     (``_column_text``), lhs and rhs through ``_int_list_memo`` (so an rhs
-    equal to its lhs gets the lhs text).  Any other row goes through
-    ``_json_text``.  write_report(head) encodes the rows left, then writes
-    the keys of head and ``"rows"`` in sorted order, the rows copied from the
-    spool.
+    equal to its lhs gets the lhs text).  A row without those keys raises.
+    write_report(head) encodes the rows left, then writes the keys of head
+    and ``"rows"`` in sorted order, the rows copied from the spool.
     """
 
     def __init__(self, spool, out) -> None:
         self.spool, self.out = spool, out
         self.block = JSON_ROW_BLOCK
         self.rows: list = []
+        self.names: tuple = ()  # the layout of the rows collected
         self.sep = _OPEN
         self.side = _int_list_memo(functools.partial(_json_text, pad=_KEY_PAD))
         self.value = functools.partial(_json_text, pad=_KEY_PAD)
@@ -442,10 +430,12 @@ class _JsonRows:
         self.layouts: dict[tuple, tuple] = {}  # parameter keys -> (template, getters)
 
     def put(self, row) -> None:
+        names = tuple(row["parameters"])
         rows = self.rows
-        rows.append(row)
-        if len(rows) >= self.block:
+        if names != self.names or len(rows) >= self.block:
             self._flush()
+            self.names, rows = names, self.rows
+        rows.append(row)
 
     def _layout(self, names: tuple) -> tuple:
         layout = self.layouts.get(names)
@@ -454,16 +444,20 @@ class _JsonRows:
             heads = [
                 f"\n{_VAL_PAD}{_str_text(k).replace('%', '%%')}: %s" for k in keys
             ]
+            params = f"{{{','.join(heads)}\n{_KEY_PAD}}}" if keys else "{}"
             template = (
-                f"{{{_LHS}%s,{_MATCH}%s,{_PARAMS}{{{','.join(heads)}\n{_KEY_PAD}}},"
+                f"{{{_LHS}%s,{_MATCH}%s,{_PARAMS}{params},"
                 f"{_RHS}%s,{_TEST}%s\n{_ROW_PAD}}}"
             )
             getters = [operator.itemgetter(k) for k in keys]
             layout = self.layouts[names] = (template, getters)
         return layout
 
-    def _run_text(self, rows: list, names: tuple):
-        template, getters = self._layout(names)
+    def _flush(self) -> None:
+        rows, self.rows = self.rows, []
+        if not rows:
+            return
+        template, getters = self._layout(self.names)
         lhs, match, rhs, test = zip(*map(_ROW_SCALARS, rows))
         params = [row["parameters"] for row in rows]
         columns = [
@@ -473,20 +467,8 @@ class _JsonRows:
             _column_text(rhs, self.side),
             _column_text(test, self.value),
         ]
-        return map(template.__mod__, zip(*columns))
-
-    def _flush(self) -> None:
-        rows, self.rows = self.rows, []
-        if not rows:
-            return
-        texts = []
-        for names, run in itertools.groupby(rows, _layout_key):
-            if names is None:
-                texts.extend(_json_text(row, _ROW_PAD) for row in run)
-            else:
-                texts.extend(self._run_text(list(run), names))
         sep, self.sep = self.sep, _NEXT
-        self.spool.write(sep + _NEXT.join(texts))
+        self.spool.write(sep + _NEXT.join(map(template.__mod__, zip(*columns))))
 
     def write_report(self, head: dict) -> None:
         self._flush()
@@ -717,9 +699,7 @@ def _cmd_predict(args) -> int:
     psi = _parse_psi(args.psi, od, rs)
     table = frobenius.theorem_table(word, od, psi)
     payload = _prediction_payload(table, args)
-    _emit(
-        args.format, payload, lambda _: _PREDICT_COLUMNS, _predict_flat, _predict_lines
-    )
+    _emit(args.format, payload, _PREDICT_COLUMNS, _predict_flat, _predict_lines)
     return EXIT_OK
 
 

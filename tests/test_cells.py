@@ -229,6 +229,31 @@ def test_filtration_examples():
         filtration(ReducedWord.from_letters(rs, (0,)), rs.simple_reflection(1))
 
 
+def test_filtration_is_not_a_sort_by_dimension():
+    # The closure preorder is not graded by dimension.  In Gamma_tu of this A4
+    # word a 6-dimensional cell lies below a 5-dimensional one, so the
+    # filtration puts it after; a sort on (-dimension, bits) would not.
+    rs = build_root_system("A", 4)
+    word = ReducedWord.from_letters(rs, rs.parse_word("tuvutstuv"))
+    order = filtration(word, rs.element_from_word(rs.parse_word("tu")))
+    shown = [g.display for g in order]
+    assert shown == [
+        "(1,1,1,1,1,1,t,u,1)",
+        "(1,u,1,u,1,1,t,u,1)",
+        "(t,1,1,1,t,1,t,u,1)",
+        "(t,u,1,u,t,1,t,u,1)",
+        "(t,u,v,1,1,1,1,1,v)",
+        "(t,u,v,1,t,1,t,1,v)",
+        "(t,u,v,u,1,1,1,u,v)",
+        "(t,u,v,u,t,1,t,u,v)",
+    ]
+    high, low = order[3], order[4]
+    assert high.cell_shape().dimension == 5 and low.cell_shape().dimension == 6
+    assert preceq(low, high) and not preceq(high, low)
+    by_dimension = sorted(order, key=lambda g: (-g.cell_shape().dimension, g.bits))
+    assert by_dimension.index(low) < by_dimension.index(high)
+
+
 @pytest.mark.parametrize("type_label,rank", SMALL_TYPES)
 def test_filtration_refines_closure_order(type_label, rank):
     rs = build_root_system(type_label, rank)

@@ -614,17 +614,12 @@ def _flip_bools(side):
 @st.composite
 def verify_rows(draw) -> dict:
     lhs = draw(ROW_SIDES)
-    return {
-        "test": draw(JSON_TEXT),
-        "parameters": draw(PARAMETERS),
-        "lhs": lhs,
-        "rhs": draw(st.just(_flip_bools(lhs)) | st.just(lhs) | ROW_SIDES),
-        "match": draw(st.booleans()),
-    }
+    rhs = draw(st.just(_flip_bools(lhs)) | st.just(lhs) | ROW_SIDES)
+    return sweeps._row(draw(JSON_TEXT), draw(PARAMETERS), lhs, rhs)
 
 
-# A row without the keys of a verify row goes through _json_text whole.
-ROWS = st.lists(verify_rows() | JSON_VALUES, max_size=8)
+# The json sink takes rows as sweeps._row makes them, and only those.
+ROWS = st.lists(verify_rows(), max_size=8)
 VERIFY_PAYLOADS = st.fixed_dictionaries(
     {
         "schema": st.just("deodhar.v1"),
@@ -667,10 +662,8 @@ def _verify_payload(rows, **extra) -> dict:
     }
 
 
-def _row(lhs, rhs, match=None, **parameters) -> dict:
-    if match is None:
-        match = lhs == rhs
-    return {"test": "t", "parameters": parameters, "lhs": lhs, "rhs": rhs, "match": match}
+def _row(lhs, rhs, **parameters) -> dict:
+    return sweeps._row("t", parameters, lhs, rhs)
 
 
 @given(VERIFY_PAYLOADS)
@@ -686,7 +679,7 @@ KEEPS_APART = {
     "bool-then-int": [
         _row([True], [1], w="s"), _row((1,), [1], w="s"), _row([1, 0], (True, 0))
     ],
-    "mismatch": [_row([0, -1, 1], [0, 1], match=False, v="e", w="s"), _row(2, [2], v="e")],
+    "mismatch": [_row([0, -1, 1], [0, 1], v="e", w="s"), _row(2, [2], v="e")],
     "empty-lists": [_row([], [], w="e"), _row([], (), w="e"), _row([], [0], w="e")],
     "no-rows": [],
 }
@@ -728,22 +721,70 @@ def test_verify_json_keeps_ints_bools_and_mismatches_apart_in_blocks(rows, block
 
 @pytest.mark.parametrize("block", [2, 3, 4, None])
 def test_verify_json_layout_changes_inside_a_block(block):
-    # parameter key sets (and orders) change from row to row, a parameter key
-    # and value hold "%", and rows that are not verify rows come in between
+    # parameter key sets (and orders) change from row to row, one row has no
+    # parameters, and a parameter key and value hold "%"
     rows = [
         _row([1], [1], w="s"),
         _row([1, 2], [1, 2], v="e", w="t"),
         _row([1], [1], w="s", v="e"),
-        {"not": "a verify row"},
         _row([3], [3], w="u"),
         _row([1], [1]),
-        {**_row([1], [1], w="s"), "parameters": ["w", "s"]},
         _row(4, 4, **{"%s": "%d", "w%": 1}),
         _row([True], [1], w="s"),
     ]
-    payload = _verify_payload([r for r in rows if "match" in r])
-    payload["rows"] = rows
+    payload = _verify_payload(rows)
+    text = _verify_json(payload, block)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert '"parameters": {},' in text
+
+
+@pytest.mark.parametrize(
+    "runs, block",
+    [((3, 3, 1), 3), ((2, 4, 2), 2), ((4, 1), 4), ((6,), 3), ((1, 1, 1), 1)],
+)
+def test_verify_json_layout_run_ends_on_a_block_boundary(runs, block):
+    # runs of alternating layouts whose lengths are multiples of the block,
+    # so a block fills up on the last row of a run (the last run may be short)
+    rows = [
+        _row([i], [i], **({"w": "s"} if r % 2 else {"v": "e", "w": "t"}))
+        for r, length in enumerate(runs)
+        for i in range(length)
+    ]
+    payload = _verify_payload(rows)
     assert _verify_json(payload, block) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("key", sorted(sweeps._row("t", {}, 0, 0)))
+def test_verify_json_rejects_a_row_without_a_row_key(key):
+    row = _row([1], [1], w="s")
+    del row[key]
+    sink = _JsonRows(io.StringIO(), io.StringIO())
+    with pytest.raises(KeyError):
+        sink.put(row)
+        sink.write_report({})
+
+
+# small options for each verify suite; a suite missing here fails below
+SMALL_SUITES = {
+    "deodhar-vs-rpoly": ("--type", "A", "--rank", "2"),
+    "flags": ("--n", "3", "--q", "2"),
+    "gl3-example": ("--q", "2", "--k", "2"),
+    "vanishing": ("--max-rank", "2"),
+    "xq-models": ("--max-qk", "9", "--max-nm", "2"),
+}
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_every_suite_row_has_the_keys_of_sweeps_row(suite):
+    # the shape the json sink relies on: _row's keys, parameters a dict
+    keys = sweeps._row("t", {}, 0, 0).keys()
+    args = cli._build_parser().parse_args(["verify", suite, *SMALL_SUITES[suite]])
+    count = 0
+    for row in cli._verify_rows(args):
+        assert type(row) is dict and row.keys() == keys
+        assert type(row["parameters"]) is dict
+        count += 1
+    assert count
 
 
 @pytest.mark.parametrize("made", [2, 3, 5])
@@ -770,7 +811,7 @@ def test_verify_json_budget_after_a_partial_block_keeps_every_row(
 def test_verify_json_rejects_what_json_text_rejects():
     for bad in (1.5, [_Int(3)], {"x": {0}}):
         with pytest.raises(TypeError):
-            _verify_json(_verify_payload([_row(bad, bad, match=True)]))
+            _verify_json(_verify_payload([_row(bad, bad)]))
     with pytest.raises(TypeError):
         _verify_json(_verify_payload([_row([1], [1], w=1.5)]))
 
