@@ -63,22 +63,26 @@ def _row(test: str, parameters: dict, lhs, rhs) -> dict:
 # -- the tree of reduced words and the oracle triangle ------------------------
 
 
-def _word_tree(rs: RootSystem, root, take, forced_take) -> Iterator[tuple]:
+def _word_tree(rs: RootSystem, forced_shift) -> Iterator[tuple]:
     """Yield ``(letters, states)`` for every reduced word of W, depth first.
 
     Every prefix of a reduced word is reduced, so the words form one tree
     rooted at the empty word; a node at w has a child for each letter s with
-    l(ws) > l(w).  states ``{(x, label): count}`` counts the word's
-    distinguished subexpressions by end index x; the root's one ends at e
-    with label root.  Appending s reads Deodhar's cell structure left to
-    right: if s is forced at x, l(xs) < l(x) in the one checked table
-    ``cells._forced_letters``, it is taken to xs with label
-    ``forced_take[s][xs][label]``; otherwise it is skipped (stay at x, label
-    unchanged) or taken (go to xs, label ``take[label]``).  Consumers only
-    read states.
+    l(ws) > l(w).  states ``{x: packed}`` counts the word's distinguished
+    subexpressions by end index x and label (n, m): label (n, m) is counted
+    in slot n (N+1) + m of the packed int, each slot N+1 bits wide, where
+    N = l(w0); the root's one state is ``{e: 1}``, label (0, 0).  Appending
+    s reads Deodhar's cell structure left to right: if s is forced at x,
+    l(xs) < l(x) in the one checked table ``cells._forced_letters``, it is
+    taken to xs and the state shifted by ``forced_shift[s][xs]`` bits;
+    otherwise it is skipped (stay at x, shifted one slot: m + 1) or taken
+    (go to xs, unshifted).  No slot carries: it counts subexpressions of a
+    word of length r <= N, at most 2^N < 2^(N+1) - 1.  Consumers only read
+    states.
     """
     rmul, down = rs._rmul, cells._forced_letters(rs)
-    stack = [((), 0, {(0, root): 1})]
+    slot = len(rs.positive_roots) + 1
+    stack = [((), 0, {0: 1})]
     while stack:
         letters, w, states = stack.pop()
         yield letters, states
@@ -86,18 +90,16 @@ def _word_tree(rs: RootSystem, root, take, forced_take) -> Iterator[tuple]:
             forced = down[s]
             if forced[w]:
                 continue
-            jump = forced_take[s]
+            shift = forced_shift[s]
             child: dict = {}
             get = child.get
-            for key, c in states.items():
-                x, label = key
+            for x, v in states.items():
                 xs = row[x]
                 if forced[x]:
-                    key = xs, jump[xs][label]
+                    child[xs] = get(xs, 0) + (v << shift[xs])
                 else:
-                    child[key] = get(key, 0) + c
-                    key = xs, take[label]
-                child[key] = get(key, 0) + c
+                    child[x] = get(x, 0) + (v << slot)
+                    child[xs] = get(xs, 0) + v
             stack.append((letters + (s,), row[w], child))
 
 
@@ -108,10 +110,11 @@ def word_tree_polys(rs: RootSystem) -> dict:
     Returns ``{letters: {v: deodhar_poly(word, v)}}`` for every reduced word,
     with only the nonzero polynomials kept, from one ``_word_tree`` walk per
     root system; it is cached, so a failed check while walking caches
-    nothing.  A label is (n, |I|), the forced and the taken letters so far,
-    which a skip leaves unchanged; the cell shape is (n, r - |I|), and a
-    node's polynomial at x sums c q^n (q-1)^m over its labels.  Enumerating
-    subexpressions (``counting.deodhar_poly``) is the cross-check route.
+    nothing.  Every forced letter shifts by (N+1)^2 bits, n + 1, so a label
+    is the cell shape (n, m) itself, forced and skipped letters so far, and
+    a state's polynomial sums c q^n (q-1)^m over its slots; it is read once
+    per distinct packed state.  Enumerating subexpressions
+    (``counting.deodhar_poly``) is the cross-check route.
 
     >>> from deodhar.counting import r_polynomial
     >>> from deodhar.rootdata import build_root_system
@@ -124,35 +127,29 @@ def word_tree_polys(rs: RootSystem) -> dict:
     True
     """
     elements = rs.weyl_elements()
-    top = len(rs.positive_roots)  # n <= |I| < l(w0) wherever a letter is added
-    take = {(n, t): (n, t + 1) for n in range(top) for t in range(top)}
-    forced = {(n, t): (n + 1, t + 1) for n in range(top) for t in range(top)}
-    shapes: dict = {}  # (n, m) -> coefficients of q^n (q-1)^m
-    polys: dict = {}  # (r, labels) -> polynomial
+    slot = len(rs.positive_roots) + 1
+    mask = (1 << slot) - 1
+    polys: dict = {}  # packed state -> polynomial, never zero, so truthy
+    get = polys.get
 
-    def poly(r: int, labels: frozenset) -> IntPolynomial:
-        p = polys.get((r, labels))
-        if p is None:
-            acc = [0] * (r + 1)
-            for (n, t), c in labels:
-                shape = n, r - t
-                if shape not in shapes:
-                    cell = cells.CellShape(*shape)
-                    shapes[shape] = counting.cell_count_poly(cell).coeffs
-                for j, a in enumerate(shapes[shape]):
+    def poly(v: int) -> IntPolynomial:
+        acc = [0] * slot  # n + m <= r <= N
+        k, rest = 0, v
+        while rest:
+            c = rest & mask
+            if c:
+                cell = cells.CellShape(*divmod(k, slot))
+                for j, a in enumerate(counting.cell_count_poly(cell).coeffs):
                     acc[j] += c * a
-            p = polys[r, labels] = IntPolynomial.from_coeffs(acc)
+            k, rest = k + 1, rest >> slot
+        p = polys[v] = IntPolynomial.from_coeffs(acc)
         return p
 
-    def read(r: int, states: dict) -> dict:
-        by_end: dict = {}
-        for (x, label), c in states.items():
-            by_end.setdefault(x, []).append((label, c))
-        return {elements[x]: poly(r, frozenset(got)) for x, got in by_end.items()}
-
-    # the forced update is the same at every letter and end
-    walk = _word_tree(rs, (0, 0), take, [[forced] * len(elements)] * rs.rank)
-    return {letters: read(len(letters), states) for letters, states in walk}
+    walk = _word_tree(rs, [[slot * slot] * len(elements)] * rs.rank)
+    return {
+        letters: {elements[x]: get(v) or poly(v) for x, v in states.items()}
+        for letters, states in walk
+    }
 
 
 def _by_name(elements) -> list:
@@ -309,12 +306,6 @@ def gl3_rows(q: int, k: int) -> Iterator[dict]:
 # -- vanishing criterion ------------------------------------------------------
 
 
-# word_tree_vanishing's labels, and their updates by a take and a witnessing take
-_ALL_SKIP, _TAKEN, _WITNESSED = 0, 1, 2
-_TAKE = (_TAKEN, _TAKEN, _WITNESSED)
-_WITNESS = (_WITNESSED,) * 3
-
-
 def word_tree_vanishing(rs: RootSystem) -> dict:
     """Vanishing data of Gamma_e for every reduced word of W, from one walk.
 
@@ -322,22 +313,30 @@ def word_tree_vanishing(rs: RootSystem) -> dict:
     the distinguished subexpressions ending at e, how many have a positive
     affine orbit exponent, how many are not all-skip, how many are all-skip,
     and whether the all-skip one has no leftover coordinates (w0(-alpha_s)
-    simple at every letter, read off the letters alone).  The ``_word_tree`` label is all-skip so far,
-    taken without a witness, or witnessed.  A forced letter taken to xs is a
-    position in I minus J (J is read after the letter); it witnesses n_a > 0
-    when w0(xs(-alpha_s)) is a simple root (``frobenius._w0_image_simple``).
-    Not cached: ``vanishing_rows`` checks it against the enumeration route.
+    simple at every letter, read off the letters alone).  A forced letter
+    taken to xs is a position in I minus J (J is read after the letter); it
+    witnesses n_a > 0 when w0(xs(-alpha_s)) is a simple root
+    (``frobenius._w0_image_simple``), and only such a letter shifts the
+    ``_word_tree`` state, by (N+1)^2 bits.  So at e the all-skip count is
+    slot (0, r) and every label n > 0 is witnessed.  Not cached:
+    ``vanishing_rows`` checks it against the enumeration route.
     """
+    slot = len(rs.positive_roots) + 1
+    witness = slot * slot
     image = frobenius._w0_image_simple(rs)
-    forced = [[_WITNESS if simple else _TAKE for simple in row] for row in image]
+    shifts = [[witness if simple else 0 for simple in row] for row in image]
     unclean = {s for s, row in enumerate(image) if not row[0]}
+    # 2^slot = 1 mod digits, so v % digits is v's digit sum: the slots count
+    # at most 2^r <= 2^N < digits subexpressions in all, so it never wraps
+    digits = (1 << slot) - 1
     out: dict = {}
-    for letters, states in _word_tree(rs, _ALL_SKIP, _TAKE, forced):
-        witnessed = states.get((0, _WITNESSED), 0)
+    for letters, states in _word_tree(rs, shifts):
+        v = states.get(0, 0)
+        all_skip = (v >> slot * len(letters)) & digits
         out[letters] = (
-            witnessed,
-            states.get((0, _TAKEN), 0) + witnessed,
-            states.get((0, _ALL_SKIP), 0),
+            (v >> witness) % digits,
+            v % digits - all_skip,
+            all_skip,
             unclean.isdisjoint(letters),
         )
     return out

@@ -1,10 +1,12 @@
 """Point-count polynomials: hand-unrolled values, the oracle triangle and the
 reduced-word tree against enumeration."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from deodhar import sweeps
+from deodhar import frobenius, sweeps
 from deodhar.cells import CellShape, ReducedWord, enumerate_distinguished
 from deodhar.counting import (
     IntPolynomial,
@@ -205,13 +207,12 @@ def test_word_tree_equals_enumeration(type_label, rank):
     "type_label,rank", sweeps.RANK_LE_3_TYPES + (("A", 4), ("D", 4))
 )
 def test_word_tree_walks_every_reduced_word_once(type_label, rank):
-    # a label no update changes, so only the walk itself is under test; the
+    # no forced letter shifts, so only the walk itself is under test; the
     # walk is stopped at the first word longer than w0 or past the count, so
     # a walk without the prune fails instead of running on
     rs = build_root_system(type_label, rank)
     elements = rs.weyl_elements()
-    fixed = (0,)
-    walk = sweeps._word_tree(rs, 0, fixed, [[fixed] * len(elements)] * rank)
+    walk = sweeps._word_tree(rs, [[0] * len(elements)] * rank)
     expected = None
     if (type_label, rank) != ("D", 4):
         expected = {letters for w in elements for letters in reduced_words(w)}
@@ -227,11 +228,64 @@ def test_word_tree_walks_every_reduced_word_once(type_label, rank):
         assert len(letters) <= top, letters
         words.append(letters)
         assert len(words) <= count
-        assert states.get((0, 0), 0) >= 1  # the all-skip path ends at e
+        assert states.get(0, 0) >= 1  # the all-skip path ends at e
     assert len(words) == count
     assert len(set(words)) == count
     if expected is not None:
         assert set(words) == expected
+
+
+def _slot_counts(v, slot):
+    # {CellShape(n, m): count} of a packed walker state, read slot by slot
+    counts, k, mask = {}, 0, (1 << slot) - 1
+    while v:
+        if v & mask:
+            counts[CellShape(*divmod(k, slot))] = v & mask
+        k, v = k + 1, v >> slot
+    return counts
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 4), ("D", 4)])
+def test_word_tree_slots_do_not_carry_on_w0(type_label, rank):
+    # the canonical word of w0 has the largest counts: at every end x each
+    # slot holds the number of cells of its shape in Gamma_x, and the digit
+    # sum read by % is |Gamma_x|
+    rs = build_root_system(type_label, rank)
+    elements = rs.weyl_elements()
+    slot = len(rs.positive_roots) + 1
+    word = ReducedWord.from_letters(rs, rs.longest_element().canonical_word)
+    walk = sweeps._word_tree(rs, [[slot * slot] * len(elements)] * rank)
+    states = next(states for letters, states in walk if letters == word.letters)
+    assert len(states) == len(elements)  # every x is below w0
+    for x, v in states.items():
+        gamma_x = enumerate_distinguished(word, elements[x])
+        assert v % ((1 << slot) - 1) == len(gamma_x), x
+        assert _slot_counts(v, slot) == Counter(g.cell_shape() for g in gamma_x), x
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 4), ("D", 4)])
+def test_word_tree_vanishing_digit_sums_are_slot_sums(type_label, rank):
+    # word_tree_vanishing reads Gamma_e's counts by %, against the same walk
+    # read slot by slot on every node: a witnessing letter shifts n + 1
+    rs = build_root_system(type_label, rank)
+    slot = len(rs.positive_roots) + 1
+    digits = (1 << slot) - 1
+    shifts = [
+        [slot * slot if simple else 0 for simple in row]
+        for row in frobenius._w0_image_simple(rs)
+    ]
+    tree = sweeps.word_tree_vanishing(rs)
+    nodes = 0
+    for letters, states in sweeps._word_tree(rs, shifts):
+        nodes += 1
+        v = states[0]
+        counts = _slot_counts(v, slot)
+        total = sum(counts.values())
+        witnessed = sum(c for shape, c in counts.items() if shape.n_affine)
+        all_skip = counts.get(CellShape(0, len(letters)), 0)
+        assert (v % digits, (v >> slot * slot) % digits) == (total, witnessed)
+        assert tree[letters][:3] == (witnessed, total - all_skip, all_skip), letters
+    assert nodes == len(tree)
 
 
 def test_word_tree_corrupted_length_trips_j_check():
