@@ -34,9 +34,11 @@ class IntPolynomial:
     @staticmethod
     def from_coeffs(coeffs) -> "IntPolynomial":
         coeffs = list(coeffs)
+        if not all(type(c) is int for c in coeffs):
+            raise ConfigError(f"polynomial coefficients must be ints, got {coeffs}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        return IntPolynomial(tuple(int(c) for c in coeffs))
+        return IntPolynomial(tuple(coeffs))
 
     @staticmethod
     def zero() -> "IntPolynomial":

@@ -278,30 +278,6 @@ def enumerate_flags(n: int, q: int) -> list[Flag]:
 # -- Bruhat cells -------------------------------------------------------------
 
 
-def rank_profile_word(f: FqField, rows: Rows) -> Perm:
-    """Independent computation of the same permutation from lower-left ranks."""
-    n = len(rows)
-
-    def r(i, j):
-        if j == 0:
-            return 0
-        return mat_rank(f, [[rows[a][b] for b in range(j)] for a in range(i, n)])
-
-    return tuple(max(i for i in range(n) if r(i, j + 1) > r(i, j)) for j in range(n))
-
-
-def opposite_rank_profile_word(f: FqField, rows: Rows) -> Perm:
-    """Permutation v with the flag in the opposite cell of v (upper-left ranks)."""
-    n = len(rows)
-
-    def r(i, j):
-        if j == 0:
-            return 0
-        return mat_rank(f, [[rows[a][b] for b in range(j)] for a in range(i + 1)])
-
-    return tuple(min(i for i in range(n) if r(i, j + 1) > r(i, j)) for j in range(n))
-
-
 def bruhat_cell(flag: Flag) -> WeylElement:
     """The w with the flag inside the Schubert cell B w . B."""
     return weyl_from_permutation(build_root_system("A", flag.n - 1), flag.pivots)
@@ -321,15 +297,6 @@ def opposite_cell(flag: Flag) -> WeylElement:
 
 
 # -- cell counting oracles ----------------------------------------------------
-
-
-def double_cell_count(n: int, q: int, w: WeylElement, v: WeylElement) -> int:
-    """Number of F_q flags in the double cell (Bruhat cell w, opposite cell v)."""
-    f = field(q)
-    _check_flag_budget(n, q)
-    v_perm = _gl_permutation(n, v)
-    cell = _cell_flags(f, _gl_permutation(n, w))
-    return sum(1 for flag in cell if _opposite_perm(f, flag) == v_perm)
 
 
 # the nonzero mask of a row of byte lanes: 0xff where the entry is nonzero
@@ -553,14 +520,6 @@ def dl_piece_count(n: int, q: int, w: WeylElement, x: WeylElement, k: int = 1) -
     w_perm = _gl_permutation(n, w)
     cell = _cell_flags(f, _gl_permutation(n, x))
     return sum(1 for flag in cell if _lang_perm(f, flag.matrix, q) == w_perm)
-
-
-def dl_total_count(n: int, q: int, w: WeylElement, k: int = 1) -> int:
-    """Points of X(w) over F_{q^k}, counted in one pass over all flags."""
-    f = _extension_field(q, k)
-    w_perm = _gl_permutation(n, w)
-    all_flags = enumerate_flags(n, f.order)
-    return sum(1 for flag in all_flags if _lang_perm(f, flag.matrix, q) == w_perm)
 
 
 # -- the GL_3 worked example --------------------------------------------------

@@ -210,7 +210,7 @@ class RootSystem:
         return LETTERS[i]
 
     def letter_index(self, ch: str) -> int:
-        idx = LETTERS.find(ch)
+        idx = LETTERS.find(ch) if len(ch) == 1 else -1
         if idx < 0 or idx >= self.rank:
             raise ConfigError(f"letter {ch!r} is not a simple reflection of {self}")
         return idx

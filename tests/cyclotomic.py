@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ConfigError, PreconditionError
+from deodhar.errors import ConfigError, PreconditionError
 
 _SUPPORTED_P = (2, 3)
 

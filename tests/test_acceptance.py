@@ -8,10 +8,11 @@ import time
 
 from deodhar import counting, sweeps
 from deodhar.cells import CellShape, ReducedWord, Subexpression, subexpressions
-from deodhar.cyclo import all_linear_characters, e_psi_check, linear_character, unitriangular_group
 from deodhar.flags import dl_piece_count, enumerate_flags, gl3_example_counts
 from deodhar.frobenius import cell_invariants, orbit_data, quotient_model
 from deodhar.rootdata import LETTERS, build_root_system
+
+from cyclotomic import all_linear_characters, e_psi_check, linear_character, unitriangular_group
 
 
 class _Timer:

@@ -450,6 +450,17 @@ def test_predict_rejects_non_integer_psi_component(capsys, psi, bad):
     assert out == ""
     assert f"bad character component {bad}" in err
 
+
+@pytest.mark.parametrize("psi, bad", [("=1,t=1,u=1", "''"), ("tu=1,s=1,u=1", "'tu'")])
+def test_predict_rejects_psi_letter_that_is_not_one_letter(capsys, psi, bad):
+    code, out, err = run_cli(
+        capsys, "predict", "A", "3", "--word", "stu", "--q", "2", "--psi", psi
+    )
+    assert code == 2
+    assert out == ""
+    assert f"letter {bad} is not a simple reflection" in err
+
+
 @pytest.mark.parametrize(
     "twist, psi, first, second",
     [
@@ -524,6 +535,23 @@ def test_cli_import_loads_no_process_pool():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+def test_cli_import_loads_every_shipped_module():
+    # a module that no command imports is code that no user runs; a
+    # cross-check that only tests call belongs in tests/
+    probe = (
+        "import pkgutil, sys, deodhar, deodhar.cli; "
+        "names = [m.name for m in pkgutil.iter_modules(deodhar.__path__)]; "
+        "print(len(names), sorted(n for n in names if 'deodhar.' + n not in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(deodhar.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    count, missing = out.split(" ", 1)
+    assert int(count) >= 9
+    assert missing == "[]\n"
 
 
 # Text with the characters JSON must escape: quotes, backslashes, control

@@ -2,6 +2,7 @@
 reduced-word tree against enumeration."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from deodhar.counting import (
     schubert_cell_poly,
 )
 from deodhar.errors import ConfigError
-from deodhar.flags import double_cell_count
+from deodhar.flags import double_cell_census
 from deodhar.rootdata import (
     RootSystem,
     build_root_system,
@@ -33,6 +34,13 @@ def test_polynomial_normalisation():
     assert IntPolynomial.from_coeffs([0, 0]).coeffs == ()
     assert IntPolynomial.zero().degree == -1
     assert IntPolynomial.q_power(3).coeffs == (0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("coeffs", [[0.5, 1.9], [Fraction(1, 2)], [1, True]])
+def test_polynomial_coefficients_must_be_ints(coeffs):
+    # int() would truncate [0.5, 1.9] to q
+    with pytest.raises(ConfigError, match="coefficients must be ints"):
+        IntPolynomial.from_coeffs(coeffs)
 
 
 def test_polynomial_str():
@@ -86,7 +94,7 @@ def test_deodhar_poly_rank_one_vs_flag_count():
     poly = deodhar_poly(word, e)
     assert poly.coeffs == (-1, 1)
     for q in (2, 3, 5):
-        assert poly(q) == double_cell_count(2, q, s, e)
+        assert poly(q) == double_cell_census(2, q)[s, e]
 
 
 def test_deodhar_poly_not_comparable_is_zero():

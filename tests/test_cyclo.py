@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from deodhar.cyclo import (
+from deodhar.errors import ConfigError, PreconditionError
+
+from cyclotomic import (
     CyclotomicRational,
     IdempotentReport,
     all_linear_characters,
@@ -12,7 +14,6 @@ from deodhar.cyclo import (
     linear_character,
     unitriangular_group,
 )
-from deodhar.errors import ConfigError, PreconditionError
 
 
 def test_zeta_relations():

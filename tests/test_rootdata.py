@@ -146,6 +146,14 @@ def test_unsupported_configurations():
         build_root_system("a", 2)
 
 
+@pytest.mark.parametrize("text", ["", "st"])
+def test_letter_index_takes_exactly_one_letter(text):
+    # LETTERS.find would read "" as s and "st" as s
+    rs = build_root_system("A", 3)
+    with pytest.raises(ConfigError, match=f"letter {text!r} is not a simple"):
+        rs.letter_index(text)
+
+
 def test_simple_reflection_examples():
     rs = build_root_system("A", 2)
     s, t = rs.simple_reflection(0), rs.simple_reflection(1)
