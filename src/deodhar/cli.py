@@ -573,7 +573,7 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_psi(spec: str, od: frobenius.OrbitData, rs) -> frobenius.RegularCharacter:
-    if spec in ("default", "regular-default"):
+    if spec == "default":
         return frobenius.RegularCharacter.regular_default(od)
     components = {}
     letters = {}  # orbit representative -> the letter that named it
@@ -598,7 +598,7 @@ def _parse_psi(spec: str, od: frobenius.OrbitData, rs) -> frobenius.RegularChara
 
 
 def _parse_twist(args, rs) -> frobenius.OrbitData:
-    if args.twist in (None, "split"):
+    if args.twist == "split":
         return frobenius.orbit_data(rs, args.q)
     phi = tuple(rs.letter_index(ch) for ch in args.twist)
     if len(phi) != rs.rank:

@@ -4,14 +4,14 @@ Counting an affine line as q points and a torus as q-1, a Deodhar cell of
 shape (n, m) has q^n (q-1)^m rational points and a double Schubert cell has
 the sum of its cell polynomials.  The same polynomial is produced, completely
 independently, by the classical two-case R-polynomial recursion; the equality
-of the two routes is the package's central oracle.
+of the two routes is the package's central oracle.  The recursion always
+steps down by the smallest left descent of w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 from . import cells
 from .errors import ConfigError
@@ -86,9 +86,6 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial.from_coeffs(out)
 
-    def scale(self, c: int) -> "IntPolynomial":
-        return IntPolynomial.from_coeffs(c * x for x in self.coeffs)
-
     def __call__(self, q: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -146,20 +143,15 @@ def schubert_cell_poly(w: WeylElement) -> IntPolynomial:
 
 
 @lru_cache(maxsize=None)
-def r_polynomial(
-    v: WeylElement,
-    w: WeylElement,
-    _descent: Optional[Callable[[frozenset[int]], int]] = None,
-) -> IntPolynomial:
+def r_polynomial(v: WeylElement, w: WeylElement) -> IntPolynomial:
     """Kazhdan-Lusztig R-polynomial R_{v,w} by the two-case recursion.
 
-    Pick s with sw < w.  If sv < v then R_{v,w} = R_{sv,sw}; otherwise
-    R_{v,w} = (q-1) R_{v,sw} + q R_{sv,sw}.  Bases: R_{w,w} = 1 and
-    R_{v,w} = 0 unless v <= w.  The default descent choice is the smallest
-    index; the result is descent-independent (a tested property), and a
-    choice outside w's left descents raises ConfigError.  Every
-    value is cached, keyed by (v, w) and the descent choice, and each step of
-    the recursion is a call of this function.
+    Take s the smallest left descent of w, so sw < w.  If sv < v then
+    R_{v,w} = R_{sv,sw}; otherwise R_{v,w} = (q-1) R_{v,sw} + q R_{sv,sw}.
+    Bases: R_{w,w} = 1 and R_{v,w} = 0 unless v <= w.  The result does not
+    depend on the descent taken; the tests check that against a recursion on
+    the largest descent.  Every value is cached, keyed by (v, w), and each
+    step of the recursion is a call of this function.
 
     >>> from deodhar.rootdata import build_root_system
     >>> rs = build_root_system("A", 2)
@@ -173,22 +165,13 @@ def r_polynomial(
         return IntPolynomial.one()
     if not bruhat_leq(v, w):
         return IntPolynomial.zero()
-    descents = w.left_descents()
-    i = (_descent or min)(descents)
-    if i not in descents:
-        raise ConfigError(
-            f"descent chooser returned {i!r}, not a left descent of {w.word_str} "
-            f"(left descents {sorted(descents)})"
-        )
-    s = v.system.simple_reflection(i)
+    s = v.system.simple_reflection(min(w.left_descents()))
     sw = s * w
     sv = s * v
-    # the default is passed as the top-level calls pass it, so they share keys
-    descent = () if _descent is None else (_descent,)
     if sv.length < v.length:
-        return r_polynomial(sv, sw, *descent)
-    lower = r_polynomial(v, sw, *descent).coeffs
-    upper = r_polynomial(sv, sw, *descent).coeffs
+        return r_polynomial(sv, sw)
+    lower = r_polynomial(v, sw).coeffs
+    upper = r_polynomial(sv, sw).coeffs
     # (q - 1) lower + q upper, coefficient by coefficient
     out = [0] * (max(len(lower), len(upper)) + 1)
     for j, c in enumerate(lower):

@@ -3,8 +3,9 @@
 A flag coset gB is stored by its unique column-reduced representative: pivots
 are the bottom-most nonzero entries, normalised to 1, with the rest of each
 pivot row cleared to the right.  The pivot positions of the canonical form
-read off the Schubert cell directly, and the same reduction applied to
-g^{-1} F(g) decides membership of Deligne-Lusztig pieces.  Everything here is
+read off the Schubert cell directly, and the same reduction applied to the
+Lang image g^{-1} F(g), found by one Gauss-Jordan solve of g x = F(g), decides
+membership of Deligne-Lusztig pieces.  Everything here is
 exhaustive enumeration; these counts are the independent ground truth against
 which the polynomial formulas are checked.
 
@@ -123,29 +124,12 @@ def _gl_permutation(n: int, w: WeylElement) -> Perm:
 # -- matrices over FqField ---------------------------------------------------
 
 
-def mat_mul(f: FqField, a: Rows, b: Rows) -> Rows:
-    # sum_k a_ik b_kj is accumulated as 0 - sum_k (-a_ik) b_kj, so each term
-    # is one mul-row lookup and one sub-row lookup
-    sub, mul = f.sub_table(), f.mul_table()
-    neg = sub[0]
-    cols = list(zip(*b))
-    out = []
-    for row in a:
-        neg_rows = [mul[neg[x]] for x in row]
-        out_row = []
-        for col in cols:
-            acc = 0
-            for mul_x, y in zip(neg_rows, col):
-                acc = sub[acc][mul_x[y]]
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def mat_inverse(f: FqField, a: Rows) -> Rows:
+def _solve(f: FqField, a: Rows, b: Rows) -> Rows:
+    """a^{-1} b, by Gauss-Jordan elimination on the rows of [a | b];
+    ZeroDivisionError when a is singular."""
     sub, mul = f.sub_table(), f.mul_table()
     n = len(a)
-    aug = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    aug = [list(a_row) + list(b_row) for a_row, b_row in zip(a, b)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -158,10 +142,6 @@ def mat_inverse(f: FqField, a: Rows) -> Rows:
                 mul_c = mul[aug[r][col]]
                 aug[r] = [sub[x][mul_c[y]] for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_frobenius(f: FqField, a: Rows, q: int) -> Rows:
-    return tuple(tuple(f.pow(x, q) for x in row) for row in a)
 
 
 def mat_rank(f: FqField, rows: list[list[int]]) -> int:
@@ -497,9 +477,10 @@ def _check_first_flag(
 
 
 def _lang_perm(f: FqField, g: Rows, q: int) -> Perm:
-    """Bruhat cell of the Lang image g^{-1} F(g), F the entrywise q-power."""
-    lang = mat_mul(f, mat_inverse(f, g), mat_frobenius(f, g, q))
-    return canonical_flag(f, lang).pivots
+    """Bruhat cell of the Lang image g^{-1} F(g), F the entrywise q-power,
+    found by one solve of g x = F(g)."""
+    frob_g = tuple(tuple(f.pow(x, q) for x in row) for row in g)
+    return canonical_flag(f, _solve(f, g, frob_g)).pivots
 
 
 def _extension_field(q: int, k: int) -> FqField:
@@ -613,14 +594,9 @@ def gl3_example_counts(q: int, k: int = 1) -> Gl3ExampleCounts:
 # -- torus orders -------------------------------------------------------------
 
 
-def _perm_cycles(w: WeylElement | Perm) -> list[int]:
-    """Cycle lengths of w's permutation; a tuple must permute range(len)."""
-    if isinstance(w, WeylElement):
-        sigma = permutation_of(w)
-    else:
-        sigma = tuple(w)
-        if sorted(sigma) != list(range(len(sigma))):
-            raise ConfigError(f"{sigma} is not a permutation of range({len(sigma)})")
+def _perm_cycles(w: WeylElement) -> list[int]:
+    """Cycle lengths of w's permutation."""
+    sigma = permutation_of(w)
     seen = [False] * len(sigma)
     lengths = []
     for i in range(len(sigma)):
@@ -635,7 +611,7 @@ def _perm_cycles(w: WeylElement | Perm) -> list[int]:
     return lengths
 
 
-def torus_order(w: WeylElement | Perm, q: int) -> int:
+def torus_order(w: WeylElement, q: int) -> int:
     """|T^{wF}| for the diagonal torus of GL_n: product of q^c - 1 over cycles.
 
     This is |det(q Id - A_w)| for the permutation action A_w on the
@@ -647,7 +623,7 @@ def torus_order(w: WeylElement | Perm, q: int) -> int:
     return out
 
 
-def torus_order_enumerated(w: WeylElement | Perm, q: int) -> int:
+def torus_order_enumerated(w: WeylElement, q: int) -> int:
     """Brute-force |T^{wF}|: count Lang-twisted diagonal tuples cycle by cycle."""
     out = 1
     for c in _perm_cycles(w):

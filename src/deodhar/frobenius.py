@@ -33,6 +33,7 @@ from typing import Mapping, Optional
 
 from . import cells
 from .errors import BudgetError, ConfigError, EmptyCellError, PreconditionError
+from .flags import torus_order
 from .gf import MAX_FIELD_ORDER, _difference_walk, _factor_prime_power, field
 from .rootdata import RootSystem, WeylElement
 
@@ -204,9 +205,9 @@ class RegularCharacter:
 
     @classmethod
     def from_mapping(cls, components: Mapping[int, int]) -> "RegularCharacter":
-        if not all(isinstance(x, int) for item in components.items() for x in item):
+        if not all(type(x) is int for item in components.items() for x in item):
             raise ConfigError(f"character components {components!r} are not integers")
-        return cls(tuple(sorted((int(k), int(v)) for k, v in components.items())))
+        return cls(tuple(sorted(components.items())))
 
     @classmethod
     def regular_default(cls, od: OrbitData) -> "RegularCharacter":
@@ -577,7 +578,5 @@ def theorem_table(
     t_order = None
     if sys.type_label == "A" and od.is_split:
         # the split GL_n diagonal-torus model; no twisted analogue is kept
-        from .flags import torus_order
-
         t_order = torus_order(word.target, od.q)
     return PredictionTable(word, od, psi, tuple(rows), survivor, shift, t_order)

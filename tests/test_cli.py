@@ -441,7 +441,10 @@ def test_predict_rejects_multiplier_outside_field(capsys, psi):
 
 
 
-@pytest.mark.parametrize("psi, bad", [("s=x,t=1", "'s=x'"), ("s,t=1", "'s'")])
+@pytest.mark.parametrize(
+    "psi, bad",
+    [("s=x,t=1", "'s=x'"), ("s,t=1", "'s'"), ("regular-default", "'regular-default'")],
+)
 def test_predict_rejects_non_integer_psi_component(capsys, psi, bad):
     code, out, err = run_cli(
         capsys, "predict", "A", "2", "--word", "sts", "--psi", psi

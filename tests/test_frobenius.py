@@ -233,6 +233,11 @@ def test_regular_character_rejects_components_that_are_not_integers():
         RegularCharacter.from_mapping({0: 1.7, 1: 1})
     with pytest.raises(ConfigError, match="not integers"):
         RegularCharacter.from_mapping({0.0: 1, 1: 1})
+    # bool is a subclass of int, but neither True nor False is a component
+    with pytest.raises(ConfigError, match="not integers"):
+        RegularCharacter.from_mapping({0: True, 1: True})
+    with pytest.raises(ConfigError, match="not integers"):
+        RegularCharacter.from_mapping({False: 1, 1: 1})
     assert RegularCharacter.from_mapping({1: 1, 0: 2}).components == ((0, 2), (1, 1))
 
 
