@@ -216,10 +216,8 @@ def _walk(
 
     With prune, a forced letter (one the running partial product has as a
     right descent) must be taken, so only distinguished subexpressions are
-    reached.  Only leaves ending at end are kept when end is given, and the
-    walk turns back as soon as the partial product y can no longer reach end:
-    every letter changes the length by at most one, so once |l(y) - l(end)|
-    exceeds the letters left no leaf below ends at end.
+    reached.  When end is given, the walk is restricted at its leaves only:
+    a leaf becomes a ``Subexpression`` when its product is end.
     """
     if word.r > MAX_WORD_LENGTH:
         raise BudgetError(
@@ -228,17 +226,14 @@ def _walk(
     sys = word.system
     r = word.r
     letters = word.letters
-    rmul, forced, lengths = sys._rmul, _forced_letters(sys), sys._lengths
+    rmul, forced = sys._rmul, _forced_letters(sys)
     target = None if end is None else end.index
-    goal = None if end is None else lengths[target]
     out: list[Subexpression] = []
 
     def rec(i: int, bits: list[int], x: int) -> None:
         if i == r:
             if target is None or x == target:
                 out.append(Subexpression(word, bits))
-            return
-        if target is not None and abs(lengths[x] - goal) > r - i:
             return
         s = letters[i]
         xs = rmul[s][x]

@@ -12,11 +12,13 @@ Three subcommands:
 ``_json_text``, byte for byte what ``json.dumps`` prints with ``indent=2`` and
 ``sort_keys=True``: whenever ``indent`` is set, the standard library skips its
 C encoder and runs a pure-Python one, which made printing the reports slower
-than computing them.  ``verify`` streams: the sweeps of its suite (``SUITES``)
-yield rows one at a time, ``_cmd_verify`` counts them and hands each to the
-row sink of the chosen format, and no row is kept beyond a block of
-``JSON_ROW_BLOCK``, so memory does not grow with the number of checks.  Table
-lines are printed as rows arrive, since the summary comes last.  JSON prints
+than computing them.  ``verify`` streams: a suite declares its options, their
+defaults and its sweeps once in ``SUITES``, an option of another suite is a
+configuration error, and the sweeps yield rows one at a time.  ``_cmd_verify``
+counts them and hands each to the row sink of the chosen format, and no row is
+kept beyond a block of ``JSON_ROW_BLOCK``, so memory does not grow with the
+number of checks.  Table lines are printed as rows arrive, since the summary
+comes last.  JSON prints
 the counts before ``rows`` and csv prints the union of parameter keys in its
 header, so those sinks encode each row once into a temporary file (the spool),
 json a block of consecutive rows with the same parameter keys at a time, all
@@ -266,59 +268,65 @@ def _cmd_decompose(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 
-def _check_n(args) -> None:
-    if not 2 <= args.n <= flags.MAX_MATRIX_SIZE:
+def _check_n(n: int, **_) -> None:
+    if not 2 <= n <= flags.MAX_MATRIX_SIZE:
         raise ConfigError(
-            f"--n must satisfy 2 <= n <= {flags.MAX_MATRIX_SIZE}, got {args.n}"
+            f"--n must satisfy 2 <= n <= {flags.MAX_MATRIX_SIZE}, got {n}"
         )
 
 
-def _check_k(args) -> None:
-    if args.k < 1:
-        raise ConfigError(f"--k must satisfy k >= 1, got {args.k}")
+def _check_k(k: int, **_) -> None:
+    if k < 1:
+        raise ConfigError(f"--k must satisfy k >= 1, got {k}")
 
 
-def _check_max_rank(args) -> None:
+def _check_max_rank(max_rank: int) -> None:
     top = max(rank for _, rank in sweeps.RANK_LE_3_TYPES)
-    if args.max_rank > top:
+    if max_rank > top:
         raise ConfigError(
             f"--max-rank must be at most {top}, the largest rank swept; "
-            f"got {args.max_rank}"
+            f"got {max_rank}"
         )
 
 
-# suite -> (option check or None, its sweeps in report order: the name of a
-# ``sweeps`` function, then the options passed to it)
+# suite -> (its options with their defaults, a check of their values or None,
+# the ``sweeps`` functions of its rows in report order, each called with the
+# suite's options in order)
 SUITES = {
     "deodhar-vs-rpoly": (
-        None,
-        (("oracle_triangle_rows", "type", "rank"), ("partition_rows", "type", "rank")),
+        {"type": "A", "rank": 2}, None, ("oracle_triangle_rows", "partition_rows")
     ),
-    "flags": (
-        _check_n,
-        (("flag_census_rows", "n", "q"), ("double_cell_rows", "n", "q")),
-    ),
-    "gl3-example": (_check_k, (("gl3_rows", "q", "k"),)),
-    "vanishing": (
-        _check_max_rank,
-        (("vanishing_rows", "max_rank"), ("witness_rows", "max_rank")),
-    ),
-    "xq-models": (None, (("xq_model_rows", "max_qk", "max_nm"),)),
+    "flags": ({"n": 3, "q": 2}, _check_n, ("flag_census_rows", "double_cell_rows")),
+    "gl3-example": ({"q": 2, "k": 1}, _check_k, ("gl3_rows",)),
+    "vanishing": ({"max_rank": 3}, _check_max_rank, ("vanishing_rows", "witness_rows")),
+    "xq-models": ({"max_qk": 64, "max_nm": 3}, None, ("xq_model_rows",)),
 }
 
 
 def _verify_rows(args):
     """Check the options of the chosen suite; return its rows, sweep by sweep.
 
+    An option of another suite given on the command line is a ConfigError;
+    an option of this suite left out takes its default from ``SUITES``.
     Each sweep is looked up in ``sweeps`` by name when its turn comes, so a
     wrapper installed on the module after import sees the call.
     """
-    check, groups = SUITES[args.suite]
+    options, check, names = SUITES[args.suite]
+    for other, _, _ in SUITES.values():
+        for option in other:
+            if option not in options and getattr(args, option) is not None:
+                raise ConfigError(
+                    f"--{option.replace('_', '-')} is not an option of suite "
+                    f"{args.suite!r}"
+                )
+    values = {
+        option: default if getattr(args, option) is None else getattr(args, option)
+        for option, default in options.items()
+    }
     if check is not None:
-        check(args)
+        check(**values)
     return itertools.chain.from_iterable(
-        getattr(sweeps, name)(*(getattr(args, o) for o in options))
-        for name, *options in groups
+        getattr(sweeps, name)(*values.values()) for name in names
     )
 
 
@@ -726,14 +734,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run an exhaustive identity suite")
     ver.add_argument("suite", choices=SUITES)
-    ver.add_argument("--type", choices=list("ABCDG"), default="A")
-    ver.add_argument("--rank", type=int, default=2)
-    ver.add_argument("--n", type=int, default=3)
-    ver.add_argument("--q", type=int, default=2)
-    ver.add_argument("--k", type=int, default=1)
-    ver.add_argument("--max-rank", type=int, default=3)
-    ver.add_argument("--max-qk", type=int, default=64)
-    ver.add_argument("--max-nm", type=int, default=3)
+    # the options of every suite; defaults and checks are in SUITES
+    ver.add_argument("--type", choices=list("ABCDG"))
+    ver.add_argument("--rank", type=int)
+    ver.add_argument("--n", type=int)
+    ver.add_argument("--q", type=int)
+    ver.add_argument("--k", type=int)
+    ver.add_argument("--max-rank", type=int)
+    ver.add_argument("--max-qk", type=int)
+    ver.add_argument("--max-nm", type=int)
     ver.add_argument("--format", choices=FORMATS, default="table")
     ver.set_defaults(func=_cmd_verify)
 

@@ -5,7 +5,9 @@ are the bottom-most nonzero entries, normalised to 1, with the rest of each
 pivot row cleared to the right.  The pivot positions of the canonical form
 read off the Schubert cell directly, and the same reduction applied to the
 Lang image g^{-1} F(g), found by one Gauss-Jordan solve of g x = F(g), decides
-membership of Deligne-Lusztig pieces.  Everything here is
+membership of Deligne-Lusztig pieces.  That solve and ``mat_rank`` run the
+one row elimination ``_reduce``; ``canonical_flag`` reduces columns on its
+own.  Everything here is
 exhaustive enumeration; these counts are the independent ground truth against
 which the polynomial formulas are checked.
 
@@ -124,31 +126,12 @@ def _gl_permutation(n: int, w: WeylElement) -> Perm:
 # -- matrices over FqField ---------------------------------------------------
 
 
-def _solve(f: FqField, a: Rows, b: Rows) -> Rows:
-    """a^{-1} b, by Gauss-Jordan elimination on the rows of [a | b];
-    ZeroDivisionError when a is singular."""
+def _reduce(f: FqField, rows: list[list[int]], ncols: int) -> int:
+    """Gauss-Jordan elimination of rows on their first ncols columns, in
+    place: pivots scaled to 1 and moved up, cleared in every other row.
+    Returns the rank."""
     sub, mul = f.sub_table(), f.mul_table()
-    n = len(a)
-    aug = [list(a_row) + list(b_row) for a_row, b_row in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        mul_inv = mul[f.inv(aug[col][col])]
-        aug[col] = [mul_inv[x] for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                mul_c = mul[aug[r][col]]
-                aug[r] = [sub[x][mul_c[y]] for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_rank(f: FqField, rows: list[list[int]]) -> int:
-    sub, mul = f.sub_table(), f.mul_table()
-    rows = [list(r) for r in rows]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
@@ -162,6 +145,22 @@ def mat_rank(f: FqField, rows: list[list[int]]) -> int:
                 rows[r] = [sub[x][mul_c[y]] for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def _solve(f: FqField, a: Rows, b: Rows) -> Rows:
+    """a^{-1} b, by ``_reduce`` on the rows of [a | b] over the columns of a;
+    ZeroDivisionError when a is singular."""
+    n = len(a)
+    aug = [list(a_row) + list(b_row) for a_row, b_row in zip(a, b)]
+    if _reduce(f, aug, n) < n:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def mat_rank(f: FqField, rows: list[list[int]]) -> int:
+    """The rank of a matrix over f, by ``_reduce`` on a copy of its rows."""
+    rows = [list(r) for r in rows]
+    return _reduce(f, rows, len(rows[0]) if rows else 0)
 
 
 # -- canonical flags ----------------------------------------------------------

@@ -138,14 +138,11 @@ def vanishing_witness(x: WeylElement) -> Optional[int]:
 
     Such a root lets the finite orbit group acting on the quotient of the
     piece indexed by x extend to a connected group, which kills every regular
-    isotypic part; only x = w0 has no witness.
+    isotypic part; only x = w0 has no witness.  x^{-1}(alpha_a) > 0 exactly
+    when s_a is not a left descent of x, so it is read off the left-descent
+    table; ``sweeps.witness_rows`` checks it against the root action.
     """
-    sys = x.system
-    xinv = x.inverse()
-    for i in range(sys.rank):
-        if sys.is_positive(xinv.act(sys.simple_roots[i])):
-            return i
-    return None
+    return min(set(range(x.system.rank)) - x.left_descents(), default=None)
 
 
 @lru_cache(maxsize=None)

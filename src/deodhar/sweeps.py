@@ -24,6 +24,7 @@ from .counting import IntPolynomial
 from .errors import BudgetError, ConfigError
 from .gf import _difference_walk, _factor_prime_power, field
 from .rootdata import (
+    _SUPPORTED_RANKS,
     RootSystem,
     build_root_system,
     bruhat_leq,
@@ -31,17 +32,10 @@ from .rootdata import (
     word_str,
 )
 
-RANK_LE_3_TYPES = (
-    ("A", 1),
-    ("A", 2),
-    ("A", 3),
-    ("B", 2),
-    ("B", 3),
-    ("C", 2),
-    ("C", 3),
-    ("G", 2),
+# the supported root systems of rank at most 3, by type and then rank
+RANK_LE_3_TYPES = tuple(
+    (t, rank) for t, ranks in _SUPPORTED_RANKS.items() for rank in ranks if rank <= 3
 )
-ORACLE_TYPES = (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2))
 # one row per (w, word, v) check.  Rows are not kept, so the cap bounds time
 # and report size: A4 (256,005) takes seconds and prints 98 MB of json, D4
 # (1,379,685) would print over 500 MB
@@ -371,7 +365,7 @@ def _vanishing_by_enumeration(
     return with_witness, nontrivial, all_skip, clean and all_skip == 1
 
 
-def vanishing_rows(max_rank: int = 3) -> Iterator[dict]:
+def vanishing_rows(max_rank: int) -> Iterator[dict]:
     """Core of the vanishing theorem, swept over all diagram automorphisms.
 
     For every reduced word of every w, over the distinguished subexpressions
@@ -432,8 +426,12 @@ def vanishing_rows(max_rank: int = 3) -> Iterator[dict]:
                     )
 
 
-def witness_rows(max_rank: int = 3) -> Iterator[dict]:
-    """vanishing_witness(x) exists iff x != w0, validated by the action."""
+def witness_rows(max_rank: int) -> Iterator[dict]:
+    """vanishing_witness(x) exists iff x != w0, validated by the action.
+
+    ``vanishing_witness`` reads the left-descent table; valid says that it
+    found the smallest a with x^{-1}(alpha_a) positive, by the root action.
+    """
     for type_label, rank in RANK_LE_3_TYPES:
         if rank > max_rank:
             continue
@@ -441,9 +439,13 @@ def witness_rows(max_rank: int = 3) -> Iterator[dict]:
         w0 = rs.longest_element()
         for x in rs.weyl_elements():
             witness = frobenius.vanishing_witness(x)
-            valid = witness is None or rs.is_positive(
-                x.inverse().act(rs.simple_roots[witness])
+            xinv = x.inverse()
+            ascents = (
+                a
+                for a, alpha in enumerate(rs.simple_roots)
+                if rs.is_positive(xinv.act(alpha))
             )
+            valid = witness == next(ascents, None)
             yield _row(
                 "witness-root",
                 {"type": type_label, "rank": rank, "x": x.word_str},
@@ -495,7 +497,7 @@ def unique_torus_rows(type_label: str, rank: int) -> Iterator[dict]:
 # -- Artin-Schreier models ------------------------------------------------------
 
 
-def xq_brute_count(q: int, n: int, m: int, k: int = 1) -> int:
+def xq_brute_count(q: int, n: int, m: int, k: int) -> int:
     """Exhaustive count of X_q(n, m)(F_{q^k}), independent of the closed form.
 
     Counts the pairs of a zeta and a tuple of every coordinate but the last,
@@ -522,7 +524,7 @@ def xq_brute_count(q: int, n: int, m: int, k: int = 1) -> int:
     return targets.count(0)
 
 
-def xq_full_product_count(q: int, n: int, m: int, k: int = 1) -> int:
+def xq_full_product_count(q: int, n: int, m: int, k: int) -> int:
     """Naive full-product count of X_q(n, m)(F_{q^k}): every coordinate is
     enumerated and each (zeta, tuple) is tested against the equation, in one
     ``_difference_walk`` from every zeta^q - zeta.
@@ -537,7 +539,7 @@ def xq_full_product_count(q: int, n: int, m: int, k: int = 1) -> int:
     return _difference_walk(f.packed_sub_table(), targets, ranges)
 
 
-def xq_model_rows(max_qk: int = 64, max_nm: int = 3) -> Iterator[dict]:
+def xq_model_rows(max_qk: int, max_nm: int) -> Iterator[dict]:
     """Closed-form X_q(n, m) point counts against the brute-force counters.
 
     Each row is yielded as soon as it is made: when a count exceeds its

@@ -14,6 +14,9 @@ from deodhar.rootdata import LETTERS, build_root_system
 
 from cyclotomic import all_linear_characters, e_psi_check, linear_character, unitriangular_group
 
+# the root systems whose oracle triangles and cell partitions are swept here
+ORACLE_TYPES = (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2))
+
 
 class _Timer:
     def __init__(self, limit_seconds):
@@ -64,7 +67,7 @@ def test_criterion_1_gl3_deodhar_census():
 def test_criterion_2_oracle_triangle():
     with _Timer(300.0) as t:
         total = 0
-        for type_label, rank in sweeps.ORACLE_TYPES:
+        for type_label, rank in ORACLE_TYPES:
             total += _assert_rows(sweeps.oracle_triangle_rows(type_label, rank))
         brute = 0
         for n, q in ((3, 2), (3, 3), (4, 2)):
@@ -111,7 +114,7 @@ def test_a4_oracle_triangle_and_partition(monkeypatch):
 def test_criterion_3_partition_cross_foot():
     with _Timer(60.0) as t:
         total = 0
-        for type_label, rank in sweeps.ORACLE_TYPES:
+        for type_label, rank in ORACLE_TYPES:
             total += _assert_rows(sweeps.partition_rows(type_label, rank))
         assert len(enumerate_flags(3, 2)) == 21
         assert len(enumerate_flags(3, 3)) == 52

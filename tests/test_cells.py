@@ -335,10 +335,15 @@ def _bits_by_end(subs) -> dict:
     return out
 
 
-@pytest.mark.parametrize("type_label, rank", RANK_LE_3_TYPES)
+# B3 and C3 are left out: their 209 reduced words by 48 ends each took over
+# 5 s, and test_word_tree_vanishing_equals_enumeration checks the end filter
+# at e on every reduced word of every rank-3 system
+@pytest.mark.parametrize(
+    "type_label, rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2)]
+)
 def test_end_pruned_walks_equal_the_filtered_walks(type_label, rank):
-    # every reduced word and every v: the walks that turn back once the end is
-    # out of reach keep exactly the leaves of the full walks, in their order
+    # every reduced word and every v: the walks restricted to an end keep
+    # exactly the leaves of the full walks that end there, in their order
     rs = build_root_system(type_label, rank)
     elements = rs.weyl_elements()
     for w in elements:

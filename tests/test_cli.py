@@ -269,6 +269,60 @@ def test_verify_vanishing_rejects_max_rank_above_three(capsys, max_rank):
     assert out == ""
     assert "--max-rank" in err and "at most 3" in err
 
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("flags", "--n", "3", "--q", "2", "--type", "G"),
+            "--type is not an option of suite 'flags'",
+        ),
+        (
+            ("vanishing", "--max-rank", "2", "--n", "9"),
+            "--n is not an option of suite 'vanishing'",
+        ),
+    ],
+    ids=["flags-type", "vanishing-n"],
+)
+def test_verify_rejects_an_option_of_another_suite(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def _readme_command_block() -> str:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+
+
+def test_readme_verify_lines_pass_the_option_check():
+    text = _readme_command_block()
+    lines = [
+        line.split("#")[0].split()[1:]
+        for line in text.split("```")[1].splitlines()
+        if line.startswith("deodhar verify")
+    ]
+    assert {argv[1] for argv in lines} == set(cli.SUITES)
+    parser = cli._build_parser()
+    for argv in lines:
+        # not iterated: the sweeps run only when their rows are read
+        cli._verify_rows(parser.parse_args(argv))
+    # the table of suite options lists each suite's options and defaults
+    for suite, (options, _, _) in cli.SUITES.items():
+        given = " ".join(f"--{o.replace('_', '-')} {d}" for o, d in options.items())
+        assert f"| `{suite}` | `{given}` |" in text
+
+
+def test_verify_gl3_example_runs_on_the_suite_defaults(capsys):
+    code, out, _ = run_cli(capsys, "verify", "gl3-example", "--q", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "PASS"
+    # k defaults to 1, where the rational points of the big piece are empty
+    assert [r["parameters"]["k"] for r in payload["rows"] if r["test"] == "gl3-k1-empty"] == [1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [("xq-models", "--max-nm", "-1"), ("vanishing", "--max-rank", "0")],
@@ -697,11 +751,6 @@ def _row(lhs, rhs, **parameters) -> dict:
     return sweeps._row("t", parameters, lhs, rhs)
 
 
-@given(VERIFY_PAYLOADS)
-def test_verify_json_equals_indented_json_dumps(payload):
-    assert _verify_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 # [1] == [True] and hash((1,)) == hash((True,)), but they print 1 and true
 KEEPS_APART = {
     "int-then-bool": [
@@ -735,8 +784,9 @@ def test_verify_json_keeps_ints_bools_and_mismatches_apart(rows):
 
 @given(VERIFY_PAYLOADS)
 def test_verify_json_equals_indented_json_dumps_in_small_blocks(payload):
+    # None: the module's JSON_ROW_BLOCK
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    for block in (1, 2, 3):
+    for block in (1, 2, 3, None):
         assert _verify_json(payload, block) == expected
 
 

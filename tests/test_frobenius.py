@@ -119,6 +119,28 @@ def test_vanishing_witness_iff_not_longest(type_label, rank):
             assert rs.is_positive(x.inverse().act(rs.simple_roots[witness]))
 
 
+def test_witness_rows_check_the_descent_table_against_the_action(monkeypatch):
+    # a fresh A2 whose table says s has no left descent: alpha_s, the witness
+    # read off it, is sent to a negative root by s^{-1} = s
+    rs = RootSystem("A", 2)
+    s = rs.simple_reflection(0).index
+    rs._left_descents = tuple(
+        frozenset() if k == s else d for k, d in enumerate(rs._left_descents)
+    )
+    monkeypatch.setattr(
+        sweeps,
+        "build_root_system",
+        lambda t, r: rs if (t, r) == ("A", 2) else build_root_system(t, r),
+    )
+    valid = {
+        row["parameters"]["x"]: row["lhs"][1]
+        for row in sweeps.witness_rows(2)
+        if row["parameters"]["type"] == "A" and row["parameters"]["rank"] == 2
+    }
+    assert valid.pop("s") is False
+    assert all(valid.values())
+
+
 def test_cell_invariants_examples():
     rs, od = _split_a2()
     word = ReducedWord.from_letters(rs, (0, 1, 0))

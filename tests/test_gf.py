@@ -207,8 +207,8 @@ def test_xq_brute_counts_match_point_count_odd_extensions(q):
     for n in range(3):
         for m in range(3 - n):
             expected = xq_point_count(q, n, m)
-            assert xq_brute_count(q, n, m) == expected
-            assert xq_full_product_count(q, n, m) == expected
+            assert xq_brute_count(q, n, m, 1) == expected
+            assert xq_full_product_count(q, n, m, 1) == expected
 
 
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (4, 2)])
@@ -240,8 +240,8 @@ def test_artin_schreier_count_budgets(monkeypatch):
         xq_point_count(5, 0, 11)
     # the cap is inclusive: F_4 with m = 3 walks 4 * 3^2 = 36 tuples
     monkeypatch.setattr(frobenius, "MAX_MODEL_TUPLES", 36)
-    assert xq_point_count(4, 0, 3) == xq_brute_count(4, 0, 3) == 24
-    assert yqs_point_count(4, 5, 0, 3) == xq_brute_count(4, 0, 3)
+    assert xq_point_count(4, 0, 3) == xq_brute_count(4, 0, 3, 1) == 24
+    assert yqs_point_count(4, 5, 0, 3) == xq_brute_count(4, 0, 3, 1)
     monkeypatch.setattr(frobenius, "MAX_MODEL_TUPLES", 35)
     with pytest.raises(BudgetError, match="tuple budget"):
         xq_point_count(4, 0, 3)
