@@ -25,25 +25,21 @@ of -beta_i (``_negative_simple_roots``).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Optional
 
-from .errors import BudgetError, ConfigError, EmptyCellError, NotComparableError
+from .errors import BudgetError, ConfigError, EmptyCellError, NotComparableError, Record
 from .rootdata import Root, RootSystem, WeylElement, bruhat_leq, word_str
 
 MAX_WORD_LENGTH = 20
 _BITS = frozenset((0, 1))
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(Record):
     """A fixed reduced expression of a Weyl group element."""
 
-    system: RootSystem
-    letters: tuple[int, ...]
-    target: WeylElement
+    __slots__ = ("system", "letters", "target")
 
     @classmethod
     def from_letters(cls, system: RootSystem, letters: Iterable[int]) -> "ReducedWord":
@@ -72,12 +68,14 @@ class ReducedWord:
         return f"ReducedWord({self.display!r} in {self.system.type_label}{self.system.rank})"
 
 
-@dataclass(frozen=True)
-class CellShape:
+class CellShape(Record):
     """Cell isomorphic to (G_a)^n_affine x (G_m)^m_torus."""
 
-    n_affine: int
-    m_torus: int
+    __slots__ = ("n_affine", "m_torus")
+
+    def __init__(self, n_affine: int, m_torus: int):
+        object.__setattr__(self, "n_affine", n_affine)
+        object.__setattr__(self, "m_torus", m_torus)
 
     @property
     def dimension(self) -> int:
@@ -88,9 +86,14 @@ class CellShape:
 
 
 class Subexpression:
-    """A bit vector over a reduced word with all derived index data cached."""
+    """A bit vector over a reduced word with all derived index data cached.
+
+    Immutable like a ``Record``, with its own equality and hash.
+    """
 
     __slots__ = ("word", "bits", "partials", "end", "I", "J", "tilde_betas")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __init__(self, word: ReducedWord, bits: Iterable[int]):
         bits = tuple(bits)
@@ -101,8 +104,9 @@ class Subexpression:
         ):
             raise ConfigError("bits must be a 0/1 vector matching the word length")
         bits = tuple(map(int, bits))
-        self.word = word
-        self.bits = bits
+        set_ = object.__setattr__
+        set_(self, "word", word)
+        set_(self, "bits", bits)
         sys = word.system
         letters = word.letters
         y = sys.identity()
@@ -112,21 +116,22 @@ class Subexpression:
                 y = y * sys.simple_reflection(s)
             parts.append(y)
             ys.append(y.index)
-        self.partials = tuple(parts)
-        self.end = y
-        self.I = frozenset([i for i, b in enumerate(bits, 1) if b])
+        set_(self, "partials", tuple(parts))
+        set_(self, "end", y)
+        set_(self, "I", frozenset([i for i, b in enumerate(bits, 1) if b]))
         # beta~_i = gamma^i(-beta_i), a root index read off gamma^i's permutation
         perms, neg = sys._perms, _negative_simple_roots(sys)
         images = [perms[y][neg[s]] for y, s in zip(ys, letters)]
         roots = sys.roots
-        self.tilde_betas = tuple([roots[k] for k in images])
+        set_(self, "tilde_betas", tuple([roots[k] for k in images]))
         forced = _forced_letters(sys)
-        self.J = frozenset(
+        J = frozenset(
             [i for i, (s, y) in enumerate(zip(letters, ys), 1) if forced[s][y]]
         )
+        set_(self, "J", J)
         # the negative roots come first, so a root index at or past n_neg is positive
         n_neg = len(roots) - len(sys.positive_roots)
-        if self.J != frozenset([i for i, k in enumerate(images, 1) if k >= n_neg]):
+        if J != frozenset([i for i, k in enumerate(images, 1) if k >= n_neg]):
             raise AssertionError(
                 f"descent and root-sign computations of J disagree on {self}"
             )

@@ -13,8 +13,9 @@ Three subcommands:
 ``sort_keys=True``: whenever ``indent`` is set, the standard library skips its
 C encoder and runs a pure-Python one, which made printing the reports slower
 than computing them.  ``verify`` streams: a suite declares its options, their
-defaults and its sweeps once in ``SUITES``, an option of another suite is a
-configuration error, and the sweeps yield rows one at a time.  ``_cmd_verify``
+defaults and its sweeps once in ``SUITES`` (``verify --help`` is generated
+from it), an option of another suite is a configuration error, and the sweeps
+yield rows one at a time.  ``_cmd_verify``
 counts them and hands each to the row sink of the chosen format, and no row is
 kept beyond a block of ``JSON_ROW_BLOCK``, so memory does not grow with the
 number of checks.  Table lines are printed as rows arrive, since the summary
@@ -734,15 +735,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run an exhaustive identity suite")
     ver.add_argument("suite", choices=SUITES)
-    # the options of every suite; defaults and checks are in SUITES
-    ver.add_argument("--type", choices=list("ABCDG"))
-    ver.add_argument("--rank", type=int)
-    ver.add_argument("--n", type=int)
-    ver.add_argument("--q", type=int)
-    ver.add_argument("--k", type=int)
-    ver.add_argument("--max-rank", type=int)
-    ver.add_argument("--max-qk", type=int)
-    ver.add_argument("--max-nm", type=int)
+    # the options of every suite, in SUITES order; each one's help names the
+    # suites that read it and its default in each
+    readers: dict[str, list[str]] = {}
+    for suite, (options, _, _) in SUITES.items():
+        for option, default in options.items():
+            readers.setdefault(option, []).append(f"{suite} (default {default})")
+    for option, suites in readers.items():
+        ver.add_argument(
+            "--" + option.replace("_", "-"),
+            choices=list("ABCDG") if option == "type" else None,
+            type=None if option == "type" else int,
+            help=", ".join(suites),
+        )
     ver.add_argument("--format", choices=FORMATS, default="table")
     ver.set_defaults(func=_cmd_verify)
 

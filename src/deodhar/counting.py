@@ -10,16 +10,14 @@ steps down by the smallest left descent of w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import cells
-from .errors import ConfigError
+from .errors import ConfigError, Record
 from .rootdata import WeylElement, bruhat_leq
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Dense integer polynomial with ascending coefficients, no trailing zeros.
 
     >>> p = IntPolynomial.from_coeffs([-1, 1])   # q - 1
@@ -29,7 +27,10 @@ class IntPolynomial:
     4
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_coeffs(coeffs) -> "IntPolynomial":

@@ -42,11 +42,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import MappingProxyType
 
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, Record
 from .gf import MAX_FIELD_ORDER, FqField, field
 from .rootdata import RootSystem, WeylElement, build_root_system
 
@@ -166,13 +165,15 @@ def mat_rank(f: FqField, rows: list[list[int]]) -> int:
 # -- canonical flags ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     """Canonical representative of a coset gB, with its pivot permutation."""
 
-    field_order: int
-    matrix: Rows
-    pivots: Perm
+    __slots__ = ("field_order", "matrix", "pivots")
+
+    def __init__(self, field_order: int, matrix: Rows, pivots: Perm):
+        object.__setattr__(self, "field_order", field_order)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "pivots", pivots)
 
     @property
     def n(self) -> int:
@@ -505,8 +506,7 @@ def dl_piece_count(n: int, q: int, w: WeylElement, x: WeylElement, k: int = 1) -
 # -- the GL_3 worked example --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gl3ExampleCounts:
+class Gl3ExampleCounts(Record):
     """Point counts of X_{w0}(w0) for GL_3 and of its quotient by D(U)^F.
 
     ``x_full`` counts rational points of the variety itself, in unipotent
@@ -525,13 +525,9 @@ class Gl3ExampleCounts:
       Artin-Schreier fibres are torsors without rational points.
     """
 
-    q: int
-    k: int
-    x_full: int
-    closed_orbits: int
-    open_orbits: int
-    closed_points: int
-    open_points: int
+    __slots__ = (
+        "q", "k", "x_full", "closed_orbits", "open_orbits", "closed_points", "open_points"
+    )
 
     @property
     def orbit_total(self) -> int:

@@ -26,13 +26,12 @@ the surviving piece sits in degree l(w).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import cells
-from .errors import BudgetError, ConfigError, EmptyCellError, PreconditionError
+from .errors import BudgetError, ConfigError, EmptyCellError, PreconditionError, Record
 from .flags import torus_order
 from .gf import MAX_FIELD_ORDER, _difference_walk, _factor_prime_power, field
 from .rootdata import RootSystem, WeylElement
@@ -55,16 +54,14 @@ def diagram_automorphisms(rs: RootSystem) -> list[tuple[int, ...]]:
     ]
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(Record):
     """A Frobenius twist over F_q: phi, its orbits on the simple roots, and
-    the orbit of each simple root (built by orbit_data)."""
+    the orbit of each simple root (built by orbit_data).
 
-    system: RootSystem
-    q: int
-    phi: tuple[int, ...]
-    orbits: tuple[tuple[int, ...], ...]
-    root_orbits: tuple[tuple[int, ...], ...]  # simple index -> its orbit
+    ``root_orbits[i]`` is the orbit of the simple index i.
+    """
+
+    __slots__ = ("system", "q", "phi", "orbits", "root_orbits")
 
     @property
     def representatives(self) -> tuple[int, ...]:
@@ -192,13 +189,15 @@ def _w0_simple_index(rs: RootSystem) -> dict:
 # -- regular characters -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularCharacter:
+class RegularCharacter(Record):
     """Additive character tags per phi-orbit: 0 is trivial, nonzero is a
     multiplier c in F_{q_a} composed with the trace and a fixed primitive
-    p-th root of unity."""
+    p-th root of unity.
 
-    components: tuple[tuple[int, int], ...]  # (orbit representative, multiplier)
+    ``components`` holds (orbit representative, multiplier) pairs.
+    """
+
+    __slots__ = ("components",)
 
     @classmethod
     def from_mapping(cls, components: Mapping[int, int]) -> "RegularCharacter":
@@ -254,22 +253,24 @@ def _require_regular(psi: RegularCharacter, od: OrbitData) -> None:
 # -- cell invariants ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellInvariants:
+class CellInvariants(Record):
     """Per-orbit exponents of the quotient factorisation of one cell.
 
-    ``n`` and ``m`` are read-only copies of the mappings passed in; they
-    compare equal to plain dicts, and equal values hash equal.
+    ``n`` and ``m`` map each orbit representative a to n_a(gamma) and
+    m_a(gamma).
     """
 
-    n: Mapping[int, int]  # orbit representative -> n_a(gamma)
-    m: Mapping[int, int]  # orbit representative -> m_a(gamma)
-    n_bar: int
-    m_bar: int
+    __slots__ = ("n", "m", "n_bar", "m_bar")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", MappingProxyType(dict(self.n)))
-        object.__setattr__(self, "m", MappingProxyType(dict(self.m)))
+    def __init__(
+        self, n: Mapping[int, int], m: Mapping[int, int], n_bar: int, m_bar: int
+    ):
+        """Keep read-only copies of ``n`` and ``m``: they compare equal to
+        plain dicts, and equal values hash equal."""
+        object.__setattr__(self, "n", MappingProxyType(dict(n)))
+        object.__setattr__(self, "m", MappingProxyType(dict(m)))
+        object.__setattr__(self, "n_bar", n_bar)
+        object.__setattr__(self, "m_bar", m_bar)
 
     def __hash__(self) -> int:
         return hash(
@@ -400,26 +401,17 @@ def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
 # -- quotient model -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelFactor:
-    orbit_rep: int
-    q_alpha: int
-    d_alpha: int
-    n_alpha: int
-    m_alpha: int
+class ModelFactor(Record):
+    __slots__ = ("orbit_rep", "q_alpha", "d_alpha", "n_alpha", "m_alpha")
 
     def __str__(self) -> str:
         return f"X_{self.q_alpha}({self.n_alpha},{self.m_alpha})"
 
 
-@dataclass(frozen=True)
-class QuotientModel:
+class QuotientModel(Record):
     """(G_a)^{n_bar} x (G_m)^{m_bar} x prod_a X_{q_a}(n_a, m_a)."""
 
-    base_q: int
-    n_bar: int
-    m_bar: int
-    factors: tuple[ModelFactor, ...]
+    __slots__ = ("base_q", "n_bar", "m_bar", "factors")
 
     @property
     def dimension(self) -> int:
@@ -477,11 +469,8 @@ def quotient_model(gamma: cells.Subexpression, od: OrbitData) -> QuotientModel:
 # -- isotypic predictions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsotypicPrediction:
-    vanishes: bool
-    shift: Optional[int]
-    module_description: str
+class IsotypicPrediction(Record):
+    __slots__ = ("vanishes", "shift", "module_description")
 
 
 def isotypic_prediction(
@@ -518,23 +507,15 @@ def _prediction_from_invariants(
     return IsotypicPrediction(False, shift, "regular module of T^{wF}")
 
 
-@dataclass(frozen=True)
-class PredictionRow:
-    x: WeylElement
-    vanishes: bool
-    witness: Optional[int]
-    gamma_rows: Optional[tuple[tuple[cells.Subexpression, CellInvariants, IsotypicPrediction], ...]]
+class PredictionRow(Record):
+    """One piece x of the table; ``gamma_rows`` (for x = w0 only) holds
+    (gamma, its CellInvariants, its IsotypicPrediction) triples."""
+
+    __slots__ = ("x", "vanishes", "witness", "gamma_rows")
 
 
-@dataclass(frozen=True)
-class PredictionTable:
-    word: cells.ReducedWord
-    od: OrbitData
-    psi: RegularCharacter
-    rows: tuple[PredictionRow, ...]
-    survivor: cells.Subexpression
-    shift: int
-    torus_order: Optional[int]
+class PredictionTable(Record):
+    __slots__ = ("word", "od", "psi", "rows", "survivor", "shift", "torus_order")
 
 
 def theorem_table(

@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable
 
-from .errors import ConfigError
+from .errors import ConfigError, Record
 
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -235,17 +235,20 @@ class WeylElement:
     """Element of a Weyl group: an index into its root system's tables.
 
     Indices follow (length, canonical word) order, so index 0 is the
-    identity and the last index is the longest element.
+    identity and the last index is the longest element.  Elements are
+    interned per root system and immutable like a ``Record``.
     """
 
     __slots__ = ("system", "index", "_hash")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __init__(self, system: RootSystem, index: int):
-        self.system = system
-        self.index = index
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "index", index)
         # with the system in it, equal indices of different systems do not
         # collide in the caches that all systems share (counting.r_polynomial)
-        self._hash = hash((system, index))
+        object.__setattr__(self, "_hash", hash((system, index)))
 
     def __eq__(self, other) -> bool:
         return (

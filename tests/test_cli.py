@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -314,6 +315,26 @@ def test_readme_verify_lines_pass_the_option_check():
         assert f"| `{suite}` | `{given}` |" in text
 
 
+def test_verify_help_names_the_suites_of_each_option(capsys, monkeypatch):
+    # wide enough that no help line wraps inside a suite name
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    helps = {}
+    for line in capsys.readouterr().out.splitlines():
+        words = line.split()
+        if words and words[0].startswith("--") and words[0] != "--format":
+            helps[words[0][2:].replace("-", "_")] = line
+    readers = {}
+    for suite, (options, _, _) in cli.SUITES.items():
+        for option, default in options.items():
+            readers.setdefault(option, {})[suite] = str(default)
+    assert set(helps) == set(readers)
+    for option, line in helps.items():
+        assert dict(re.findall(r"([\w-]+) \(default ([^)]*)\)", line)) == readers[option]
+
+
 def test_verify_gl3_example_runs_on_the_suite_defaults(capsys):
     code, out, _ = run_cli(capsys, "verify", "gl3-example", "--q", "2", "--format", "json")
     assert code == 0
@@ -609,6 +630,22 @@ def test_cli_import_loads_every_shipped_module():
     count, missing = out.split(" ", 1)
     assert int(count) >= 9
     assert missing == "[]\n"
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # the package's records are plain __slots__ classes: importing the CLI
+    # loads dataclasses (and inspect, ast, dis behind it) only if something
+    # else already had
+    probe = (
+        "import sys; before = 'dataclasses' in sys.modules; import deodhar.cli; "
+        "print(before, 'dataclasses' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(deodhar.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    before, after = out.split()
+    assert after == before
 
 
 # Text with the characters JSON must escape: quotes, backslashes, control

@@ -1,7 +1,5 @@
 """Twist data, cell invariants, Artin-Schreier models and predictions."""
 
-from dataclasses import FrozenInstanceError
-
 import pytest
 
 from deodhar import frobenius, sweeps
@@ -267,7 +265,7 @@ def test_cell_invariants_are_frozen():
     rs, od = _split_a2()
     word = ReducedWord.from_letters(rs, (0, 1, 0))
     inv = cell_invariants(Subexpression(word, (1, 0, 1)), od)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         inv.n_bar = 5
     assert inv.n_bar == 0
     for field_map in (inv.n, inv.m):
