@@ -88,12 +88,16 @@ class CellShape(Record):
 class Subexpression:
     """A bit vector over a reduced word with all derived index data cached.
 
-    Immutable like a ``Record``, with its own equality and hash.
+    Immutable like a ``Record``, with its own equality and hash, and copies
+    as itself.  ``__init__`` stores each field through its slot's member
+    descriptor (``_SET_FIELDS``), which the assignment guard does not reach.
     """
 
     __slots__ = ("word", "bits", "partials", "end", "I", "J", "tilde_betas")
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
+    __copy__ = Record.__copy__
+    __deepcopy__ = Record.__deepcopy__
 
     def __init__(self, word: ReducedWord, bits: Iterable[int]):
         bits = tuple(bits)
@@ -104,9 +108,9 @@ class Subexpression:
         ):
             raise ConfigError("bits must be a 0/1 vector matching the word length")
         bits = tuple(map(int, bits))
-        set_ = object.__setattr__
-        set_(self, "word", word)
-        set_(self, "bits", bits)
+        set_word, set_bits, set_partials, set_end, set_I, set_J, set_tilde = _SET_FIELDS
+        set_word(self, word)
+        set_bits(self, bits)
         sys = word.system
         letters = word.letters
         y = sys.identity()
@@ -116,19 +120,19 @@ class Subexpression:
                 y = y * sys.simple_reflection(s)
             parts.append(y)
             ys.append(y.index)
-        set_(self, "partials", tuple(parts))
-        set_(self, "end", y)
-        set_(self, "I", frozenset([i for i, b in enumerate(bits, 1) if b]))
+        set_partials(self, tuple(parts))
+        set_end(self, y)
+        set_I(self, frozenset([i for i, b in enumerate(bits, 1) if b]))
         # beta~_i = gamma^i(-beta_i), a root index read off gamma^i's permutation
         perms, neg = sys._perms, _negative_simple_roots(sys)
         images = [perms[y][neg[s]] for y, s in zip(ys, letters)]
         roots = sys.roots
-        set_(self, "tilde_betas", tuple([roots[k] for k in images]))
+        set_tilde(self, tuple([roots[k] for k in images]))
         forced = _forced_letters(sys)
         J = frozenset(
             [i for i, (s, y) in enumerate(zip(letters, ys), 1) if forced[s][y]]
         )
-        set_(self, "J", J)
+        set_J(self, J)
         # the negative roots come first, so a root index at or past n_neg is positive
         n_neg = len(roots) - len(sys.positive_roots)
         if J != frozenset([i for i, k in enumerate(images, 1) if k >= n_neg]):
@@ -182,6 +186,12 @@ class Subexpression:
 
     def __repr__(self) -> str:
         return f"Subexpression{self.display}"
+
+
+# the __set__ of each slot's member descriptor, in __slots__ order
+_SET_FIELDS = tuple(
+    Subexpression.__dict__[name].__set__ for name in Subexpression.__slots__
+)
 
 
 @lru_cache(maxsize=None)

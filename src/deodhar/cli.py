@@ -335,6 +335,7 @@ def _verify_rows(args):
 JSON_ROW_BLOCK = 64
 _INT, _BOOL, _STR = frozenset((int,)), frozenset((bool,)), frozenset((str,))
 _SCALARS = frozenset((int, bool, str, type(None)))
+_ARRAYS = frozenset((list, tuple))
 _BOOL_TEXT = {True: "true", False: "false"}
 # The keys of a verify row (``sweeps._row``), in the order JSON prints them.
 _ROW_KEYS = ("lhs", "match", "parameters", "rhs", "test")
@@ -345,35 +346,54 @@ _LHS, _MATCH, _PARAMS, _RHS, _TEST = (f'\n{_KEY_PAD}"{k}": ' for k in _ROW_KEYS)
 _OPEN, _NEXT = "[\n" + _ROW_PAD, ",\n" + _ROW_PAD
 
 
-def _int_list_memo(encode):
-    """Return a function of value: encode(value), from a memo for flat lists.
+class _IntListMemo:
+    """encode(value) for report values, from a memo for flat lists.
 
-    The memo lives as long as the returned function, one report: the B3
-    triangle has 13,174 coefficient lists, 29 of them distinct.  A list or
-    tuple is looked up if every entry has type ``int``, ``bool``, ``str`` or
-    ``None``.  An all-``int`` list is keyed by ``tuple(value)``, any other by
-    the types of its entries and their values: ``[1] == [True]`` and
-    ``hash((1,)) == hash((True,))``, but they print ``1`` and ``true``.
+    The memo lives as long as the object, one report: the B3 triangle has
+    13,174 coefficient lists, 29 of them distinct.  Called on one value, a
+    list or tuple is looked up if every entry has type ``int``, ``bool``,
+    ``str`` or ``None``.  An all-``int`` list is keyed by ``tuple(value)``,
+    any other by the types of its entries and their values: ``[1] == [True]``
+    and ``hash((1,)) == hash((True,))``, but they print ``1`` and ``true``.
+    ``column(values)`` gives the texts of a whole column: one type scan over
+    the values and one over their entries find a column of lists and tuples
+    whose entries are all exact ``int``, each looked up by ``tuple(value)``
+    in the same memo; any other column is encoded value by value as above.
     """
-    memo: dict[tuple, str] = {}
 
-    def text(value) -> str:
+    __slots__ = ("encode", "memo")
+
+    def __init__(self, encode) -> None:
+        self.encode = encode
+        self.memo: dict[tuple, str] = {}
+
+    def __call__(self, value) -> str:
         kind = type(value)
         if kind is not list and kind is not tuple:
-            return encode(value)
+            return self.encode(value)
         kinds = set(map(type, value))
         if kinds <= _INT:
             key = tuple(value)
         elif kinds <= _SCALARS:
             key = tuple(map(type, value)), tuple(value)
         else:
-            return encode(value)
+            return self.encode(value)
+        memo = self.memo
         found = memo.get(key)
         if found is None:
-            found = memo[key] = encode(value)
+            found = memo[key] = self.encode(value)
         return found
 
-    return text
+    def column(self, values: tuple):
+        if _ARRAYS.issuperset(map(type, values)) and _INT.issuperset(
+            map(type, itertools.chain.from_iterable(values))
+        ):
+            keys = list(map(tuple, values))
+            memo, encode = self.memo, self.encode
+            for key in set(keys).difference(memo):
+                memo[key] = encode(key)
+            return map(memo.__getitem__, keys)
+        return _column_text(values, self)
 
 
 def _column_text(values: tuple, encode):
@@ -419,10 +439,11 @@ class _JsonRows:
     the same, up to ``JSON_ROW_BLOCK`` of them (read when the sink is made),
     and encodes each such block into the spool, at its place in ``"rows"``.
     Each layout gets one ``%`` template, the row's keys and its parameter
-    keys in sorted order, worked out once; a block's columns are taken with
-    ``operator.itemgetter`` and each is encoded by one ``map`` for its type
-    (``_column_text``), lhs and rhs through ``_int_list_memo`` (so an rhs
-    equal to its lhs gets the lhs text).  A row without those keys raises.
+    keys in sorted order, and one ``operator.itemgetter`` of those keys,
+    worked out once.  A block's columns are taken with ``itemgetter`` and
+    each is encoded by one ``map`` for its type (``_column_text``), lhs and
+    rhs by ``_IntListMemo.column`` (so an rhs equal to its lhs gets the lhs
+    text).  A row without those keys raises.
     write_report(head) encodes the rows left, then writes the keys of head
     and ``"rows"`` in sorted order, the rows copied from the spool.
     """
@@ -433,10 +454,10 @@ class _JsonRows:
         self.rows: list = []
         self.names: tuple = ()  # the layout of the rows collected
         self.sep = _OPEN
-        self.side = _int_list_memo(functools.partial(_json_text, pad=_KEY_PAD))
+        self.side = _IntListMemo(functools.partial(_json_text, pad=_KEY_PAD))
         self.value = functools.partial(_json_text, pad=_KEY_PAD)
         self.param = functools.partial(_json_text, pad=_VAL_PAD)
-        self.layouts: dict[tuple, tuple] = {}  # parameter keys -> (template, getters)
+        self.layouts: dict[tuple, tuple] = {}  # parameter keys -> (template, pick)
 
     def put(self, row) -> None:
         names = tuple(row["parameters"])
@@ -458,22 +479,27 @@ class _JsonRows:
                 f"{{{_LHS}%s,{_MATCH}%s,{_PARAMS}{params},"
                 f"{_RHS}%s,{_TEST}%s\n{_ROW_PAD}}}"
             )
-            getters = [operator.itemgetter(k) for k in keys]
-            layout = self.layouts[names] = (template, getters)
+            # pick(params): the tuple of params' values, in sorted key order
+            pick = (
+                operator.itemgetter(*keys)
+                if len(keys) > 1
+                else lambda params: tuple(map(params.__getitem__, keys))
+            )
+            layout = self.layouts[names] = (template, pick)
         return layout
 
     def _flush(self) -> None:
         rows, self.rows = self.rows, []
         if not rows:
             return
-        template, getters = self._layout(self.names)
+        template, pick = self._layout(self.names)
         lhs, match, rhs, test = zip(*map(_ROW_SCALARS, rows))
-        params = [row["parameters"] for row in rows]
+        params = zip(*[pick(row["parameters"]) for row in rows])
         columns = [
-            _column_text(lhs, self.side),
+            self.side.column(lhs),
             _column_text(match, self.value),
-            *(_column_text(tuple(map(get, params)), self.param) for get in getters),
-            _column_text(rhs, self.side),
+            *(_column_text(column, self.param) for column in params),
+            self.side.column(rhs),
             _column_text(test, self.value),
         ]
         sep, self.sep = self.sep, _NEXT
@@ -502,7 +528,7 @@ class _CsvRows:
     put, ``lhs``, ``rhs`` and ``match``, so it is known only after the last
     row.  put(row) spools a record in the row's own layout: the index of its
     sorted parameter keys, a blank cell, then its cells, lhs and rhs as
-    ``json.dumps`` prints them (through ``_int_list_memo``), every field
+    ``json.dumps`` prints them (through ``_IntListMemo``), every field
     quoted so that any text reads back.  write_report(head) writes the header
     and reads the spool back, picking each record's cells in header order,
     the blank under a key its row lacks.
@@ -511,7 +537,7 @@ class _CsvRows:
     def __init__(self, spool, out) -> None:
         self.spool, self.out = spool, out
         self.writer = csv.writer(spool, quoting=csv.QUOTE_ALL)
-        self.side = _int_list_memo(json.dumps)
+        self.side = _IntListMemo(json.dumps)
         self.layouts: dict[tuple, tuple] = {}  # parameter keys -> (index, sorted)
 
     def put(self, row: dict) -> None:

@@ -4,8 +4,9 @@ Counting an affine line as q points and a torus as q-1, a Deodhar cell of
 shape (n, m) has q^n (q-1)^m rational points and a double Schubert cell has
 the sum of its cell polynomials.  The same polynomial is produced, completely
 independently, by the classical two-case R-polynomial recursion; the equality
-of the two routes is the package's central oracle.  The recursion always
-steps down by the smallest left descent of w.
+of the two routes is the package's central oracle.  The R-polynomials of a
+root system are one table, filled once, in length order, by that recursion
+on the smallest left descent of w.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from functools import lru_cache
 
 from . import cells
 from .errors import ConfigError, Record
-from .rootdata import WeylElement, bruhat_leq
+# bruhat_leq stays a name of this module: perfbench's tracer test pins that
+# every module importing it is patched, counting among them
+from .rootdata import RootSystem, WeylElement, bruhat_leq
 
 
 class IntPolynomial(Record):
@@ -37,9 +40,7 @@ class IntPolynomial(Record):
         coeffs = list(coeffs)
         if not all(type(c) is int for c in coeffs):
             raise ConfigError(f"polynomial coefficients must be ints, got {coeffs}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return IntPolynomial(tuple(coeffs))
+        return _trimmed(coeffs)
 
     @staticmethod
     def zero() -> "IntPolynomial":
@@ -69,13 +70,13 @@ class IntPolynomial(Record):
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial.from_coeffs(out)
+        return _trimmed(out)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             out[i] -= c
-        return IntPolynomial.from_coeffs(out)
+        return _trimmed(out)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not self.coeffs or not other.coeffs:
@@ -85,7 +86,7 @@ class IntPolynomial(Record):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPolynomial.from_coeffs(out)
+        return _trimmed(out)
 
     def __call__(self, q: int) -> int:
         acc = 0
@@ -116,6 +117,13 @@ class IntPolynomial(Record):
         return text
 
 
+def _trimmed(coeffs: list) -> IntPolynomial:
+    """The polynomial of a list of ints, its trailing zeros dropped in place."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return IntPolynomial(tuple(coeffs))
+
+
 _Q_MINUS_1 = IntPolynomial((-1, 1))
 
 
@@ -143,16 +151,11 @@ def schubert_cell_poly(w: WeylElement) -> IntPolynomial:
     return IntPolynomial.q_power(w.length)
 
 
-@lru_cache(maxsize=None)
 def r_polynomial(v: WeylElement, w: WeylElement) -> IntPolynomial:
-    """Kazhdan-Lusztig R-polynomial R_{v,w} by the two-case recursion.
+    """Kazhdan-Lusztig R-polynomial R_{v,w}, read from its root system's table.
 
-    Take s the smallest left descent of w, so sw < w.  If sv < v then
-    R_{v,w} = R_{sv,sw}; otherwise R_{v,w} = (q-1) R_{v,sw} + q R_{sv,sw}.
-    Bases: R_{w,w} = 1 and R_{v,w} = 0 unless v <= w.  The result does not
-    depend on the descent taken; the tests check that against a recursion on
-    the largest descent.  Every value is cached, keyed by (v, w), and each
-    step of the recursion is a call of this function.
+    The table (``_r_table``) is built on the first call for a root system,
+    by the two-case recursion on the smallest left descent s of w.
 
     >>> from deodhar.rootdata import build_root_system
     >>> rs = build_root_system("A", 2)
@@ -162,22 +165,48 @@ def r_polynomial(v: WeylElement, w: WeylElement) -> IntPolynomial:
     """
     if v.system is not w.system:
         raise ConfigError("R-polynomial arguments must share a root system")
-    if v == w:
-        return IntPolynomial.one()
-    if not bruhat_leq(v, w):
-        return IntPolynomial.zero()
-    s = v.system.simple_reflection(min(w.left_descents()))
-    sw = s * w
-    sv = s * v
-    if sv.length < v.length:
-        return r_polynomial(sv, sw)
-    lower = r_polynomial(v, sw).coeffs
-    upper = r_polynomial(sv, sw).coeffs
-    # (q - 1) lower + q upper, coefficient by coefficient
-    out = [0] * (max(len(lower), len(upper)) + 1)
-    for j, c in enumerate(lower):
-        out[j] -= c
-        out[j + 1] += c
-    for j, c in enumerate(upper):
-        out[j + 1] += c
-    return IntPolynomial.from_coeffs(out)
+    return _r_table(v.system)[w.index][v.index]
+
+
+@lru_cache(maxsize=None)
+def _r_table(rs: RootSystem) -> tuple[tuple[IntPolynomial, ...], ...]:
+    """table[w][v] = R_{v,w} for every pair of element indices of rs.
+
+    Take s the smallest left descent of w, so sw < w.  If sv < v then
+    R_{v,w} = R_{sv,sw}; otherwise R_{v,w} = (q-1) R_{v,sw} + q R_{sv,sw}.
+    Bases: R_{w,w} = 1 and R_{v,w} = 0 unless v <= w.  Element indices run in
+    length order, so the row of sw is made before the row of w, and v <= w
+    implies v = w or v < w as indices.  The result does not depend on the
+    descent taken; the tests check that against a recursion on the largest
+    descent.
+    """
+    lmul, lengths, bruhat = rs._lmul, rs._lengths, rs._bruhat
+    order = len(lengths)
+    zero, one = IntPolynomial.zero(), IntPolynomial.one()
+    table = [(one,) + (zero,) * (order - 1)]
+    for w in range(1, order):
+        step = lmul[min(rs._left_descents[w])]
+        prev = table[step[w]]  # R_{., sw}
+        below = bruhat[w]
+        row = []
+        for v in range(w):
+            if not below >> v & 1:
+                row.append(zero)
+                continue
+            sv = step[v]
+            if lengths[sv] < lengths[v]:
+                row.append(prev[sv])
+                continue
+            # (q - 1) R_{v,sw} + q R_{sv,sw}, coefficient by coefficient
+            lower, upper = prev[v].coeffs, prev[sv].coeffs
+            out = [0] * (max(len(lower), len(upper)) + 1)
+            for j, c in enumerate(lower):
+                out[j] -= c
+                out[j + 1] += c
+            for j, c in enumerate(upper):
+                out[j + 1] += c
+            row.append(_trimmed(out))
+        row.append(one)
+        row.extend([zero] * (order - w - 1))
+        table.append(tuple(row))
+    return tuple(table)

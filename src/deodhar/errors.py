@@ -41,7 +41,8 @@ class Record:
     records hash equal; both read the fields through one ``attrgetter`` per
     class.  Assigning or deleting an attribute raises ``AttributeError``;
     ``__init__`` sets fields with ``object.__setattr__``, and a subclass on a
-    hot path defines its own ``__init__`` the same way.  The repr is
+    hot path defines its own ``__init__`` the same way.  ``copy.copy`` and
+    ``copy.deepcopy`` return the record itself.  The repr is
     ``Name(a=1, b=2)``.  A method a subclass defines itself wins.
     ``tests/test_records.py`` checks this contract on every subclass.
     """
@@ -79,6 +80,12 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)

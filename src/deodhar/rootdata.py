@@ -63,8 +63,12 @@ class RootSystem:
     """Root system of a finite Weyl group, with the group's lookup tables.
 
     Use :func:`build_root_system` to obtain the interned instance for a
-    type/rank pair; Weyl elements compare systems by identity.
+    type/rank pair; Weyl elements compare systems by identity, so
+    ``copy.copy`` and ``copy.deepcopy`` return the system itself.
     """
+
+    __copy__ = Record.__copy__
+    __deepcopy__ = Record.__deepcopy__
 
     def __init__(self, type_label: str, rank: int):
         if type_label not in _SUPPORTED_RANKS or rank not in _SUPPORTED_RANKS[type_label]:
@@ -236,18 +240,21 @@ class WeylElement:
 
     Indices follow (length, canonical word) order, so index 0 is the
     identity and the last index is the longest element.  Elements are
-    interned per root system and immutable like a ``Record``.
+    interned per root system and immutable like a ``Record``, and copy as
+    themselves.
     """
 
     __slots__ = ("system", "index", "_hash")
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
+    __copy__ = Record.__copy__
+    __deepcopy__ = Record.__deepcopy__
 
     def __init__(self, system: RootSystem, index: int):
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "index", index)
         # with the system in it, equal indices of different systems do not
-        # collide in the caches that all systems share (counting.r_polynomial)
+        # collide in the caches that all systems share (reduced_words)
         object.__setattr__(self, "_hash", hash((system, index)))
 
     def __eq__(self, other) -> bool:

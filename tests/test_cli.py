@@ -926,6 +926,47 @@ def test_verify_json_budget_after_a_partial_block_keeps_every_row(
     assert report["rows"] == rows
 
 
+# One layout, so each side is one column of a block: an all-int column takes
+# the column lookup, any other column the per-value memo, and both share it.
+COLUMN_PATHS = {
+    "int-lhs-mixed-rhs": [
+        _row([1, 2], [1, True], w="s"),
+        _row([1, 0], [1, 2], w="s"),
+        _row([1, 1], [1, 1], w="s"),
+    ],
+    "lists-with-a-tuple-and-empty": [
+        _row([1], (1,), w="s"),
+        _row([], [2, -3], w="s"),
+        _row((0, 1), [], w="s"),
+        _row([0, 1], (), w="s"),
+    ],
+}
+
+
+@pytest.mark.parametrize("block", [2, None])
+@pytest.mark.parametrize("rows", COLUMN_PATHS.values(), ids=COLUMN_PATHS)
+def test_verify_json_column_paths_share_the_memo(rows, block):
+    payload = _verify_payload(rows)
+    assert _verify_json(payload, block) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_json_column_lookup_and_per_value_keys():
+    sink = _JsonRows(io.StringIO(), io.StringIO())
+    for row in COLUMN_PATHS["int-lhs-mixed-rhs"]:
+        sink.put(row)
+    sink.write_report({})
+    # the lhs column is all-int; the rhs column falls back for its [1, True]
+    assert set(sink.side.memo) == {(1, 2), (1, 0), (1, 1), ((int, bool), (1, True))}
+
+
+@pytest.mark.parametrize("at", ["lhs", "rhs"])
+def test_verify_json_int_subclass_in_an_int_column_raises(at):
+    rows = [_row([1], [1], w="s"), _row([2, 3], [2, 3], w="s")]
+    rows[1][at] = [2, _Int(3)]
+    with pytest.raises(TypeError):
+        _verify_json(_verify_payload(rows))
+
+
 def test_verify_json_rejects_what_json_text_rejects():
     for bad in (1.5, [_Int(3)], {"x": {0}}):
         with pytest.raises(TypeError):

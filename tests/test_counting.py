@@ -154,6 +154,17 @@ def test_r_polynomial_descent_independence(type_label, rank):
             assert r_polynomial(v, w) == r_polynomial_largest_descent(v, w)
 
 
+def test_r_polynomial_on_an_uninterned_system_equals_the_interned():
+    # a fresh system gets its own table, with the same values
+    fresh, interned = RootSystem("B", 3), build_root_system("B", 3)
+    assert fresh is not interned
+    for w, w2 in zip(fresh.weyl_elements(), interned.weyl_elements()):
+        for v, v2 in zip(fresh.weyl_elements(), interned.weyl_elements()):
+            assert r_polynomial(v, w) == r_polynomial(v2, w2)
+    with pytest.raises(ConfigError, match="share a root system"):
+        r_polynomial(fresh.identity(), interned.longest_element())
+
+
 @pytest.mark.parametrize("type_label,rank", [("A", 2), ("B", 2), ("G", 2)])
 def test_r_polynomial_degree_and_positivity(type_label, rank):
     rs = build_root_system(type_label, rank)

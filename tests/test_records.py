@@ -1,5 +1,5 @@
 """The record contract, checked on every Record class of the package, and the
-assignment guard of WeylElement and Subexpression."""
+assignment guard and copies of WeylElement, Subexpression and RootSystem."""
 
 import copy
 import pkgutil
@@ -102,6 +102,30 @@ def test_record_contract(name):
         assert repr(record) == f"{name}({shown})"
 
 
+def _interned() -> dict:
+    """One value of every immutable, interned kind: each record, a Weyl
+    element, a subexpression and a root system."""
+    rs = build_root_system("A", 2)
+    word = cells.ReducedWord.from_letters(rs, (0, 1, 0))
+    return {
+        **INSTANCES,
+        "WeylElement": rs.simple_reflection(0),
+        "Subexpression": cells.Subexpression(word, (1, 0, 1)),
+        "RootSystem": rs,
+    }
+
+
+COPIED = _interned()
+
+
+@pytest.mark.parametrize("name", sorted(COPIED))
+def test_copy_and_deepcopy_return_the_value_itself(name):
+    value = COPIED[name]
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert copy.deepcopy([value, value])[1] is value
+
+
 def test_weyl_elements_and_subexpressions_refuse_assignment():
     rs = build_root_system("A", 2)
     s = rs.simple_reflection(0)
@@ -117,9 +141,15 @@ def test_weyl_elements_and_subexpressions_refuse_assignment():
 
     word = cells.ReducedWord.from_letters(rs, (0, 1, 0))
     gamma = cells.Subexpression(word, (1, 0, 1))
+    # __init__ stores every slot, past the guard
+    fields = {attr: getattr(gamma, attr) for attr in cells.Subexpression.__slots__}
+    assert fields["word"] is word and fields["end"] == rs.identity()
     for attr in cells.Subexpression.__slots__:
         with pytest.raises(AttributeError):
             setattr(gamma, attr, ())
         with pytest.raises(AttributeError):
             delattr(gamma, attr)
+    with pytest.raises(AttributeError):
+        gamma.extra = 1
+    assert {attr: getattr(gamma, attr) for attr in fields} == fields
     assert gamma == cells.Subexpression(word, (1, 0, 1)) and gamma.bits == (1, 0, 1)

@@ -319,7 +319,7 @@ def test_mismatched_systems_rejected():
 
 
 def test_weyl_element_hashes_differ_across_systems():
-    # module-level caches keyed by Weyl elements (counting.r_polynomial) hold
+    # module-level caches keyed by Weyl elements (rootdata.reduced_words) hold
     # elements of every system at once
     elements = [
         w
