@@ -375,9 +375,9 @@ def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
     """Exhaustive count of zeta^q - zeta = lambda_1^power + ... + lambda_m^power
     over F_{q^k}, the lambda_j nonzero.
 
-    One ``_difference_walk`` from every zeta^q - zeta runs over the first
-    m - 1 coordinates; the last is read through its power fibre, the number
-    of nonzero lambda with each value of lambda^power.
+    The field order and ``MAX_MODEL_TUPLES`` are checked on every call; the
+    count itself is ``_artin_schreier_walk``'s, made once per argument and
+    cached, so a lowered cap refuses a count that is already cached.
     """
     qk = q**k
     if qk > MAX_FIELD_ORDER:
@@ -386,6 +386,18 @@ def _artin_schreier_count(q: int, m: int, k: int, power: int) -> int:
         )
     if m >= 1 and qk * (qk - 1) ** (m - 1) > MAX_MODEL_TUPLES:
         raise BudgetError("brute-force model count exceeds the tuple budget")
+    return _artin_schreier_walk(qk, q, m, power)
+
+
+@lru_cache(maxsize=None)
+def _artin_schreier_walk(qk: int, q: int, m: int, power: int) -> int:
+    """``_artin_schreier_count`` over F_{qk}, with no budget check.
+
+    One ``_difference_walk`` from every zeta^q - zeta runs over the first
+    m - 1 coordinates; the last is read through its power fibre, the number
+    of nonzero lambda with each value of lambda^power.  A count not divisible
+    by q raises ``AssertionError``, so it is never cached.
+    """
     targets = _artin_schreier_targets(qk, q)
     if m == 0:
         count = targets.count(0)

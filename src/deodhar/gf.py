@@ -29,12 +29,13 @@ order q - 1 exactly when every nonzero residue is a unit, so a reducible
 modulus raises ``ConfigError``.  Multiplication runs through discrete-log
 tables over that generator; addition is XOR in characteristic 2 and digit
 arithmetic otherwise.  Subtraction and multiplication also have q x q lookup
-tables, ``sub_table()`` and ``mul_table()``, built from ``add``/``neg`` and
-the log tables on first use and kept through ``functools.lru_cache`` on the
-interned field, like every table kept across calls: ``sub`` is one lookup,
-and the brute-force oracles index table rows in their inner loops.  The
-Artin-Schreier point counters walk ``packed_sub_table()``, the same rows
-packed into bytes, in ``_difference_walk``.
+tables, ``sub_table()`` and ``mul_table()``, built on first use (subtraction
+lifted digit by digit from the prime field's ``add``/``neg`` rows,
+multiplication from the log tables) and kept through ``functools.lru_cache``
+on the interned field, like every table kept across calls: ``sub`` is one
+lookup, and the brute-force oracles index table rows in their inner loops.
+The Artin-Schreier point counters walk ``packed_sub_table()``, the same
+rows packed into bytes, in ``_difference_walk``.
 """
 
 from __future__ import annotations
@@ -200,9 +201,24 @@ class FqField:
 
     @lru_cache(maxsize=None)
     def sub_table(self) -> list[list[int]]:
-        """Rows ``t[a][b] == a - b``, built from ``add`` and ``neg``."""
-        negs = [self.neg(b) for b in range(self.order)]
-        return [[self.add(a, nb) for nb in negs] for a in range(self.order)]
+        """Rows ``t[a][b] == a - b``.
+
+        The p x p prime-field rows come from ``add`` and ``neg``.  Addition
+        is digit by digit, so the additive group is F_p^e: with a = p a' + a0
+        and b = p b' + b0, a - b = p (a' - b') + (a0 - b0).  Each pass lifts
+        the table one base-p digit from those rows.
+        """
+        p = self.char
+        negs = [self.neg(b) for b in range(p)]
+        prime = [[self.add(a, nb) for nb in negs] for a in range(p)]
+        rows = prime
+        for _ in range(self.degree - 1):
+            rows = [
+                [h + lo for h in hi for lo in prime_row]
+                for hi in ([p * x for x in row] for row in rows)
+                for prime_row in prime
+            ]
+        return rows
 
     @lru_cache(maxsize=None)
     def packed_sub_table(self) -> list[Sequence[int]]:

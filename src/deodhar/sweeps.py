@@ -506,8 +506,9 @@ def xq_brute_count(q: int, n: int, m: int, k: int) -> int:
     A last torus coordinate completes when the difference left is nonzero,
     so with m >= 1 the count is the number of pairs less those that one
     ``_difference_walk`` from every zeta^q - zeta finds with difference 0.
-    ``xq_model_rows`` runs it with no tuple cap, for every field order up to
-    ``max_qk``.
+    That walk reads every pair, so with m >= 1 more pairs than
+    ``frobenius.MAX_MODEL_TUPLES`` raise ``BudgetError``; with m = 0 there
+    is no walk to bound.
     """
     frobenius._check_model_exponents(n, m, k)
     f = field(q**k)
@@ -518,6 +519,11 @@ def xq_brute_count(q: int, n: int, m: int, k: int) -> int:
     targets = frobenius._artin_schreier_targets(f.order, q)
     pairs = len(targets) * math.prod(map(len, ranges))
     if m:
+        if pairs > frobenius.MAX_MODEL_TUPLES:
+            raise BudgetError(
+                f"exhaustive count of X_{q}({n},{m}) over F_{f.order} walks "
+                f"{pairs} pairs > {frobenius.MAX_MODEL_TUPLES}"
+            )
         return pairs - _difference_walk(f.packed_sub_table(), targets, ranges)
     if n:
         return pairs

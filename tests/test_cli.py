@@ -422,6 +422,29 @@ def test_verify_budget_partial_report(capsys):
     assert "budget_exceeded" in payload
 
 
+def test_verify_xq_models_brute_budget_mid_sweep(capsys, monkeypatch):
+    # under a cap of 36 the brute count of X_2(1,2) over F_4 walks 48 pairs;
+    # every F_2 row and the F_4 rows up to n = 1, m = 1 come before it
+    full = list(sweeps.xq_model_rows(4, 3))
+    monkeypatch.setattr(frobenius, "MAX_MODEL_TUPLES", 36)
+    code, out, err = run_cli(
+        capsys, "verify", "xq-models", "--max-qk", "4", "--max-nm", "3",
+        "--format", "json",
+    )
+    assert code == 3
+    assert "X_2(1,2) over F_4 walks 48 pairs > 36" in err
+    report = json.loads(out)
+    assert report["status"] == "BUDGET-EXCEEDED"
+    assert "walks 48 pairs" in report["budget_exceeded"]
+    made = report["rows"]
+    assert report["checks"] == len(made) and all(row["match"] for row in made)
+    assert made == full[: len(made)]
+    ks = {(r["parameters"]["q"], r["parameters"]["k"]) for r in made}
+    assert ks == {(2, 1), (2, 2)}
+    assert made[-1]["parameters"] == {"q": 2, "k": 2, "n": 1, "m": 1}
+    assert full[len(made)]["parameters"] == {"q": 2, "k": 2, "n": 1, "m": 2}
+
+
 def test_predict_a2(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -247,16 +247,95 @@ def test_artin_schreier_count_budgets(monkeypatch):
         xq_point_count(4, 0, 3)
 
 
-def _product_count(f, roots, ranges, fibre=None):
-    # plain enumeration with add/neg, independent of the subtraction table
-    total = 0
+def test_artin_schreier_walks_once_per_count():
+    frobenius._artin_schreier_walk.cache_clear()
+    rows = list(xq_model_rows(32, 3))
+    info = frobenius._artin_schreier_walk.cache_info()
+    # n = 0 and m = 0..3 for each of the 19 (q^k, q) pairs: the closed-vs-brute
+    # row walks each count, and the yqs-s1-equals-xq row reads it back
+    assert info.misses == info.currsize == 19 * 4 == 76
+    assert info.hits == 76
+    assert all(row["match"] for row in rows)
+
+
+def test_cached_artin_schreier_count_still_checks_the_cap(monkeypatch):
+    frobenius._artin_schreier_walk.cache_clear()
+    monkeypatch.setattr(frobenius, "MAX_MODEL_TUPLES", 36)
+    assert xq_point_count(4, 0, 3) == 24
+    assert frobenius._artin_schreier_walk.cache_info().currsize == 1
+    # the count is cached, and the lowered cap still refuses it
+    monkeypatch.setattr(frobenius, "MAX_MODEL_TUPLES", 35)
+    with pytest.raises(BudgetError, match="tuple budget"):
+        xq_point_count(4, 0, 3)
+    assert frobenius._artin_schreier_walk.cache_info().hits == 0
+    monkeypatch.setattr(frobenius, "MAX_MODEL_TUPLES", 36)
+    assert xq_point_count(4, 0, 3) == 24
+    assert frobenius._artin_schreier_walk.cache_info().hits == 1
+
+
+def test_artin_schreier_count_not_divisible_by_q_is_not_cached(monkeypatch):
+    frobenius._artin_schreier_walk.cache_clear()
+    monkeypatch.setattr(frobenius, "_difference_walk", lambda *args: 1)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="not divisible by q"):
+            xq_point_count(4, 0, 2)
+    info = frobenius._artin_schreier_walk.cache_info()
+    assert info.misses == 2 and info.currsize == 0
+
+
+def test_xq_brute_count_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(frobenius, "MAX_MODEL_TUPLES", 36)
+    # F_4 with n = 0, m = 3: 4 targets times 3^2 tuples
+    assert xq_brute_count(4, 0, 3, 1) == xq_point_count(4, 0, 3) == 24
+    # n = 1, m = 2: 4 targets times 4 * 3 tuples
+    with pytest.raises(BudgetError, match=r"X_4\(1,2\) over F_4 walks 48 pairs > 36"):
+        xq_brute_count(4, 1, 2, 1)
+    # m = 0 is read off the pair count, so it has no walk to refuse
+    assert xq_brute_count(4, 3, 0, 1) == xq_point_count(4, 3, 0) == 4**3
+
+
+def test_sub_table_lifts_the_prime_rows(monkeypatch):
+    calls = {"add": 0, "neg": 0}
+    add, neg = gf.FqField.add, gf.FqField.neg
+
+    def counted_add(self, a, b):
+        calls["add"] += 1
+        return add(self, a, b)
+
+    def counted_neg(self, a):
+        calls["neg"] += 1
+        return neg(self, a)
+
+    f = gf.FqField(343)  # not interned, so its table is new
+    monkeypatch.setattr(gf.FqField, "add", counted_add)
+    monkeypatch.setattr(gf.FqField, "neg", counted_neg)
+    rows = f.sub_table()
+    # only the 7 x 7 prime-field rows call add and neg
+    assert calls == {"add": 49, "neg": 7}
+    assert rows == field(343).sub_table()
+    assert rows[5] == [f.add(5, f.neg(b)) for b in f.elements()]
+
+
+def _product_counts(f, roots, ranges, fibre):
+    # plain enumeration with add/neg, independent of the subtraction table:
+    # the number of end values equal to 0, and the fibre weights of all of them
+    negated = [[f.neg(x) for x in r] for r in ranges]
+    zeros = weight = 0
     for acc in roots:
-        for c in itertools.product(*ranges):
+        for c in itertools.product(*negated):
             a = acc
-            for x in c:
-                a = f.add(a, f.neg(x))
-            total += (a == 0) if fibre is None else fibre[a]
-    return total
+            for nx in c:
+                a = f.add(a, nx)
+            zeros += a == 0
+            weight += fibre[a]
+    return zeros, weight
+
+
+def _walk_counts(rows, roots, ranges, fibre):
+    return (
+        _difference_walk(rows, roots, ranges),
+        _difference_walk(rows, roots, ranges, fibre),
+    )
 
 
 def _walk_kinds(f):
@@ -286,12 +365,9 @@ def test_difference_walk_matches_product_enumeration(q):
         if math.prod(map(len, ranges)) > 1000:
             continue
         for roots in root_sets:
-            count = _difference_walk(rows, roots, ranges)
-            assert type(count) is int
-            assert count == _product_count(f, roots, ranges)
-            assert _difference_walk(rows, roots, ranges, fibre) == _product_count(
-                f, roots, ranges, fibre
-            )
+            counts = _walk_counts(rows, roots, ranges, fibre)
+            assert type(counts[0]) is int
+            assert counts == _product_counts(f, roots, ranges, fibre)
     # the empty tuple alone: each root counts iff it is already 0
     assert _difference_walk(rows, [0], []) == 1
     assert _difference_walk(rows, [1], []) == 0
@@ -315,8 +391,7 @@ def test_difference_walk_on_two_byte_rows(q):
     ]
     roots = [0, 1, 1, 300, q - 1, 0]
     for ranges in short:
-        assert _difference_walk(rows, roots, ranges) == _product_count(f, roots, ranges)
-        assert _difference_walk(rows, roots, ranges, fibre) == _product_count(
+        assert _walk_counts(rows, roots, ranges, fibre) == _product_counts(
             f, roots, ranges, fibre
         )
     # whole rows: from every root, each tuple has exactly one completion
@@ -335,8 +410,7 @@ def test_difference_walk_slice_path(monkeypatch, q, walk_slice):
     monkeypatch.setattr(gf, "WALK_SLICE", walk_slice)
     for spec in ("E", "NE", "ENR", "PPN"):
         ranges = [kinds[c] for c in spec]
-        assert _difference_walk(rows, roots, ranges) == _product_count(f, roots, ranges)
-        assert _difference_walk(rows, roots, ranges, fibre) == _product_count(
+        assert _walk_counts(rows, roots, ranges, fibre) == _product_counts(
             f, roots, ranges, fibre
         )
 
