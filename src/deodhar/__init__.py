@@ -12,13 +12,10 @@ from .cells import (
     enumerate_distinguished,
     filtration,
     preceq,
-    subexpressions,
-    unique_IJ_equal,
 )
 from .counting import (
     IntPolynomial,
     cell_count_poly,
-    deodhar_poly,
     r_polynomial,
     schubert_cell_poly,
 )
@@ -39,7 +36,6 @@ from .frobenius import (
     cell_invariants,
     diagram_automorphisms,
     is_regular,
-    isotypic_prediction,
     orbit_data,
     quotient_model,
     theorem_table,

@@ -30,7 +30,7 @@ from itertools import repeat
 from typing import Iterable, Optional
 
 from .errors import BudgetError, ConfigError, EmptyCellError, NotComparableError, Record
-from .rootdata import Root, RootSystem, WeylElement, bruhat_leq, word_str
+from .rootdata import RootSystem, WeylElement, bruhat_leq, word_str
 
 MAX_WORD_LENGTH = 20
 _BITS = frozenset((0, 1))
@@ -55,10 +55,6 @@ class ReducedWord(Record):
     @property
     def r(self) -> int:
         return len(self.letters)
-
-    def simple_root(self, i: int) -> Root:
-        """beta_i, the simple root of the i-th letter (0-based)."""
-        return self.system.simple_roots[self.letters[i]]
 
     @property
     def display(self) -> str:
@@ -159,12 +155,6 @@ class Subexpression:
             raise EmptyCellError(f"{self.display} is not distinguished: empty cell")
         return CellShape(len(self.I) - len(self.J), self.r - len(self.I))
 
-    def phi_roots(self) -> tuple[Root, ...]:
-        """The sequence of negative twisted roots, positions outside J in order."""
-        return tuple(
-            self.tilde_betas[i] for i in range(self.r) if i + 1 not in self.J
-        )
-
     @property
     def display(self) -> str:
         sys = self.word.system
@@ -261,11 +251,6 @@ def _walk(
     return out
 
 
-def subexpressions(word: ReducedWord) -> list[Subexpression]:
-    """All 2^r subexpressions, in lexicographic bit order."""
-    return _walk(word, prune=False)
-
-
 def enumerate_distinguished(
     word: ReducedWord, v: Optional[WeylElement] = None
 ) -> list[Subexpression]:
@@ -278,24 +263,6 @@ def enumerate_distinguished(
     if v is not None and v.system is not word.system:
         raise ConfigError("v belongs to a different root system")
     return _walk(word, prune=True, end=v)
-
-
-def unique_IJ_equal(word: ReducedWord, v: WeylElement) -> Subexpression:
-    """The unique distinguished subexpression ending at v with I = J.
-
-    Its cell is the dense torus (G_m)^{l(w)-l(v)} of the double cell.
-    """
-    if not bruhat_leq(v, word.target):
-        raise NotComparableError(
-            f"{v.word_str} is not below {word.target.word_str} in Bruhat order"
-        )
-    found = [g for g in enumerate_distinguished(word, v) if g.I == g.J]
-    if len(found) != 1:
-        raise AssertionError(
-            f"expected exactly one I=J subexpression in Gamma_{v.word_str}, "
-            f"found {len(found)}"
-        )
-    return found[0]
 
 
 def preceq(delta: Subexpression, gamma: Subexpression) -> bool:

@@ -621,7 +621,7 @@ def _parse_psi(spec: str, od: frobenius.OrbitData, rs) -> frobenius.RegularChara
                 f"bad character component {part!r}; use letter=int"
             ) from None
         letter = letter.strip()
-        rep = od.representative_of(rs.letter_index(letter))
+        rep = od.orbit_of(rs.letter_index(letter))[0]
         if rep in letters:
             raise ConfigError(
                 f"character components {letters[rep]!r} and {letter!r} both name "
@@ -629,7 +629,7 @@ def _parse_psi(spec: str, od: frobenius.OrbitData, rs) -> frobenius.RegularChara
             )
         letters[rep] = letter
         components[rep] = value
-    return frobenius.RegularCharacter.from_mapping(components)
+    return frobenius.RegularCharacter(tuple(sorted(components.items())))
 
 
 def _parse_twist(args, rs) -> frobenius.OrbitData:

@@ -54,15 +54,6 @@ class IntPolynomial(Record):
     def q_power(n: int) -> "IntPolynomial":
         return IntPolynomial(tuple([0] * n + [1]))
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the usual convention -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -132,17 +123,6 @@ def cell_count_poly(shape: cells.CellShape) -> IntPolynomial:
     out = IntPolynomial.q_power(shape.n_affine)
     for _ in range(shape.m_torus):
         out = out * _Q_MINUS_1
-    return out
-
-
-def deodhar_poly(word: cells.ReducedWord, v: WeylElement) -> IntPolynomial:
-    """Point-count polynomial of the double cell, summed over Gamma_v.
-
-    Zero when v is not below the word's target in Bruhat order.
-    """
-    out = IntPolynomial.zero()
-    for gamma in cells.enumerate_distinguished(word, v):
-        out = out + cell_count_poly(gamma.cell_shape())
     return out
 
 

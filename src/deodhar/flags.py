@@ -5,11 +5,10 @@ are the bottom-most nonzero entries, normalised to 1, with the rest of each
 pivot row cleared to the right.  The pivot positions of the canonical form
 read off the Schubert cell directly, and the same reduction applied to the
 Lang image g^{-1} F(g), found by one Gauss-Jordan solve of g x = F(g), decides
-membership of Deligne-Lusztig pieces.  That solve and ``mat_rank`` run the
-one row elimination ``_reduce``; ``canonical_flag`` reduces columns on its
-own.  Everything here is
-exhaustive enumeration; these counts are the independent ground truth against
-which the polynomial formulas are checked.
+membership of Deligne-Lusztig pieces.  That solve runs the row elimination
+``_reduce``; ``canonical_flag`` reduces columns on its own.  Everything here
+is exhaustive enumeration; these counts are the independent ground truth
+against which the polynomial formulas are checked.
 
 Weyl elements of A_{n-1} and permutations of range(n) correspond through one
 table per root system, built from the group's own tables and checked
@@ -46,7 +45,7 @@ from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .errors import BudgetError, ConfigError, Record
-from .gf import MAX_FIELD_ORDER, FqField, field
+from .gf import FqField, field
 from .rootdata import RootSystem, WeylElement, build_root_system
 
 Perm = tuple[int, ...]
@@ -106,14 +105,6 @@ def permutation_of(w: WeylElement) -> Perm:
     return _permutation_table(w.system)[0][w.index]
 
 
-def weyl_from_permutation(rs: RootSystem, sigma: Perm) -> WeylElement:
-    sigma = tuple(sigma)
-    w = _permutation_table(rs)[1].get(sigma)
-    if w is None:
-        raise ConfigError(f"{sigma} is not a permutation in the Weyl group of {rs}")
-    return w
-
-
 def _gl_permutation(n: int, w: WeylElement) -> Perm:
     """Permutation of w, which must lie in the Weyl group A_{n-1} of GL_n."""
     rs = w.system
@@ -154,12 +145,6 @@ def _solve(f: FqField, a: Rows, b: Rows) -> Rows:
     if _reduce(f, aug, n) < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_rank(f: FqField, rows: list[list[int]]) -> int:
-    """The rank of a matrix over f, by ``_reduce`` on a copy of its rows."""
-    rows = [list(r) for r in rows]
-    return _reduce(f, rows, len(rows[0]) if rows else 0)
 
 
 # -- canonical flags ----------------------------------------------------------
@@ -258,22 +243,11 @@ def enumerate_flags(n: int, q: int) -> list[Flag]:
 # -- Bruhat cells -------------------------------------------------------------
 
 
-def bruhat_cell(flag: Flag) -> WeylElement:
-    """The w with the flag inside the Schubert cell B w . B."""
-    return weyl_from_permutation(build_root_system("A", flag.n - 1), flag.pivots)
-
-
 def _opposite_perm(f: FqField, flag: Flag) -> Perm:
     """Permutation v with the flag in B^- v . B: reverse the rows, reduce, flip."""
     n = flag.n
     tau = canonical_flag(f, flag.matrix[::-1]).pivots
     return tuple(n - 1 - t for t in tau)
-
-
-def opposite_cell(flag: Flag) -> WeylElement:
-    """The v with the flag inside the opposite cell B^- v . B."""
-    v = _opposite_perm(field(flag.field_order), flag)
-    return weyl_from_permutation(build_root_system("A", flag.n - 1), v)
 
 
 # -- cell counting oracles ----------------------------------------------------
@@ -529,14 +503,6 @@ class Gl3ExampleCounts(Record):
         "q", "k", "x_full", "closed_orbits", "open_orbits", "closed_points", "open_points"
     )
 
-    @property
-    def orbit_total(self) -> int:
-        return self.closed_orbits + self.open_orbits
-
-    @property
-    def point_total(self) -> int:
-        return self.closed_points + self.open_points
-
 
 def gl3_example_counts(q: int, k: int = 1) -> Gl3ExampleCounts:
     qk = q**k
@@ -615,25 +581,4 @@ def torus_order(w: WeylElement, q: int) -> int:
     out = 1
     for c in _perm_cycles(w):
         out *= q**c - 1
-    return out
-
-
-def torus_order_enumerated(w: WeylElement, q: int) -> int:
-    """Brute-force |T^{wF}|: count Lang-twisted diagonal tuples cycle by cycle."""
-    out = 1
-    for c in _perm_cycles(w):
-        qc = q**c
-        if qc > MAX_FIELD_ORDER:
-            raise BudgetError(
-                f"torus enumeration needs a field of order {qc} > {MAX_FIELD_ORDER}"
-            )
-        f = field(qc)
-        count = 0
-        for x0 in f.nonzero():
-            x = x0
-            for _ in range(c):
-                x = f.pow(x, q)
-            if x == x0:
-                count += 1
-        out *= count
     return out

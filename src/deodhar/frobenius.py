@@ -73,9 +73,6 @@ class OrbitData(Record):
             raise ConfigError(f"{i} is not a simple index")
         return self.root_orbits[i]
 
-    def representative_of(self, i: int) -> int:
-        return self.orbit_of(i)[0]
-
     def d(self, i: int) -> int:
         return len(self.orbit_of(i))
 
@@ -200,12 +197,6 @@ class RegularCharacter(Record):
     __slots__ = ("components",)
 
     @classmethod
-    def from_mapping(cls, components: Mapping[int, int]) -> "RegularCharacter":
-        if not all(type(x) is int for item in components.items() for x in item):
-            raise ConfigError(f"character components {components!r} are not integers")
-        return cls(tuple(sorted(components.items())))
-
-    @classmethod
     def regular_default(cls, od: OrbitData) -> "RegularCharacter":
         return cls(tuple((rep, 1) for rep in od.representatives))
 
@@ -276,9 +267,6 @@ class CellInvariants(Record):
         return hash(
             (frozenset(self.n.items()), frozenset(self.m.items()), self.n_bar, self.m_bar)
         )
-
-    def total_dimension(self) -> int:
-        return self.n_bar + self.m_bar + sum(self.n.values()) + sum(self.m.values())
 
 
 def cell_invariants(gamma: cells.Subexpression, od: OrbitData) -> CellInvariants:
@@ -485,29 +473,17 @@ class IsotypicPrediction(Record):
     __slots__ = ("vanishes", "shift", "module_description")
 
 
-def isotypic_prediction(
-    gamma: cells.Subexpression, psi: RegularCharacter, od: OrbitData
-) -> IsotypicPrediction:
-    """Predicted regular-isotypic cohomology of the piece attached to gamma.
-
-    Applies to distinguished subexpressions ending at the identity and regular
-    psi: the isotypic part vanishes iff some n_a(gamma) > 0, and the surviving
-    all-skip subexpression contributes the regular torus module in degree
-    l(w).
-    """
-    _require_regular(psi, od)
-    if not gamma.end.is_identity:
-        raise PreconditionError(
-            "the prediction applies to subexpressions ending at the identity"
-        )
-    return _prediction_from_invariants(gamma, cell_invariants(gamma, od))
-
-
 def _prediction_from_invariants(
     gamma: cells.Subexpression, inv: CellInvariants
 ) -> IsotypicPrediction:
-    """isotypic_prediction from gamma's invariants, for a gamma ending at the
-    identity and a character already checked to be regular."""
+    """Predicted regular-isotypic cohomology of the piece attached to gamma,
+    from gamma's invariants.
+
+    For a distinguished gamma ending at the identity and a character already
+    checked to be regular: the isotypic part vanishes iff some n_a(gamma) > 0,
+    and the surviving all-skip subexpression contributes the regular torus
+    module in degree l(w).
+    """
     if any(c > 0 for c in inv.n.values()):
         return IsotypicPrediction(True, None, "zero")
     if any(gamma.bits):

@@ -306,9 +306,6 @@ class WeylElement:
     def left_descents(self) -> frozenset[int]:
         return self.system._left_descents[self.index]
 
-    def right_descents(self) -> frozenset[int]:
-        return self.system._right_descents[self.index]
-
     def __repr__(self) -> str:
         return f"<{self.word_str} in {self.system.type_label}{self.system.rank}>"
 

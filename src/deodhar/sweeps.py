@@ -101,14 +101,15 @@ def _word_tree(rs: RootSystem, forced_shift) -> Iterator[tuple]:
 def word_tree_polys(rs: RootSystem) -> dict:
     """Deodhar polynomial of every reduced word of W at every end v.
 
-    Returns ``{letters: {v: deodhar_poly(word, v)}}`` for every reduced word,
-    with only the nonzero polynomials kept, from one ``_word_tree`` walk per
-    root system; it is cached, so a failed check while walking caches
-    nothing.  Every forced letter shifts by (N+1)^2 bits, n + 1, so a label
-    is the cell shape (n, m) itself, forced and skipped letters so far, and
-    a state's polynomial sums c q^n (q-1)^m over its slots; it is read once
-    per distinct packed state.  Enumerating subexpressions
-    (``counting.deodhar_poly``) is the cross-check route.
+    Returns ``{letters: {v: P}}`` for every reduced word, P the sum of the
+    cell polynomials over Gamma_v, with only the nonzero polynomials kept,
+    from one ``_word_tree`` walk per root system; it is cached, so a failed
+    check while walking caches nothing.  Every forced letter shifts by
+    (N+1)^2 bits, n + 1, so a label is the cell shape (n, m) itself, forced
+    and skipped letters so far, and a state's polynomial sums c q^n (q-1)^m
+    over its slots; it is read once per distinct packed state.  Summing cell
+    polynomials over ``cells.enumerate_distinguished`` is the cross-check
+    route, run word by word in ``tests/test_counting.py``.
 
     >>> from deodhar.counting import r_polynomial
     >>> from deodhar.rootdata import build_root_system
@@ -151,7 +152,7 @@ def _by_name(elements) -> list:
 
 
 def oracle_triangle_rows(type_label: str, rank: int) -> Iterator[dict]:
-    """deodhar_poly == r_polynomial for every v <= w and every reduced word.
+    """Deodhar polynomial == r_polynomial for every v <= w and every reduced word.
 
     The checks are counted before the word tree is walked or any row is
     made, and more than ``MAX_TRIANGLE_CHECKS`` raise ``BudgetError``.  Rows
@@ -195,7 +196,7 @@ def oracle_triangle_rows(type_label: str, rank: int) -> Iterator[dict]:
 
 
 def partition_rows(type_label: str, rank: int) -> Iterator[dict]:
-    """sum_v deodhar_poly(word, v) == q^{l(w)} symbolically, canonical words."""
+    """Deodhar polynomials summed over v == q^{l(w)} symbolically, canonical words."""
     rs = build_root_system(type_label, rank)
     tree = word_tree_polys(rs)
     for w in rs.weyl_elements():
@@ -452,46 +453,6 @@ def witness_rows(max_rank: int) -> Iterator[dict]:
                 [witness is not None, valid],
                 [x != w0, True],
             )
-
-
-# -- uniqueness of the I = J subexpression -------------------------------------
-
-
-def unique_torus_rows(type_label: str, rank: int) -> Iterator[dict]:
-    """Exactly one I = J subexpression per Gamma_v: shape, maximality, order."""
-    rs = build_root_system(type_label, rank)
-    for w in rs.weyl_elements():
-        for letters in reduced_words(w):
-            word = cells.ReducedWord.from_letters(rs, letters)
-            groups: dict = {}
-            for gamma in cells.enumerate_distinguished(word):
-                groups.setdefault(gamma.end, []).append(gamma)
-            for v, dist in sorted(
-                groups.items(), key=lambda kv: (kv[0].length, kv[0].canonical_word)
-            ):
-                torus_like = [g for g in dist if g.I == g.J]
-                ok_count = len(torus_like) == 1
-                ok_shape = ok_maximal = ok_first = False
-                if ok_count:
-                    g0 = torus_like[0]
-                    shape = g0.cell_shape()
-                    ok_shape = shape == cells.CellShape(0, w.length - v.length)
-                    ok_maximal = not any(
-                        h is not g0 and cells.preceq(g0, h) for h in dist
-                    )
-                    ok_first = cells._filtration_sequence(dist)[0] == g0
-                yield _row(
-                    "unique-torus-cell",
-                    {
-                        "type": type_label,
-                        "rank": rank,
-                        "w": w.word_str,
-                        "word": word.display,
-                        "v": v.word_str,
-                    },
-                    [ok_count, ok_shape, ok_maximal, ok_first],
-                    [True, True, True, True],
-                )
 
 
 # -- Artin-Schreier models ------------------------------------------------------

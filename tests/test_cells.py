@@ -16,8 +16,6 @@ from deodhar.cells import (
     enumerate_distinguished,
     filtration,
     preceq,
-    subexpressions,
-    unique_IJ_equal,
 )
 from deodhar.errors import (
     BudgetError,
@@ -46,9 +44,9 @@ def test_reduced_word_validation():
 
 def test_subexpression_counts():
     rs, word = _a2_word()
-    assert len(subexpressions(word)) == 8
-    assert len(subexpressions(ReducedWord.from_letters(rs, (0,)))) == 2
-    assert len(subexpressions(ReducedWord.from_letters(rs, ()))) == 1
+    assert len(_walk(word, prune=False)) == 8
+    assert len(_walk(ReducedWord.from_letters(rs, (0,)), prune=False)) == 2
+    assert len(_walk(ReducedWord.from_letters(rs, ()), prune=False)) == 1
 
 
 def test_subexpression_budget():
@@ -56,12 +54,12 @@ def test_subexpression_budget():
         # a fake long word cannot even be built reduced; use the guard directly
         rs = build_root_system("A", 3)
         word = ReducedWord(rs, tuple([0, 1, 2] * 7), rs.identity())
-        subexpressions(word)
+        _walk(word, prune=False)
 
 
 def test_partial_products_consistency():
     rs, word = _a2_word()
-    for gamma in subexpressions(word):
+    for gamma in _walk(word, prune=False):
         for i in range(1, word.r + 1):
             step = gamma.partials[i - 1]
             if gamma.bits[i - 1]:
@@ -85,7 +83,7 @@ def test_index_sets_examples():
 
 def test_distinguished_census_a2():
     rs, word = _a2_word()
-    all_gammas = subexpressions(word)
+    all_gammas = _walk(word, prune=False)
     non_dist = [g for g in all_gammas if not g.is_distinguished]
     assert [g.bits for g in non_dist] == [(1, 0, 0)]
     assert non_dist[0].violation_index() == 3
@@ -102,7 +100,7 @@ def test_forced_letters_match_length_descents(type_label, rank):
     # J and the first violation, recomputed from l(x s) < l(x) by multiplying
     rs = build_root_system(type_label, rank)
     word = ReducedWord.from_letters(rs, rs.longest_element().canonical_word)
-    for gamma in subexpressions(word):
+    for gamma in _walk(word, prune=False):
         j, skipped = set(), []
         for i, letter in enumerate(word.letters):
             s = rs.simple_reflection(letter)
@@ -144,7 +142,7 @@ def test_enumerate_distinguished():
         w = sys2.longest_element()
         word2 = ReducedWord.from_letters(sys2, w.canonical_word)
         pruned = {g.bits for g in enumerate_distinguished(word2)}
-        full = {g.bits for g in subexpressions(word2) if g.is_distinguished}
+        full = {g.bits for g in _walk(word2, prune=False) if g.is_distinguished}
         assert pruned == full
 
 
@@ -164,31 +162,22 @@ def test_phi_gamma_examples():
     def neg(v):
         return tuple(-c for c in v)
 
-    assert Subexpression(word, (0, 0, 0)).phi_roots() == (neg(a_s), neg(a_t), neg(a_s))
-    assert Subexpression(word, (1, 0, 1)).phi_roots() == ((-1, -1), neg(a_s))
-    assert Subexpression(word, (1, 1, 1)).phi_roots() == ()
-    for g in subexpressions(word):
-        assert len(g.phi_roots()) == word.r - len(g.J)
+    def phi_roots(g):
+        # the twisted roots at the positions outside J, in order
+        return tuple(b for i, b in enumerate(g.tilde_betas, 1) if i not in g.J)
 
-
-def test_unique_IJ_equal():
-    rs, word = _a2_word()
-    e, w0 = rs.identity(), rs.longest_element()
-    assert unique_IJ_equal(word, e).bits == (0, 0, 0)
-    assert unique_IJ_equal(word, w0).bits == (1, 1, 1)
-    g_s = unique_IJ_equal(word, rs.simple_reflection(0))
-    assert g_s.bits == (0, 0, 1)
-    assert g_s.cell_shape() == CellShape(0, 2)
-    short = ReducedWord.from_letters(rs, (0,))
-    with pytest.raises(NotComparableError):
-        unique_IJ_equal(short, rs.simple_reflection(1))
+    assert phi_roots(Subexpression(word, (0, 0, 0))) == (neg(a_s), neg(a_t), neg(a_s))
+    assert phi_roots(Subexpression(word, (1, 0, 1))) == ((-1, -1), neg(a_s))
+    assert phi_roots(Subexpression(word, (1, 1, 1))) == ()
+    for g in _walk(word, prune=False):
+        assert len(phi_roots(g)) == word.r - len(g.J)
 
 
 def test_preceq():
     rs, word = _a2_word()
     top = Subexpression(word, (0, 0, 0))
     mixed = Subexpression(word, (1, 0, 1))
-    for g in subexpressions(word):
+    for g in _walk(word, prune=False):
         assert preceq(g, top)
         assert preceq(g, g)
     assert not preceq(top, mixed)
@@ -209,7 +198,7 @@ def test_subexpression_rejects_bits_that_are_not_integers():
 def test_preceq_is_a_partial_order():
     rs = build_root_system("B", 2)
     word = ReducedWord.from_letters(rs, rs.longest_element().canonical_word)
-    gammas = subexpressions(word)
+    gammas = _walk(word, prune=False)
     for a in gammas:
         for b in gammas:
             if preceq(a, b) and preceq(b, a):
@@ -261,7 +250,8 @@ def test_filtration_refines_closure_order(type_label, rank):
     word = ReducedWord.from_letters(rs, w0.canonical_word)
     for v in rs.weyl_elements():
         order = list(filtration(word, v))
-        assert order[0] == unique_IJ_equal(word, v)
+        # the one I = J subexpression comes first
+        assert [g for g in order if g.I == g.J] == order[:1]
         for i, gamma in enumerate(order):
             for j in range(i + 1, len(order)):
                 # nothing later may lie strictly above an earlier element
@@ -312,7 +302,7 @@ def test_subexpression_properties(data):
     for i in range(word.r):
         positive = rs.is_positive(gamma.tilde_betas[i])
         assert ((i + 1) in gamma.J) == positive
-        beta_i = word.simple_root(i)
+        beta_i = rs.simple_roots[word.letters[i]]
         neg_beta = tuple(-c for c in beta_i)
         assert gamma.tilde_betas[i] == gamma.partials[i + 1].act(neg_beta)
     if gamma.is_distinguished:
@@ -350,7 +340,7 @@ def test_end_pruned_walks_equal_the_filtered_walks(type_label, rank):
         for letters in reduced_words(w):
             word = ReducedWord.from_letters(rs, letters)
             dist = _bits_by_end(enumerate_distinguished(word))
-            every = _bits_by_end(subexpressions(word))
+            every = _bits_by_end(_walk(word, prune=False))
             for v in elements:
                 assert _bits(enumerate_distinguished(word, v)) == dist.get(v, [])
                 assert _bits(_walk(word, prune=False, end=v)) == every.get(v, [])
@@ -378,7 +368,7 @@ def test_table_built_subexpression_equals_products_and_action(type_label, rank):
             for letter, b in zip(word.letters, bits):
                 parts.append(parts[-1] * rs.simple_reflection(letter) if b else parts[-1])
             betas = tuple(
-                parts[i + 1].act(tuple(-c for c in word.simple_root(i)))
+                parts[i + 1].act(tuple(-c for c in rs.simple_roots[word.letters[i]]))
                 for i in range(word.r)
             )
             assert gamma.partials == tuple(parts)

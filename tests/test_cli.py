@@ -528,6 +528,15 @@ def test_predict_rejects_nonregular_character(capsys):
     assert "alpha_t" in err
 
 
+@pytest.mark.parametrize("psi", ["s=1,t=1", "t=1,s=1"])
+def test_predict_accepts_components_in_any_order(capsys, psi):
+    # the components are kept sorted by orbit, so either order is the default
+    argv = ("predict", "A", "2", "--word", "sts", "--q", "2", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--psi", psi)
+    assert code == 0
+    assert out == run_cli(capsys, *argv)[1]
+
+
 @pytest.mark.parametrize("psi", ["s=2,t=1", "s=-1,t=1"])
 def test_predict_rejects_multiplier_outside_field(capsys, psi):
     code, out, err = run_cli(

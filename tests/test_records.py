@@ -35,7 +35,7 @@ def _instances() -> dict:
         frobenius.cell_invariants(gamma, od),
         model.factors[0],
         model,
-        frobenius.isotypic_prediction(gamma, psi, od),
+        w0_row.gamma_rows[0][2],
         w0_row,
         table,
     ]
