@@ -13,18 +13,15 @@ Three subcommands:
 ``sort_keys=True``: whenever ``indent`` is set, the standard library skips its
 C encoder and runs a pure-Python one, which made printing the reports slower
 than computing them.  ``verify`` streams: a suite declares its options, their
-defaults and its sweeps once in ``SUITES`` (``verify --help`` is generated
-from it), an option of another suite is a configuration error, and the sweeps
-yield rows one at a time.  ``_cmd_verify``
-counts them and hands each to the row sink of the chosen format, and no row is
-kept beyond a block of ``JSON_ROW_BLOCK``, so memory does not grow with the
-number of checks.  Table lines are printed as rows arrive, since the summary
-comes last.  JSON prints
-the counts before ``rows`` and csv prints the union of parameter keys in its
-header, so those sinks encode each row once into a temporary file (the spool),
-json a block of consecutive rows with the same parameter keys at a time, all
-through one path, and copy it out after the head.  The same bytes come out as
-from ``json.dumps`` and ``csv.writer`` on the whole report.
+defaults, its sweeps and its csv columns once in ``SUITES`` (``verify
+--help`` is generated from it), an option of another suite is a
+configuration error, and the sweeps yield rows one at a time.
+``_run_suite`` counts them and hands each to the row sink of the chosen
+format, which encodes it once as it arrives and keeps no row, so memory does
+not grow with the number of checks.  Table and csv rows go straight to
+stdout; json prints the counts before ``rows``, so its rows wait in a
+temporary file (the spool) until the head is written.  The same bytes come
+out as from ``json.dumps`` and ``csv.writer`` on the whole report.
 Exit codes: 0 pass, 1 identity failure, 2 configuration error, 3 budget
 exceeded, 141 the reader of stdout closed it early (``run`` only).
 Identical configurations produce byte-identical output; no environment
@@ -36,7 +33,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import itertools
 import json
 import operator
@@ -81,11 +77,9 @@ def _emit(fmt: str, payload: dict, columns, flat, lines=None) -> None:
         return
     text = [[_cell_text(row.get(c)) for c in columns] for row in flat(payload)]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(text)
-        sys.stdout.write(buf.getvalue())
         return
     widths = [
         max([len(c)] + [len(row[i]) for row in text]) for i, c in enumerate(columns)
@@ -282,25 +276,33 @@ def _check_k(k: int, **_) -> None:
 
 
 def _check_max_rank(max_rank: int) -> None:
-    top = max(rank for _, rank in sweeps.RANK_LE_3_TYPES)
-    if max_rank > top:
-        raise ConfigError(
-            f"--max-rank must be at most {top}, the largest rank swept; "
-            f"got {max_rank}"
-        )
+    try:
+        sweeps.systems_up_to(max_rank)
+    except ConfigError as exc:
+        raise ConfigError(f"--max-rank: {exc}") from None
 
 
 # suite -> (its options with their defaults, a check of their values or None,
 # the ``sweeps`` functions of its rows in report order, each called with the
-# suite's options in order)
+# suite's options in order, the parameter keys of its rows in sorted order:
+# its csv columns)
 SUITES = {
     "deodhar-vs-rpoly": (
-        {"type": "A", "rank": 2}, None, ("oracle_triangle_rows", "partition_rows")
+        {"type": "A", "rank": 2}, None, ("oracle_triangle_rows", "partition_rows"),
+        ("rank", "type", "v", "w", "word"),
     ),
-    "flags": ({"n": 3, "q": 2}, _check_n, ("flag_census_rows", "double_cell_rows")),
-    "gl3-example": ({"q": 2, "k": 1}, _check_k, ("gl3_rows",)),
-    "vanishing": ({"max_rank": 3}, _check_max_rank, ("vanishing_rows", "witness_rows")),
-    "xq-models": ({"max_qk": 64, "max_nm": 3}, None, ("xq_model_rows",)),
+    "flags": (
+        {"n": 3, "q": 2}, _check_n, ("flag_census_rows", "double_cell_rows"),
+        ("n", "q", "v", "w"),
+    ),
+    "gl3-example": ({"q": 2, "k": 1}, _check_k, ("gl3_rows",), ("k", "q")),
+    "vanishing": (
+        {"max_rank": 3}, _check_max_rank, ("vanishing_rows", "witness_rows"),
+        ("phi", "rank", "type", "w", "word", "x"),
+    ),
+    "xq-models": (
+        {"max_qk": 64, "max_nm": 3}, None, ("xq_model_rows",), ("k", "m", "n", "q")
+    ),
 }
 
 
@@ -312,8 +314,8 @@ def _verify_rows(args):
     Each sweep is looked up in ``sweeps`` by name when its turn comes, so a
     wrapper installed on the module after import sees the call.
     """
-    options, check, names = SUITES[args.suite]
-    for other, _, _ in SUITES.values():
+    options, check, names, _ = SUITES[args.suite]
+    for other, *_ in SUITES.values():
         for option in other:
             if option not in options and getattr(args, option) is not None:
                 raise ConfigError(
@@ -415,7 +417,7 @@ def _column_text(values: tuple, encode):
 class _TableRows:
     """Table output: one line per row as it arrives, the summary line last."""
 
-    def __init__(self, spool, out) -> None:
+    def __init__(self, out) -> None:
         self.out = out
 
     def put(self, row: dict) -> None:
@@ -522,82 +524,77 @@ class _JsonRows:
 
 
 class _CsvRows:
-    """csv output: a header, then one record per row.
+    """csv output: a header, then one record per row as it arrives.
 
-    The header is ``test``, the sorted union of the parameter keys of the rows
-    put, ``lhs``, ``rhs`` and ``match``, so it is known only after the last
-    row.  put(row) spools a record in the row's own layout: the index of its
-    sorted parameter keys, a blank cell, then its cells, lhs and rhs as
-    ``json.dumps`` prints them (through ``_IntListMemo``), every field
-    quoted so that any text reads back.  write_report(head) writes the header
-    and reads the spool back, picking each record's cells in header order,
-    the blank under a key its row lacks.
+    The header is ``test``, the suite's parameter columns, ``lhs``, ``rhs``
+    and ``match``; it is written with the first row, or by write_report when
+    no row came, so a run that stops before its first row prints nothing.  A
+    record holds the row's test, its parameters under the columns (blank
+    where the row has none), lhs and rhs as ``json.dumps`` prints them
+    (through ``_IntListMemo``) and match.  A parameter outside the columns
+    raises ``KeyError``.
     """
 
-    def __init__(self, spool, out) -> None:
-        self.spool, self.out = spool, out
-        self.writer = csv.writer(spool, quoting=csv.QUOTE_ALL)
+    def __init__(self, columns: tuple, out) -> None:
+        self.columns = columns
+        self.writer = csv.writer(out, lineterminator="\n")
         self.side = _IntListMemo(json.dumps)
-        self.layouts: dict[tuple, tuple] = {}  # parameter keys -> (index, sorted)
+        self.header = ["test", *columns, "lhs", "rhs", "match"]
+
+    def _write_header(self) -> None:
+        if self.header:
+            self.writer.writerow(self.header)
+            self.header = None
 
     def put(self, row: dict) -> None:
         params, side = row["parameters"], self.side
-        names = tuple(params)
-        layout = self.layouts.get(names)
-        if layout is None:
-            layout = self.layouts[names] = (str(len(self.layouts)), sorted(params))
-        index, keys = layout
-        cells = [index, "", _cell_text(row["test"])]
-        cells += [_cell_text(params[k]) for k in keys]
+        stray = params.keys() - self.columns
+        if stray:
+            raise KeyError(f"parameters outside the csv columns: {sorted(stray)}")
+        self._write_header()
+        cells = [_cell_text(row["test"])]
+        cells += [_cell_text(params.get(k)) for k in self.columns]
         cells += [side(row["lhs"]), side(row["rhs"]), row["match"]]
         self.writer.writerow(cells)
 
     def write_report(self, head: dict) -> None:
-        keys = sorted({k for _, layout in self.layouts.values() for k in layout})
-        pick = {
-            index: operator.itemgetter(
-                2, *[3 + layout.index(k) if k in layout else 1 for k in keys], -3, -2, -1
-            )
-            for index, layout in self.layouts.values()
-        }
-        writer = csv.writer(self.out, lineterminator="\n")
-        writer.writerow(["test", *keys, "lhs", "rhs", "match"])
-        self.spool.seek(0)
-        for record in csv.reader(self.spool):
-            writer.writerow(pick[record[0]](record))
-
-
-_SINKS = {"table": _TableRows, "json": _JsonRows, "csv": _CsvRows}
+        self._write_header()
 
 
 def _cmd_verify(args) -> int:
+    if args.format == "json":
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            return _run_suite(args, _JsonRows(spool, sys.stdout))
+    if args.format == "csv":
+        return _run_suite(args, _CsvRows(SUITES[args.suite][3], sys.stdout))
+    return _run_suite(args, _TableRows(sys.stdout))
+
+
+def _run_suite(args, sink) -> int:
+    """Hand every row of the suite to sink, then the report head."""
     checks = failures = 0
     budget_note = None
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
-        sink = _SINKS[args.format](spool, sys.stdout)
-        try:
-            for row in _verify_rows(args):
-                sink.put(row)
-                checks += 1
-                failures += not row["match"]
-        except BudgetError as exc:
-            budget_note = str(exc)
-        if not checks and budget_note is None:
-            raise ConfigError(
-                f"suite {args.suite!r} ran zero checks with these parameters"
-            )
-        head = {
-            "schema": SCHEMA,
-            "command": "verify",
-            "suite": args.suite,
-            "checks": checks,
-            "failures": failures,
-            "status": "PASS" if not failures else "FAIL",
-        }
-        if budget_note is not None:
-            head["status"] = "BUDGET-EXCEEDED"
-            head["budget_exceeded"] = budget_note
-        sink.write_report(head)
+    try:
+        for row in _verify_rows(args):
+            sink.put(row)
+            checks += 1
+            failures += not row["match"]
+    except BudgetError as exc:
+        budget_note = str(exc)
+    if not checks and budget_note is None:
+        raise ConfigError(f"suite {args.suite!r} ran zero checks with these parameters")
+    head = {
+        "schema": SCHEMA,
+        "command": "verify",
+        "suite": args.suite,
+        "checks": checks,
+        "failures": failures,
+        "status": "PASS" if not failures else "FAIL",
+    }
+    if budget_note is not None:
+        head["status"] = "BUDGET-EXCEEDED"
+        head["budget_exceeded"] = budget_note
+    sink.write_report(head)
     if budget_note is not None:
         print(f"budget exceeded: {budget_note}", file=sys.stderr)
         return EXIT_BUDGET
@@ -764,7 +761,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # the options of every suite, in SUITES order; each one's help names the
     # suites that read it and its default in each
     readers: dict[str, list[str]] = {}
-    for suite, (options, _, _) in SUITES.items():
+    for suite, (options, *_) in SUITES.items():
         for option, default in options.items():
             readers.setdefault(option, []).append(f"{suite} (default {default})")
     for option, suites in readers.items():

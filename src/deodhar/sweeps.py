@@ -366,6 +366,21 @@ def _vanishing_by_enumeration(
     return with_witness, nontrivial, all_skip, clean and all_skip == 1
 
 
+def systems_up_to(max_rank: int) -> tuple:
+    """The ``RANK_LE_3_TYPES`` of rank at most max_rank, the systems that
+    ``vanishing_rows`` and ``witness_rows`` sweep.
+
+    A max_rank above 3 is a ConfigError: no larger system is swept, and
+    returning the rank <= 3 systems would report them as if it had been.
+    """
+    top = max(rank for _, rank in RANK_LE_3_TYPES)
+    if max_rank > top:
+        raise ConfigError(
+            f"the vanishing sweeps reach rank at most {top}; got {max_rank}"
+        )
+    return tuple((t, rank) for t, rank in RANK_LE_3_TYPES if rank <= max_rank)
+
+
 def vanishing_rows(max_rank: int) -> Iterator[dict]:
     """Core of the vanishing theorem, swept over all diagram automorphisms.
 
@@ -386,9 +401,7 @@ def vanishing_rows(max_rank: int) -> Iterator[dict]:
     the twist adds no check of its own here; a brute-force oracle for the
     twisted Frobenius is still missing.
     """
-    for type_label, rank in RANK_LE_3_TYPES:
-        if rank > max_rank:
-            continue
+    for type_label, rank in systems_up_to(max_rank):
         rs = build_root_system(type_label, rank)
         tree = word_tree_vanishing(rs)
         twists = [
@@ -433,9 +446,7 @@ def witness_rows(max_rank: int) -> Iterator[dict]:
     ``vanishing_witness`` reads the left-descent table; valid says that it
     found the smallest a with x^{-1}(alpha_a) positive, by the root action.
     """
-    for type_label, rank in RANK_LE_3_TYPES:
-        if rank > max_rank:
-            continue
+    for type_label, rank in systems_up_to(max_rank):
         rs = build_root_system(type_label, rank)
         w0 = rs.longest_element()
         for x in rs.weyl_elements():

@@ -309,10 +309,10 @@ def test_readme_verify_lines_pass_the_option_check():
     for argv in lines:
         # not iterated: the sweeps run only when their rows are read
         cli._verify_rows(parser.parse_args(argv))
-    # the table of suite options lists each suite's options and defaults
-    for suite, (options, _, _) in cli.SUITES.items():
+    # the suite table lists each suite's options, defaults and csv columns
+    for suite, (options, _, _, columns) in cli.SUITES.items():
         given = " ".join(f"--{o.replace('_', '-')} {d}" for o, d in options.items())
-        assert f"| `{suite}` | `{given}` |" in text
+        assert f"| `{suite}` | `{given}` | `{', '.join(columns)}` |" in text
 
 
 def test_verify_help_names_the_suites_of_each_option(capsys, monkeypatch):
@@ -327,7 +327,7 @@ def test_verify_help_names_the_suites_of_each_option(capsys, monkeypatch):
         if words and words[0].startswith("--") and words[0] != "--format":
             helps[words[0][2:].replace("-", "_")] = line
     readers = {}
-    for suite, (options, _, _) in cli.SUITES.items():
+    for suite, (options, *_) in cli.SUITES.items():
         for option, default in options.items():
             readers.setdefault(option, {})[suite] = str(default)
     assert set(helps) == set(readers)
@@ -370,10 +370,11 @@ def test_verify_looks_up_each_sweep_when_it_runs(capsys, monkeypatch):
     assert calls == ["oracle_triangle_rows", "partition_rows"]
 
 
-def test_verify_b3_json_memory_does_not_grow_with_the_rows():
-    # 6,587 rows and 2.4 MB of json; before the stream the rows and the
-    # joined report peaked at 9.5 MiB traced
-    argv = ["verify", "deodhar-vs-rpoly", "--type", "B", "--rank", "3", "--format", "json"]
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_b3_memory_does_not_grow_with_the_rows(fmt):
+    # 6,587 rows, 2.4 MB of json or 0.57 MB of csv; before the stream the
+    # rows and the joined json report peaked at 9.5 MiB traced
+    argv = ["verify", "deodhar-vs-rpoly", "--type", "B", "--rank", "3", "--format", fmt]
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
         tracemalloc.start()
         try:
@@ -926,15 +927,21 @@ SMALL_SUITES = {
 
 @pytest.mark.parametrize("suite", cli.SUITES)
 def test_every_suite_row_has_the_keys_of_sweeps_row(suite):
-    # the shape the json sink relies on: _row's keys, parameters a dict
+    # the shape the sinks rely on: _row's keys, parameters a dict whose keys
+    # are among the suite's csv columns, and every column used by some row
     keys = sweeps._row("t", {}, 0, 0).keys()
+    columns = cli.SUITES[suite][3]
+    assert list(columns) == sorted(set(columns))
     args = cli._build_parser().parse_args(["verify", suite, *SMALL_SUITES[suite]])
-    count = 0
+    count, used = 0, set()
     for row in cli._verify_rows(args):
         assert type(row) is dict and row.keys() == keys
         assert type(row["parameters"]) is dict
+        assert row["parameters"].keys() <= set(columns), row
+        used.update(row["parameters"])
         count += 1
     assert count
+    assert used == set(columns)
 
 
 @pytest.mark.parametrize("made", [2, 3, 5])
@@ -1007,11 +1014,10 @@ def test_verify_json_rejects_what_json_text_rejects():
         _verify_json(_verify_payload([_row([1], [1], w=1.5)]))
 
 
-def _csv_by_projection(rows) -> str:
-    """csv of rows as the whole report was projected before the stream: the
-    header is the sorted union of parameter keys, lhs and rhs are json."""
-    keys = sorted({k for r in rows for k in r["parameters"]})
-    names = ["test", *keys, "lhs", "rhs", "match"]
+def _csv_by_projection(columns, rows) -> str:
+    """csv of rows as the whole report is projected onto the suite's columns:
+    a blank cell where a row has no such parameter, lhs and rhs as json."""
+    names = ["test", *columns, "lhs", "rhs", "match"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(names)
@@ -1027,37 +1033,65 @@ def _csv_by_projection(rows) -> str:
     return buf.getvalue()
 
 
-# csv cells: text with a delimiter, a quote or a line break in it, key sets
-# that differ from row to row, and parameter keys that are not column names.
+# csv cells: text with a delimiter, a quote or a line break in it, column
+# names that are such text, and rows that leave some columns blank.
 CSV_TEXT = st.text(st.sampled_from('ab,"\r\n \\'), max_size=4)
-CSV_ROWS = st.lists(
-    st.fixed_dictionaries(
+CSV_COLUMNS = st.sets(
+    st.sampled_from(["rank", "type", "v", "w", "word"])
+    | CSV_TEXT.filter(lambda k: k not in ("test", "lhs", "rhs", "match")),
+    max_size=4,
+).map(lambda names: tuple(sorted(names)))
+
+
+@st.composite
+def csv_reports(draw) -> tuple:
+    """(columns, rows) whose parameter keys are among the columns."""
+    columns = draw(CSV_COLUMNS)
+    keys = st.sampled_from(columns) if columns else st.nothing()
+    row = st.fixed_dictionaries(
         {
             "test": CSV_TEXT,
             "parameters": st.dictionaries(
-                st.sampled_from(["rank", "type", "v", "w", "word"])
-                | CSV_TEXT.filter(lambda k: k not in ("test", "lhs", "rhs", "match")),
-                st.integers() | CSV_TEXT | st.lists(CSV_TEXT, max_size=2),
-                max_size=4,
+                keys, st.integers() | CSV_TEXT | st.lists(CSV_TEXT, max_size=2)
             ),
             "lhs": ROW_SIDES,
             "rhs": ROW_SIDES,
             "match": st.booleans(),
         }
-    ),
-    max_size=8,
-)
+    )
+    return columns, draw(st.lists(row, max_size=8))
 
 
-@given(CSV_ROWS)
-@example([{"test": "t", "parameters": {"w": "a\rb"}, "lhs": [1], "rhs": [True], "match": True}])
-def test_verify_csv_sink_equals_the_whole_report_projection(rows):
+@given(csv_reports())
+@example((("v", "w"), [_row([1], [True], w="a\rb")]))
+def test_verify_csv_sink_equals_the_whole_report_projection(report):
+    columns, rows = report
     out = io.StringIO()
-    sink = _CsvRows(io.StringIO(newline=""), out)
+    sink = _CsvRows(columns, out)
     for row in rows:
         sink.put(row)
     sink.write_report({})
-    assert out.getvalue() == _csv_by_projection(rows)
+    assert out.getvalue() == _csv_by_projection(columns, rows)
+
+
+def test_verify_csv_rejects_a_parameter_outside_the_columns():
+    out = io.StringIO()
+    sink = _CsvRows(("w",), out)
+    sink.put(_row([1], [1], w="s"))
+    with pytest.raises(KeyError, match="'v'"):
+        sink.put(_row([1], [1], v="e", w="s"))
+    assert out.getvalue() == 'test,w,lhs,rhs,match\nt,s,[1],[1],True\n'
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_verify_config_error_inside_a_sweep_prints_nothing(capsys, fmt):
+    # q = 6 passes the suite's option check and fails in the sweep, before
+    # its first row: no csv header, no table line, no json head
+    argv = ("verify", "gl3-example", "--q", "6", "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "field order 6 is not a power of a prime" in err
 
 
 def test_closed_pipe_exits_141_without_a_traceback():

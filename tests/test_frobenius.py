@@ -484,6 +484,15 @@ def test_vanishing_rows_cross_check_trips_on_corruption(
     assert all(row["match"] for row in sweeps.vanishing_rows(max_rank=2))
 
 
+@pytest.mark.parametrize("sweep", [sweeps.vanishing_rows, sweeps.witness_rows])
+def test_vanishing_sweeps_refuse_a_rank_they_do_not_reach(sweep):
+    # no rank-4 system is swept, so rank 4 must not pass for the rank <= 3 rows
+    with pytest.raises(ConfigError, match="rank at most 3; got 4"):
+        next(sweep(4))
+    assert sweeps.systems_up_to(3) == sweeps.RANK_LE_3_TYPES
+    assert sweeps.systems_up_to(1) == (("A", 1),)
+
+
 @pytest.mark.parametrize("type_label,rank", [("A", 4), ("D", 4)])
 def test_word_tree_vanishing_on_rank_4(type_label, rank):
     # the vanishing criterion on every reduced word of A4 and D4: every
