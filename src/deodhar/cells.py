@@ -29,10 +29,9 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Optional
 
-from .errors import BudgetError, ConfigError, EmptyCellError, NotComparableError, Record
+from .errors import ConfigError, EmptyCellError, NotComparableError, Record
 from .rootdata import RootSystem, WeylElement, bruhat_leq, word_str
 
-MAX_WORD_LENGTH = 20
 _BITS = frozenset((0, 1))
 
 
@@ -224,10 +223,6 @@ def _walk(
     reached.  When end is given, the walk is restricted at its leaves only:
     a leaf becomes a ``Subexpression`` when its product is end.
     """
-    if word.r > MAX_WORD_LENGTH:
-        raise BudgetError(
-            f"word length {word.r} exceeds the enumeration cap {MAX_WORD_LENGTH}"
-        )
     sys = word.system
     r = word.r
     letters = word.letters

@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _str_text
 
 from . import cells, counting, flags, frobenius, sweeps
 from .errors import BudgetError, ConfigError, DeodharError
-from .rootdata import build_root_system, bruhat_leq
+from .rootdata import _SUPPORTED_RANKS, build_root_system, bruhat_leq
 
 SCHEMA = "deodhar.v1"
 
@@ -263,58 +263,38 @@ def _cmd_decompose(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 
-def _check_n(n: int, **_) -> None:
-    if not 2 <= n <= flags.MAX_MATRIX_SIZE:
-        raise ConfigError(
-            f"--n must satisfy 2 <= n <= {flags.MAX_MATRIX_SIZE}, got {n}"
-        )
-
-
-def _check_k(k: int, **_) -> None:
-    if k < 1:
-        raise ConfigError(f"--k must satisfy k >= 1, got {k}")
-
-
-def _check_max_rank(max_rank: int) -> None:
-    try:
-        sweeps.systems_up_to(max_rank)
-    except ConfigError as exc:
-        raise ConfigError(f"--max-rank: {exc}") from None
-
-
-# suite -> (its options with their defaults, a check of their values or None,
-# the ``sweeps`` functions of its rows in report order, each called with the
-# suite's options in order, the parameter keys of its rows in sorted order:
-# its csv columns)
+# suite -> (its options with their defaults, the ``sweeps`` functions of its
+# rows in report order, each called with the suite's options in order, the
+# parameter keys of its rows in sorted order: its csv columns).  No value is
+# checked here: the sweep that reads an option refuses it with ConfigError
+# before its first row, so a refused run prints nothing on stdout.
 SUITES = {
     "deodhar-vs-rpoly": (
-        {"type": "A", "rank": 2}, None, ("oracle_triangle_rows", "partition_rows"),
+        {"type": "A", "rank": 2}, ("oracle_triangle_rows", "partition_rows"),
         ("rank", "type", "v", "w", "word"),
     ),
     "flags": (
-        {"n": 3, "q": 2}, _check_n, ("flag_census_rows", "double_cell_rows"),
+        {"n": 3, "q": 2}, ("flag_census_rows", "double_cell_rows"),
         ("n", "q", "v", "w"),
     ),
-    "gl3-example": ({"q": 2, "k": 1}, _check_k, ("gl3_rows",), ("k", "q")),
+    "gl3-example": ({"q": 2, "k": 1}, ("gl3_rows",), ("k", "q")),
     "vanishing": (
-        {"max_rank": 3}, _check_max_rank, ("vanishing_rows", "witness_rows"),
+        {"max_rank": 3}, ("vanishing_rows", "witness_rows"),
         ("phi", "rank", "type", "w", "word", "x"),
     ),
-    "xq-models": (
-        {"max_qk": 64, "max_nm": 3}, None, ("xq_model_rows",), ("k", "m", "n", "q")
-    ),
+    "xq-models": ({"max_qk": 64, "max_nm": 3}, ("xq_model_rows",), ("k", "m", "n", "q")),
 }
 
 
 def _verify_rows(args):
-    """Check the options of the chosen suite; return its rows, sweep by sweep.
+    """The rows of the chosen suite, sweep by sweep.
 
     An option of another suite given on the command line is a ConfigError;
     an option of this suite left out takes its default from ``SUITES``.
     Each sweep is looked up in ``sweeps`` by name when its turn comes, so a
     wrapper installed on the module after import sees the call.
     """
-    options, check, names, _ = SUITES[args.suite]
+    options, names, _ = SUITES[args.suite]
     for other, *_ in SUITES.values():
         for option in other:
             if option not in options and getattr(args, option) is not None:
@@ -326,8 +306,6 @@ def _verify_rows(args):
         option: default if getattr(args, option) is None else getattr(args, option)
         for option, default in options.items()
     }
-    if check is not None:
-        check(**values)
     return itertools.chain.from_iterable(
         getattr(sweeps, name)(*values.values()) for name in names
     )
@@ -566,7 +544,7 @@ def _cmd_verify(args) -> int:
         with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
             return _run_suite(args, _JsonRows(spool, sys.stdout))
     if args.format == "csv":
-        return _run_suite(args, _CsvRows(SUITES[args.suite][3], sys.stdout))
+        return _run_suite(args, _CsvRows(SUITES[args.suite][2], sys.stdout))
     return _run_suite(args, _TableRows(sys.stdout))
 
 
@@ -630,11 +608,7 @@ def _parse_psi(spec: str, od: frobenius.OrbitData, rs) -> frobenius.RegularChara
 
 
 def _parse_twist(args, rs) -> frobenius.OrbitData:
-    if args.twist == "split":
-        return frobenius.orbit_data(rs, args.q)
-    phi = tuple(rs.letter_index(ch) for ch in args.twist)
-    if len(phi) != rs.rank:
-        raise ConfigError("twist permutation must list the image of every letter")
+    phi = None if args.twist == "split" else tuple(map(rs.letter_index, args.twist))
     return frobenius.orbit_data(rs, args.q, phi)
 
 
@@ -745,9 +719,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "regular-character prediction tables",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    types = list(_SUPPORTED_RANKS)
 
     dec = sub.add_parser("decompose", help="cell table of a double Schubert cell")
-    dec.add_argument("type", choices=list("ABCDG"))
+    dec.add_argument("type", choices=types)
     dec.add_argument("rank", type=int)
     dec.add_argument("--word", required=True, help="reduced word, letters s,t,u,v")
     group = dec.add_mutually_exclusive_group(required=True)
@@ -767,7 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for option, suites in readers.items():
         ver.add_argument(
             "--" + option.replace("_", "-"),
-            choices=list("ABCDG") if option == "type" else None,
+            choices=types if option == "type" else None,
             type=None if option == "type" else int,
             help=", ".join(suites),
         )
@@ -775,7 +750,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     pre = sub.add_parser("predict", help="regular-isotypic prediction table")
-    pre.add_argument("type", choices=list("ABCDG"))
+    pre.add_argument("type", choices=types)
     pre.add_argument("rank", type=int)
     pre.add_argument("--word", required=True)
     pre.add_argument("--q", type=int, default=2)

@@ -153,10 +153,9 @@ def _solve(f: FqField, a: Rows, b: Rows) -> Rows:
 class Flag(Record):
     """Canonical representative of a coset gB, with its pivot permutation."""
 
-    __slots__ = ("field_order", "matrix", "pivots")
+    __slots__ = ("matrix", "pivots")
 
-    def __init__(self, field_order: int, matrix: Rows, pivots: Perm):
-        object.__setattr__(self, "field_order", field_order)
+    def __init__(self, matrix: Rows, pivots: Perm):
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "pivots", pivots)
 
@@ -183,7 +182,7 @@ def canonical_flag(f: FqField, rows: Rows) -> Flag:
                 cols[j2] = [sub[x][mul_c[y]] for x, y in zip(cols[j2], cols[j])]
         pivots.append(p)
     matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return Flag(f.order, matrix, tuple(pivots))
+    return Flag(matrix, tuple(pivots))
 
 
 def gaussian_flag_count(n: int, q: int) -> int:
@@ -218,12 +217,12 @@ def _cell_flags(f: FqField, sigma: Perm):
     """Flags whose pivot permutation is sigma, i.e. the cell of sigma."""
     free = _free_rows(sigma)
     for values in itertools.product(f.elements(), repeat=sum(map(len, free))):
-        yield Flag(f.order, _cell_matrix(sigma, free, values), sigma)
+        yield Flag(_cell_matrix(sigma, free, values), sigma)
 
 
 def _check_flag_budget(n: int, q: int) -> None:
     if not 2 <= n <= MAX_MATRIX_SIZE:
-        raise ConfigError(f"flag enumeration supports 2 <= n <= {MAX_MATRIX_SIZE}")
+        raise ConfigError(f"n must satisfy 2 <= n <= {MAX_MATRIX_SIZE}, got {n}")
     if gaussian_flag_count(n, q) > MAX_FLAG_COUNT:
         raise BudgetError(
             f"flag variety of GL_{n}(F_{q}) has more than {MAX_FLAG_COUNT} points"
@@ -442,7 +441,7 @@ def _check_first_flag(
     for _ in range(sum(map(len, free))):
         index, a = divmod(index, f.order)
         values.append(a)
-    flag = Flag(f.order, _cell_matrix(sigma, free, values[::-1]), sigma)
+    flag = Flag(_cell_matrix(sigma, free, values[::-1]), sigma)
     if _opposite_perm(f, flag) != v:
         raise AssertionError(
             "column-prefix walk and canonical_flag disagree on the "
@@ -499,9 +498,7 @@ class Gl3ExampleCounts(Record):
       Artin-Schreier fibres are torsors without rational points.
     """
 
-    __slots__ = (
-        "q", "k", "x_full", "closed_orbits", "open_orbits", "closed_points", "open_points"
-    )
+    __slots__ = ("x_full", "closed_orbits", "open_orbits", "closed_points", "open_points")
 
 
 def gl3_example_counts(q: int, k: int = 1) -> Gl3ExampleCounts:
@@ -542,8 +539,6 @@ def gl3_example_counts(q: int, k: int = 1) -> Gl3ExampleCounts:
                         open_points += 1
 
     return Gl3ExampleCounts(
-        q=q,
-        k=k,
         x_full=x_full,
         closed_orbits=closed_rational // q,
         open_orbits=(x_full - closed_rational) // q,

@@ -402,7 +402,7 @@ def _artin_schreier_walk(qk: int, q: int, m: int, power: int) -> int:
 
 
 class ModelFactor(Record):
-    __slots__ = ("orbit_rep", "q_alpha", "d_alpha", "n_alpha", "m_alpha")
+    __slots__ = ("q_alpha", "d_alpha", "n_alpha", "m_alpha")
 
     def __str__(self) -> str:
         return f"X_{self.q_alpha}({self.n_alpha},{self.m_alpha})"
@@ -446,13 +446,7 @@ class QuotientModel(Record):
 def quotient_model(gamma: cells.Subexpression, od: OrbitData) -> QuotientModel:
     inv = cell_invariants(gamma, od)
     factors = tuple(
-        ModelFactor(
-            orbit_rep=rep,
-            q_alpha=od.q_alpha(rep),
-            d_alpha=od.d(rep),
-            n_alpha=inv.n[rep],
-            m_alpha=inv.m[rep],
-        )
+        ModelFactor(od.q_alpha(rep), od.d(rep), inv.n[rep], inv.m[rep])
         for rep in od.representatives
     )
     model = QuotientModel(
@@ -503,7 +497,7 @@ class PredictionRow(Record):
 
 
 class PredictionTable(Record):
-    __slots__ = ("word", "od", "psi", "rows", "survivor", "shift", "torus_order")
+    __slots__ = ("word", "rows", "survivor", "shift", "torus_order")
 
 
 def theorem_table(
@@ -545,4 +539,4 @@ def theorem_table(
     if sys.type_label == "A" and od.is_split:
         # the split GL_n diagonal-torus model; no twisted analogue is kept
         t_order = torus_order(word.target, od.q)
-    return PredictionTable(word, od, psi, tuple(rows), survivor, shift, t_order)
+    return PredictionTable(word, tuple(rows), survivor, shift, t_order)

@@ -221,8 +221,8 @@ def double_cell_rows(n: int, q: int) -> Iterator[dict]:
     parameters: the Deodhar rows, then the R-polynomial rows, each by v and
     then w by name.
     """
-    rs = build_root_system("A", n - 1)
     census = flags.double_cell_census(n, q)
+    rs = build_root_system("A", n - 1)
     tree = word_tree_polys(rs)
     elements = _by_name(rs.weyl_elements())
     zero = IntPolynomial.zero()
@@ -239,8 +239,8 @@ def double_cell_rows(n: int, q: int) -> Iterator[dict]:
 
 def flag_census_rows(n: int, q: int) -> Iterator[dict]:
     """Flag count identities: Gaussian factorial, length generating function."""
-    rs = build_root_system("A", n - 1)
     census = flags.double_cell_census(n, q)
+    rs = build_root_system("A", n - 1)
     # the census walks every flag exactly once, so its total is the flag count
     total = sum(census.values())
     by_length = sum(q**w.length for w in rs.weyl_elements())

@@ -180,12 +180,23 @@ def test_verify_flags_enumerates_flag_variety_once(capsys):
     assert (info.misses, info.hits) == (1, 1)
 
 
-@pytest.mark.parametrize("n", ["0", "1", "5"])
+def _refused_in_every_format(capsys, *argv) -> str:
+    """Run argv in each format: each exits 2 with empty stdout and the same
+    stderr, which is returned."""
+    errs = set()
+    for fmt in cli.FORMATS:
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, ""), fmt
+        errs.add(err)
+    (err,) = errs
+    return err
+
+
+@pytest.mark.parametrize("n", ["0", "1", "5", "6"])
 def test_verify_flags_rejects_n_out_of_range(capsys, n):
-    code, out, err = run_cli(capsys, "verify", "flags", "--n", n, "--q", "2")
-    assert code == 2
-    assert out == ""
-    assert "--n" in err and "2 <= n <= 4" in err
+    # the census refuses n before a sweep builds A_{n-1}, which A0 and A5 are not
+    err = _refused_in_every_format(capsys, "verify", "flags", "--n", n, "--q", "2")
+    assert "2 <= n <= 4" in err and f"got {n}" in err
     assert "root system" not in err
 
 
@@ -199,10 +210,8 @@ def test_verify_gl3_example(capsys):
 
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_verify_gl3_example_rejects_k_below_one(capsys, k):
-    code, out, err = run_cli(capsys, "verify", "gl3-example", "--q", "2", "--k", k)
-    assert code == 2
-    assert out == ""
-    assert "--k" in err and "k >= 1" in err
+    err = _refused_in_every_format(capsys, "verify", "gl3-example", "--q", "2", "--k", k)
+    assert f"k must satisfy k >= 1, got {k}" in err
     assert "power of a prime" not in err
 
 
@@ -265,10 +274,8 @@ def test_verify_xq_models_small(capsys):
 
 @pytest.mark.parametrize("max_rank", ["4", "9"])
 def test_verify_vanishing_rejects_max_rank_above_three(capsys, max_rank):
-    code, out, err = run_cli(capsys, "verify", "vanishing", "--max-rank", max_rank)
-    assert code == 2
-    assert out == ""
-    assert "--max-rank" in err and "at most 3" in err
+    err = _refused_in_every_format(capsys, "verify", "vanishing", "--max-rank", max_rank)
+    assert f"rank at most 3; got {max_rank}" in err
 
 
 @pytest.mark.parametrize(
@@ -307,10 +314,10 @@ def test_readme_verify_lines_pass_the_option_check():
     assert {argv[1] for argv in lines} == set(cli.SUITES)
     parser = cli._build_parser()
     for argv in lines:
-        # not iterated: the sweeps run only when their rows are read
-        cli._verify_rows(parser.parse_args(argv))
+        # one row each: a sweep refuses a value before its first row
+        next(cli._verify_rows(parser.parse_args(argv)))
     # the suite table lists each suite's options, defaults and csv columns
-    for suite, (options, _, _, columns) in cli.SUITES.items():
+    for suite, (options, _, columns) in cli.SUITES.items():
         given = " ".join(f"--{o.replace('_', '-')} {d}" for o, d in options.items())
         assert f"| `{suite}` | `{given}` | `{', '.join(columns)}` |" in text
 
@@ -608,6 +615,21 @@ def test_predict_twisted_a2(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["survivor"]["shift"] == 3
+
+
+@pytest.mark.parametrize(
+    "twist, message",
+    [("s", "twist rank does not match"), ("sts", "not a permutation")],
+    ids=["short", "not-a-permutation"],
+)
+def test_predict_rejects_a_twist_that_is_not_a_diagram_permutation(
+    capsys, twist, message
+):
+    # frobenius.orbit_data is the one check of a twist's length and shape
+    err = _refused_in_every_format(
+        capsys, "predict", "A", "2", "--word", "sts", "--twist", twist
+    )
+    assert message in err
 
 
 def test_predict_deterministic(capsys):
@@ -930,7 +952,7 @@ def test_every_suite_row_has_the_keys_of_sweeps_row(suite):
     # the shape the sinks rely on: _row's keys, parameters a dict whose keys
     # are among the suite's csv columns, and every column used by some row
     keys = sweeps._row("t", {}, 0, 0).keys()
-    columns = cli.SUITES[suite][3]
+    _, _, columns = cli.SUITES[suite]
     assert list(columns) == sorted(set(columns))
     args = cli._build_parser().parse_args(["verify", suite, *SMALL_SUITES[suite]])
     count, used = 0, set()

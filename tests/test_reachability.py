@@ -99,6 +99,8 @@ def _unreached() -> tuple:
         for workload in workloads["workloads"].values()
         for instance in workload["instances"]
     ]
+    # a workload instance may also be a golden case; run each argv once
+    cases = [list(argv) for argv in dict.fromkeys(map(tuple, cases))]
     env = dict(os.environ)
     source = str(Path(deodhar.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
