@@ -335,10 +335,12 @@ class _IntListMemo:
     ``str`` or ``None``.  An all-``int`` list is keyed by ``tuple(value)``,
     any other by the types of its entries and their values: ``[1] == [True]``
     and ``hash((1,)) == hash((True,))``, but they print ``1`` and ``true``.
-    ``column(values)`` gives the texts of a whole column: one type scan over
-    the values and one over their entries find a column of lists and tuples
-    whose entries are all exact ``int``, each looked up by ``tuple(value)``
-    in the same memo; any other column is encoded value by value as above.
+    ``column(values)`` gives the texts of a whole column, one block's lhs or
+    rhs.  One type scan over the values finds a column of lists and tuples;
+    then each distinct object in it, by ``id``, is scanned, tupled and looked
+    up once as above, however many rows repeat it.  The ids are sound: the
+    column tuple keeps every object alive for the whole call.  Any other
+    column is encoded value by value, with no ``id`` pass.
     """
 
     __slots__ = ("encode", "memo")
@@ -365,15 +367,11 @@ class _IntListMemo:
         return found
 
     def column(self, values: tuple):
-        if _ARRAYS.issuperset(map(type, values)) and _INT.issuperset(
-            map(type, itertools.chain.from_iterable(values))
-        ):
-            keys = list(map(tuple, values))
-            memo, encode = self.memo, self.encode
-            for key in set(keys).difference(memo):
-                memo[key] = encode(key)
-            return map(memo.__getitem__, keys)
-        return _column_text(values, self)
+        if not _ARRAYS.issuperset(map(type, values)):
+            return _column_text(values, self)
+        ids = list(map(id, values))
+        texts = {i: self(value) for i, value in dict(zip(ids, values)).items()}
+        return map(texts.__getitem__, ids)
 
 
 def _column_text(values: tuple, encode):

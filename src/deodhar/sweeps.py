@@ -4,12 +4,14 @@ Every ``*_rows`` function is a generator of comparison rows
 ``{"test", "parameters", "lhs", "rhs", "match"}`` in a canonical order, so
 identical configurations produce byte-identical reports; no sweep keeps its
 rows, so a consumer that does not keep them either runs in memory that does
-not grow with the number of checks.  The helpers they share return plain
-values: ``word_tree_polys`` the Deodhar polynomials and ``word_tree_vanishing``
-the vanishing-criterion counts of every reduced word, each read off one walk
-of the reduced-word tree (``_word_tree``), and ``xq_brute_count`` and
-``xq_full_product_count`` point counts.  Every sweep runs serially in the
-calling process.
+not grow with the number of checks.  Rows may share their ``lhs`` and ``rhs``
+lists, with each other and with other rows (``oracle_triangle_rows`` makes
+one list per distinct coefficient tuple), so every consumer treats a row as
+read-only.  The helpers they share return plain values: ``word_tree_polys``
+the Deodhar polynomials and ``word_tree_vanishing`` the vanishing-criterion
+counts of every reduced word, each read off one walk of the reduced-word tree
+(``_word_tree``), and ``xq_brute_count`` and ``xq_full_product_count`` point
+counts.  Every sweep runs serially in the calling process.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterator
 
 from . import cells, counting, flags, frobenius
@@ -101,8 +104,9 @@ def _word_tree(rs: RootSystem, forced_shift) -> Iterator[tuple]:
 def word_tree_polys(rs: RootSystem) -> dict:
     """Deodhar polynomial of every reduced word of W at every end v.
 
-    Returns ``{letters: {v: P}}`` for every reduced word, P the sum of the
-    cell polynomials over Gamma_v, with only the nonzero polynomials kept,
+    Returns ``{letters: {x: P}}`` for every reduced word, keyed like the
+    ``_word_tree`` states by the index x of the end v, P the sum of the cell
+    polynomials over Gamma_v, with only the nonzero polynomials kept,
     from one ``_word_tree`` walk per root system; it is cached, so a failed
     check while walking caches nothing.  Every forced letter shifts by
     (N+1)^2 bits, n + 1, so a label is the cell shape (n, m) itself, forced
@@ -118,10 +122,9 @@ def word_tree_polys(rs: RootSystem) -> dict:
     >>> len(tree)
     7
     >>> e, w0 = a2.identity(), a2.longest_element()
-    >>> tree[w0.canonical_word][e] == r_polynomial(e, w0)
+    >>> tree[w0.canonical_word][e.index] == r_polynomial(e, w0)
     True
     """
-    elements = rs.weyl_elements()
     slot = len(rs.positive_roots) + 1
     mask = (1 << slot) - 1
     polys: dict = {}  # packed state -> polynomial, never zero, so truthy
@@ -140,9 +143,9 @@ def word_tree_polys(rs: RootSystem) -> dict:
         p = polys[v] = IntPolynomial.from_coeffs(acc)
         return p
 
-    walk = _word_tree(rs, [[slot * slot] * len(elements)] * rs.rank)
+    walk = _word_tree(rs, [[slot * slot] * len(rs.weyl_elements())] * rs.rank)
     return {
-        letters: {elements[x]: get(v) or poly(v) for x, v in states.items()}
+        letters: {x: get(v) or poly(v) for x, v in states.items()}
         for letters, states in walk
     }
 
@@ -157,17 +160,14 @@ def oracle_triangle_rows(type_label: str, rank: int) -> Iterator[dict]:
     The checks are counted before the word tree is walked or any row is
     made, and more than ``MAX_TRIANGLE_CHECKS`` raise ``BudgetError``.  Rows
     come in report order, which sorts them by stringified parameters: with
-    type and rank fixed, v by name, then w by name, then the word.
+    type and rank fixed, v by name, then w by name, then the word.  Every
+    lhs and rhs with the same coefficients is one shared list.
     """
     rs = build_root_system(type_label, rank)
-    elements = rs.weyl_elements()
+    elements = _by_name(rs.weyl_elements())
     plan = [
-        (
-            w,
-            [(word_str(letters), letters) for letters in reduced_words(w)],
-            {v for v in elements if bruhat_leq(v, w)},
-        )
-        for w in _by_name(elements)
+        (w, reduced_words(w), {v.index for v in elements if bruhat_leq(v, w)})
+        for w in elements
     ]
     checks = sum(len(words) * len(below) for _, words, below in plan)
     if checks > MAX_TRIANGLE_CHECKS:
@@ -176,14 +176,20 @@ def oracle_triangle_rows(type_label: str, rank: int) -> Iterator[dict]:
             f"{MAX_TRIANGLE_CHECKS}"
         )
     tree = word_tree_polys(rs)
+    plan = [
+        (w, w.word_str, below, [(word_str(word), tree[word]) for word in words])
+        for w, words, below in plan
+    ]
     zero = IntPolynomial.zero()
-    for v in _by_name(elements):
-        v_str = v.word_str
-        for w, words, below in plan:
-            if v not in below:
+    lists: dict[tuple, list] = {}  # coefficients -> the one list of them
+    for v in elements:
+        x, v_str = v.index, v.word_str
+        for w, w_str, below, nodes in plan:
+            if x not in below:
                 continue
-            w_str, rhs = w.word_str, counting.r_polynomial(v, w).coeffs
-            for display, letters in words:
+            coeffs = counting.r_polynomial(v, w).coeffs
+            rhs = lists.get(coeffs) or lists.setdefault(coeffs, list(coeffs))
+            for display, node in nodes:
                 params = {
                     "type": type_label,
                     "rank": rank,
@@ -191,22 +197,26 @@ def oracle_triangle_rows(type_label: str, rank: int) -> Iterator[dict]:
                     "word": display,
                     "v": v_str,
                 }
-                lhs = list(tree[letters].get(v, zero).coeffs)
-                yield _row("deodhar-vs-rpoly", params, lhs, list(rhs))
+                coeffs = node.get(x, zero).coeffs
+                lhs = lists.get(coeffs) or lists.setdefault(coeffs, list(coeffs))
+                yield _row("deodhar-vs-rpoly", params, lhs, rhs)
 
 
 def partition_rows(type_label: str, rank: int) -> Iterator[dict]:
-    """Deodhar polynomials summed over v == q^{l(w)} symbolically, canonical words."""
+    """Deodhar polynomials summed over v == q^{l(w)} symbolically, canonical words.
+
+    The sum is taken in one pass over the coefficient columns of the word's
+    polynomials.
+    """
     rs = build_root_system(type_label, rank)
     tree = word_tree_polys(rs)
     for w in rs.weyl_elements():
-        total = IntPolynomial.zero()
-        for poly in tree[w.canonical_word].values():
-            total = total + poly
+        coeffs = [poly.coeffs for poly in tree[w.canonical_word].values()]
+        total = [sum(column) for column in zip_longest(*coeffs, fillvalue=0)]
         yield _row(
             "cell-partition",
             {"type": type_label, "rank": rank, "w": w.word_str},
-            list(total.coeffs),
+            list(counting._trimmed(total).coeffs),
             list(counting.schubert_cell_poly(w).coeffs),
         )
 
@@ -232,7 +242,7 @@ def double_cell_rows(n: int, q: int) -> Iterator[dict]:
                 if test == "double-cell-vs-rpoly":
                     count = counting.r_polynomial(v, w)(q)
                 else:
-                    count = tree[w.canonical_word].get(v, zero)(q)
+                    count = tree[w.canonical_word].get(v.index, zero)(q)
                 params = {"n": n, "q": q, "w": w.word_str, "v": v.word_str}
                 yield _row(test, params, census[w, v], count)
 

@@ -795,8 +795,28 @@ def verify_rows(draw) -> dict:
     return sweeps._row(draw(JSON_TEXT), draw(PARAMETERS), lhs, rhs)
 
 
+@st.composite
+def verify_row_lists(draw) -> list:
+    """Rows of verify_rows, some of whose sides are a side object of an
+    earlier row, as the triangle sweep shares one list per coefficient
+    tuple; a row may take the parameters of the row before, so shared
+    objects also meet inside one block."""
+    rows, seen = [], []
+    for row in draw(st.lists(verify_rows(), max_size=8)):
+        sides = [row["lhs"], row["rhs"]]
+        for i in range(2):
+            if seen and draw(st.booleans()):
+                sides[i] = draw(st.sampled_from(seen))
+        seen += sides
+        params = row["parameters"]
+        if rows and draw(st.booleans()):
+            params = rows[-1]["parameters"]
+        rows.append(sweeps._row(row["test"], params, *sides))
+    return rows
+
+
 # The json sink takes rows as sweeps._row makes them, and only those.
-ROWS = st.lists(verify_rows(), max_size=8)
+ROWS = verify_row_lists()
 VERIFY_PAYLOADS = st.fixed_dictionaries(
     {
         "schema": st.just("deodhar.v1"),
@@ -987,8 +1007,10 @@ def test_verify_json_budget_after_a_partial_block_keeps_every_row(
     assert report["rows"] == rows
 
 
-# One layout, so each side is one column of a block: an all-int column takes
-# the column lookup, any other column the per-value memo, and both share it.
+_SHARED = [0, -1, 1]
+# One layout, so each side is one column of a block: a column of lists and
+# tuples takes the lookup by id, any other column the per-value memo, and
+# both share it.
 COLUMN_PATHS = {
     "int-lhs-mixed-rhs": [
         _row([1, 2], [1, True], w="s"),
@@ -1001,6 +1023,16 @@ COLUMN_PATHS = {
         _row((0, 1), [], w="s"),
         _row([0, 1], (), w="s"),
     ],
+    # one list object on many rows and both sides, encoded once per block
+    "one-object-repeated": [_row(_SHARED, _SHARED, w="s") for _ in range(3)]
+    + [_row(_SHARED, [0, -1, 1], w="s"), _row([0, -1, 1], _SHARED, w="s")],
+    # distinct objects equal as tuples, (1,) == (True,), that print apart
+    "one-and-true": [
+        _row([1], [True], w="s"),
+        _row([True], [1], w="s"),
+        _row([1], [1], w="s"),
+        _row([True], [True], w="s"),
+    ],
 }
 
 
@@ -1009,6 +1041,27 @@ COLUMN_PATHS = {
 def test_verify_json_column_paths_share_the_memo(rows, block):
     payload = _verify_payload(rows)
     assert _verify_json(payload, block) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_json_column_looks_up_each_object_once():
+    looked_up = []
+
+    class Counted(cli._IntListMemo):
+        __slots__ = ()
+
+        def __call__(self, value):
+            looked_up.append(value)
+            return super().__call__(value)
+
+    memo, one, true = Counted(json.dumps), [1], [True]
+    column = (_SHARED, one, true, _SHARED, one)
+    assert list(memo.column(column)) == list(map(json.dumps, column))
+    assert list(map(id, looked_up)) == [id(_SHARED), id(one), id(true)]
+    # a column with a value that is no list or tuple takes no id pass
+    looked_up.clear()
+    column = (2, _SHARED, _SHARED)
+    assert list(memo.column(column)) == list(map(json.dumps, column))
+    assert looked_up == [2, _SHARED, _SHARED]
 
 
 def test_verify_json_column_lookup_and_per_value_keys():

@@ -216,7 +216,8 @@ def test_schubert_cell_poly():
 def test_word_tree_equals_enumeration(type_label, rank):
     # the tree walk against the enumeration route, word by word and v by v:
     # one walk per word, its cell polynomials summed by end; on rank <= 2
-    # also against deodhar_poly itself, one walk per (word, v)
+    # also against deodhar_poly itself, one walk per (word, v).  The tree
+    # keys each end by its element index
     rs = build_root_system(type_label, rank)
     tree = sweeps.word_tree_polys(rs)
     zero = IntPolynomial.zero()
@@ -232,13 +233,43 @@ def test_word_tree_equals_enumeration(type_label, rank):
                 shape = gamma.cell_shape()
                 if shape not in cell_polys:
                     cell_polys[shape] = cell_count_poly(shape)
-                sums[gamma.end] = sums.get(gamma.end, zero) + cell_polys[shape]
-            for v in rs.weyl_elements():
-                assert polys.get(v, zero) == sums.get(v, zero), (letters, v)
-                if rank <= 2:
-                    assert polys.get(v, zero) == deodhar_poly(word, v), (letters, v)
+                x = gamma.end.index
+                sums[x] = sums.get(x, zero) + cell_polys[shape]
+            # no sum of cell polynomials is zero, and the tree keeps no zero
+            assert polys == sums, letters
+            if rank <= 2:
+                for v in rs.weyl_elements():
+                    assert polys.get(v.index, zero) == deodhar_poly(word, v), (letters, v)
     assert len(tree) == words
     assert sweeps.word_tree_polys(rs) is tree
+
+
+@pytest.mark.parametrize("type_label,rank", sweeps.RANK_LE_3_TYPES)
+def test_partition_rows_column_sum_equals_polynomial_sum(type_label, rank):
+    # the sweep sums coefficient columns; IntPolynomial.__add__ is the
+    # second route, over the same tree nodes
+    rs = build_root_system(type_label, rank)
+    tree = sweeps.word_tree_polys(rs)
+    rows = list(sweeps.partition_rows(type_label, rank))
+    assert [row["parameters"]["w"] for row in rows] == [
+        w.word_str for w in rs.weyl_elements()
+    ]
+    for w, row in zip(rs.weyl_elements(), rows):
+        total = IntPolynomial.zero()
+        for poly in tree[w.canonical_word].values():
+            total = total + poly
+        assert row["lhs"] == list(total.coeffs), w
+
+
+def test_partition_rows_drops_a_cancelled_top(monkeypatch):
+    # a tree no walk makes: the top coefficients cancel, and the column sum
+    # drops them as IntPolynomial.__add__ does
+    rs = build_root_system("A", 1)
+    polys = {0: IntPolynomial((0, 1, 2)), 1: IntPolynomial((1, -1, -2))}
+    tree = {w.canonical_word: polys for w in rs.weyl_elements()}
+    monkeypatch.setattr(sweeps, "word_tree_polys", lambda rs: tree)
+    lhs = [row["lhs"] for row in sweeps.partition_rows("A", 1)]
+    assert lhs == [list((polys[0] + polys[1]).coeffs)] * 2 == [[1], [1]]
 
 
 @pytest.mark.parametrize(
