@@ -220,14 +220,20 @@ def _walk(
 
     With prune, a forced letter (one the running partial product has as a
     right descent) must be taken, so only distinguished subexpressions are
-    reached.  When end is given, the walk is restricted at its leaves only:
-    a leaf becomes a ``Subexpression`` when its product is end.
+    reached.  When end is given, only the leaves whose product is end become
+    ``Subexpression``s, and a branch is cut before it is entered when its
+    partial product x, with k letters left, has |l(x) - l(end)| > k: each
+    letter moves the length by at most one, so no leaf below it ends at end.
+    The leaves kept, and their order, are those of the walk without end
+    that end there.
     """
     sys = word.system
     r = word.r
     letters = word.letters
     rmul, forced = sys._rmul, _forced_letters(sys)
+    lengths = sys._lengths
     target = None if end is None else end.index
+    goal = None if end is None else lengths[target]
     out: list[Subexpression] = []
 
     def rec(i: int, bits: list[int], x: int) -> None:
@@ -237,9 +243,13 @@ def _walk(
             return
         s = letters[i]
         xs = rmul[s][x]
+        left = r - i - 1
         for b in (1,) if prune and forced[s][x] else (0, 1):
+            y = xs if b else x
+            if goal is not None and abs(lengths[y] - goal) > left:
+                continue
             bits.append(b)
-            rec(i + 1, bits, xs if b else x)
+            rec(i + 1, bits, y)
             bits.pop()
 
     rec(0, [], 0)

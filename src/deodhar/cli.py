@@ -336,11 +336,12 @@ class _IntListMemo:
     any other by the types of its entries and their values: ``[1] == [True]``
     and ``hash((1,)) == hash((True,))``, but they print ``1`` and ``true``.
     ``column(values)`` gives the texts of a whole column, one block's lhs or
-    rhs.  One type scan over the values finds a column of lists and tuples;
-    then each distinct object in it, by ``id``, is scanned, tupled and looked
-    up once as above, however many rows repeat it.  The ids are sound: the
-    column tuple keeps every object alive for the whole call.  Any other
-    column is encoded value by value, with no ``id`` pass.
+    rhs.  A type scan over the values finds a column that holds a list or a
+    tuple; then each distinct object in it, by ``id``, goes once through the
+    call above, however many rows repeat it, so a list shared by many rows is
+    scanned, tupled and looked up once.  The ids are sound: the column tuple
+    keeps every object alive for the whole call.  A column with no list or
+    tuple is encoded value by value, with no ``id`` pass.
     """
 
     __slots__ = ("encode", "memo")
@@ -367,7 +368,7 @@ class _IntListMemo:
         return found
 
     def column(self, values: tuple):
-        if not _ARRAYS.issuperset(map(type, values)):
+        if _ARRAYS.isdisjoint(map(type, values)):
             return _column_text(values, self)
         ids = list(map(id, values))
         texts = {i: self(value) for i, value in dict(zip(ids, values)).items()}

@@ -296,9 +296,9 @@ def cell_invariants(gamma: cells.Subexpression, od: OrbitData) -> CellInvariants
             m[rep] += 1
         elif pos not in J:
             n[rep] += 1
-    shape = gamma.cell_shape()
-    n_bar = shape.n_affine - sum(n.values())
-    m_bar = shape.m_torus - sum(m.values())
+    # the cell is (G_a)^{|I|-|J|} x (G_m)^{r-|I|}, as in cell_shape
+    n_bar = len(I) - len(J) - sum(n.values())
+    m_bar = gamma.r - len(I) - sum(m.values())
     if n_bar < 0 or m_bar < 0:
         raise AssertionError("orbit exponents exceed the cell shape")
     return CellInvariants(n=n, m=m, n_bar=n_bar, m_bar=m_bar)

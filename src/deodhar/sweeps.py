@@ -6,12 +6,13 @@ identical configurations produce byte-identical reports; no sweep keeps its
 rows, so a consumer that does not keep them either runs in memory that does
 not grow with the number of checks.  Rows may share their ``lhs`` and ``rhs``
 lists, with each other and with other rows (``oracle_triangle_rows`` makes
-one list per distinct coefficient tuple), so every consumer treats a row as
-read-only.  The helpers they share return plain values: ``word_tree_polys``
-the Deodhar polynomials and ``word_tree_vanishing`` the vanishing-criterion
-counts of every reduced word, each read off one walk of the reduced-word tree
-(``_word_tree``), and ``xq_brute_count`` and ``xq_full_product_count`` point
-counts.  Every sweep runs serially in the calling process.
+one list per distinct coefficient tuple, ``vanishing_rows`` one per survivor
+triple), so every consumer treats a row as read-only.  The helpers they
+share return plain values: ``word_tree_polys`` the Deodhar polynomials and
+``word_tree_vanishing`` the vanishing-criterion counts of every reduced
+word, each read off one walk of the reduced-word tree (``_word_tree``), and
+``xq_brute_count`` and ``xq_full_product_count`` point counts.  Every sweep
+runs serially in the calling process.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _row(test: str, parameters: dict, lhs, rhs) -> dict:
 # -- the tree of reduced words and the oracle triangle ------------------------
 
 
-def _word_tree(rs: RootSystem, forced_shift) -> Iterator[tuple]:
+def _word_tree(rs: RootSystem, forced_shift, only_e: bool = False) -> Iterator[tuple]:
     """Yield ``(letters, states)`` for every reduced word of W, depth first.
 
     Every prefix of a reduced word is reduced, so the words form one tree
@@ -76,13 +77,22 @@ def _word_tree(rs: RootSystem, forced_shift) -> Iterator[tuple]:
     (go to xs, unshifted).  No slot carries: it counts subexpressions of a
     word of length r <= N, at most 2^N < 2^(N+1) - 1.  Consumers only read
     states.
+
+    With only_e, the states are exactly those that can still end at e: a
+    node at depth l(w) has descendants of at most N - l(w) more letters, and
+    each letter moves the end's length by at most one, so a state x with
+    l(x) > N - l(w) is dropped.  Such a state reaches e only below depth N,
+    so every node's state at e is the one the full walk reads.
     """
     rmul, down = rs._rmul, cells._forced_letters(rs)
+    lengths = rs._lengths
     slot = len(rs.positive_roots) + 1
     stack = [((), 0, {0: 1})]
     while stack:
         letters, w, states = stack.pop()
         yield letters, states
+        # the letters a child at depth l(w) + 1 can still grow by
+        room = slot - 2 - lengths[w]
         for s, row in enumerate(rmul):
             forced = down[s]
             if forced[w]:
@@ -90,13 +100,25 @@ def _word_tree(rs: RootSystem, forced_shift) -> Iterator[tuple]:
             shift = forced_shift[s]
             child: dict = {}
             get = child.get
-            for x, v in states.items():
-                xs = row[x]
-                if forced[x]:
-                    child[xs] = get(xs, 0) + (v << shift[xs])
-                else:
-                    child[x] = get(x, 0) + (v << slot)
-                    child[xs] = get(xs, 0) + v
+            if only_e:
+                # a forced letter lowers l(x), so xs always fits
+                for x, v in states.items():
+                    xs = row[x]
+                    if forced[x]:
+                        child[xs] = get(xs, 0) + (v << shift[xs])
+                    elif lengths[x] < room:
+                        child[x] = get(x, 0) + (v << slot)
+                        child[xs] = get(xs, 0) + v
+                    elif lengths[x] == room:
+                        child[x] = get(x, 0) + (v << slot)
+            else:
+                for x, v in states.items():
+                    xs = row[x]
+                    if forced[x]:
+                        child[xs] = get(xs, 0) + (v << shift[xs])
+                    else:
+                        child[x] = get(x, 0) + (v << slot)
+                        child[xs] = get(xs, 0) + v
             stack.append((letters + (s,), row[w], child))
 
 
@@ -323,8 +345,10 @@ def word_tree_vanishing(rs: RootSystem) -> dict:
     witnesses n_a > 0 when w0(xs(-alpha_s)) is a simple root
     (``frobenius._w0_image_simple``), and only such a letter shifts the
     ``_word_tree`` state, by (N+1)^2 bits.  So at e the all-skip count is
-    slot (0, r) and every label n > 0 is witnessed.  Not cached:
-    ``vanishing_rows`` checks it against the enumeration route.
+    slot (0, r) and every label n > 0 is witnessed.  Only the state at e is
+    read, so the walk runs with ``only_e`` and carries no state that no
+    longer word can bring back to e.  Not cached: ``vanishing_rows`` checks
+    it against the enumeration route.
     """
     slot = len(rs.positive_roots) + 1
     witness = slot * slot
@@ -335,7 +359,7 @@ def word_tree_vanishing(rs: RootSystem) -> dict:
     # at most 2^r <= 2^N < digits subexpressions in all, so it never wraps
     digits = (1 << slot) - 1
     out: dict = {}
-    for letters, states in _word_tree(rs, shifts):
+    for letters, states in _word_tree(rs, shifts, only_e=True):
         v = states.get(0, 0)
         all_skip = (v >> slot * len(letters)) & digits
         out[letters] = (
@@ -397,12 +421,14 @@ def vanishing_rows(max_rank: int) -> Iterator[dict]:
     For every reduced word of every w, over the distinguished subexpressions
     ending at the identity: every non-trivial one has a positive affine orbit
     exponent, and exactly one is all-skip, with no affine exponents, no
-    leftover coordinates and surviving shift l(w).  The counts come from one walk of
-    the tree of reduced words per root system (``word_tree_vanishing``).  On
-    the canonical word of every element and under every twist they are
-    checked against the enumeration route: Gamma_e enumerated, then
-    ``cell_invariants`` and the prediction of each subexpression; a
-    disagreement raises AssertionError.
+    leftover coordinates and surviving shift l(w).  The counts come from one
+    walk of the tree of reduced words per root system
+    (``word_tree_vanishing``).  On the canonical word of every element and
+    under every twist they are checked against the enumeration route:
+    Gamma_e enumerated, then ``cell_invariants`` and the prediction of each
+    subexpression; a disagreement raises AssertionError.  The survivor rows
+    share one lhs or rhs list per distinct triple, so the json sink reads
+    each triple once per block.
 
     No row depends on the twist: n_a sums split counts over a phi-orbit, so
     "some n_a > 0" holds for a twist exactly when it holds split, and n_bar,
@@ -429,8 +455,14 @@ def vanishing_rows(max_rank: int) -> Iterator[dict]:
                         f"{type_label}{rank} word {word.display} under twist {phi_str}"
                     )
         plan = [(w, w.word_str, reduced_words(w)) for w in rs.weyl_elements()]
+        # (all_skip, clean, length) -> the one list of them.  clean is a bool
+        # on both sides and the counts are ints, so equal keys print alike
+        lists: dict[tuple, list] = {}
         for phi_str, _ in twists:
             for w, w_str, words in plan:
+                # the all-skip piece survives in degree r - |I| = l(w)
+                survivor = 1, True, w.length
+                rhs = lists.get(survivor) or lists.setdefault(survivor, list(survivor))
                 for letters in words:
                     with_witness, nontrivial, all_skip, clean = tree[letters]
                     params = {
@@ -441,13 +473,9 @@ def vanishing_rows(max_rank: int) -> Iterator[dict]:
                         "word": word_str(letters),
                     }
                     yield _row("vanishing-nontrivial", params, with_witness, nontrivial)
-                    # the all-skip piece survives in degree r - |I| = l(w)
-                    yield _row(
-                        "vanishing-survivor",
-                        params,
-                        [all_skip, clean, len(letters)],
-                        [1, True, w.length],
-                    )
+                    found = all_skip, clean, len(letters)
+                    lhs = lists.get(found) or lists.setdefault(found, list(found))
+                    yield _row("vanishing-survivor", params, lhs, rhs)
 
 
 def witness_rows(max_rank: int) -> Iterator[dict]:

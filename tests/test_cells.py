@@ -313,8 +313,9 @@ def _bits_by_end(subs) -> dict:
 
 
 # B3 and C3 are left out: their 209 reduced words by 48 ends each took over
-# 5 s, and test_word_tree_vanishing_equals_enumeration checks the end filter
-# at e on every reduced word of every rank-3 system
+# 5 s.  The test below checks their canonical words at every end, and
+# test_word_tree_vanishing_equals_enumeration the end filter at e on every
+# reduced word of every rank-3 system
 @pytest.mark.parametrize(
     "type_label, rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2)]
 )
@@ -331,6 +332,23 @@ def test_end_pruned_walks_equal_the_filtered_walks(type_label, rank):
             for v in elements:
                 assert _bits(enumerate_distinguished(word, v)) == dist.get(v, [])
                 assert _bits(_walk(word, prune=False, end=v)) == every.get(v, [])
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "full"])
+@pytest.mark.parametrize("type_label, rank", RANK_LE_3_TYPES)
+def test_end_cut_walks_equal_the_filtered_walks_on_canonical_words(
+    type_label, rank, prune
+):
+    # the walk restricted to v cuts every branch too far from l(v) to end
+    # there; it keeps the same leaves, in the same order, as the walk without
+    # an end filtered by end, on the canonical word of every element
+    rs = build_root_system(type_label, rank)
+    elements = rs.weyl_elements()
+    for w in elements:
+        word = ReducedWord.from_letters(rs, w.canonical_word)
+        every = _bits_by_end(_walk(word, prune))
+        for v in elements:
+            assert _bits(_walk(word, prune, end=v)) == every.get(v, [])
 
 
 @pytest.mark.parametrize("type_label, rank", [("A", 4), ("D", 4)])

@@ -1008,9 +1008,10 @@ def test_verify_json_budget_after_a_partial_block_keeps_every_row(
 
 
 _SHARED = [0, -1, 1]
-# One layout, so each side is one column of a block: a column of lists and
-# tuples takes the lookup by id, any other column the per-value memo, and
-# both share it.
+_SURVIVOR = [1, True, 3]
+# One layout, so each side is one column of a block: a column that holds a
+# list or tuple takes the lookup by id, any other column the per-value memo,
+# and both share it.
 COLUMN_PATHS = {
     "int-lhs-mixed-rhs": [
         _row([1, 2], [1, True], w="s"),
@@ -1032,6 +1033,17 @@ COLUMN_PATHS = {
         _row([True], [1], w="s"),
         _row([1], [1], w="s"),
         _row([True], [True], w="s"),
+    ],
+    # ints, one shared list and [1, True, 0]-style lists in both columns, as
+    # the vanishing rows alternate a count and a survivor list
+    "ints-and-lists-mixed": [
+        _row(2, 2, w="s"),
+        _row(_SURVIVOR, _SURVIVOR, w="s"),
+        _row(0, 1, w="s"),
+        _row([1, True, 0], _SURVIVOR, w="s"),
+        _row(_SURVIVOR, [1, 1, 3], w="s"),
+        _row([1, 1, 0], [1, True, 0], w="s"),
+        _row(10**20, _SURVIVOR, w="s"),
     ],
 }
 
@@ -1057,11 +1069,17 @@ def test_verify_json_column_looks_up_each_object_once():
     column = (_SHARED, one, true, _SHARED, one)
     assert list(memo.column(column)) == list(map(json.dumps, column))
     assert list(map(id, looked_up)) == [id(_SHARED), id(one), id(true)]
-    # a column with a value that is no list or tuple takes no id pass
+    # a column with no list or tuple takes no id pass: every value is encoded
     looked_up.clear()
-    column = (2, _SHARED, _SHARED)
+    column = (2, "s", 2, True)
     assert list(memo.column(column)) == list(map(json.dumps, column))
-    assert looked_up == [2, _SHARED, _SHARED]
+    assert looked_up == list(column)
+    # a mixed column looks up each distinct object once, ints included
+    looked_up.clear()
+    big, flags = 10**20, [1, True, 0]
+    column = (2, _SHARED, big, _SHARED, flags, 2, big, flags)
+    assert list(memo.column(column)) == list(map(json.dumps, column))
+    assert list(map(id, looked_up)) == [id(2), id(_SHARED), id(big), id(flags)]
 
 
 def test_verify_json_column_lookup_and_per_value_keys():

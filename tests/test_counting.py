@@ -332,6 +332,15 @@ def test_word_tree_slots_do_not_carry_on_w0(type_label, rank):
         assert _slot_counts(v, slot) == Counter(g.cell_shape() for g in gamma_x), x
 
 
+def _vanishing_shifts(rs):
+    # word_tree_vanishing's forced_shift: (N+1)^2 bits for a witnessing letter
+    slot = len(rs.positive_roots) + 1
+    return [
+        [slot * slot if simple else 0 for simple in row]
+        for row in frobenius._w0_image_simple(rs)
+    ]
+
+
 @pytest.mark.parametrize("type_label,rank", [("A", 4), ("D", 4)])
 def test_word_tree_vanishing_digit_sums_are_slot_sums(type_label, rank):
     # word_tree_vanishing reads Gamma_e's counts by %, against the same walk
@@ -339,10 +348,7 @@ def test_word_tree_vanishing_digit_sums_are_slot_sums(type_label, rank):
     rs = build_root_system(type_label, rank)
     slot = len(rs.positive_roots) + 1
     digits = (1 << slot) - 1
-    shifts = [
-        [slot * slot if simple else 0 for simple in row]
-        for row in frobenius._w0_image_simple(rs)
-    ]
+    shifts = _vanishing_shifts(rs)
     tree = sweeps.word_tree_vanishing(rs)
     nodes = 0
     for letters, states in sweeps._word_tree(rs, shifts):
@@ -355,6 +361,27 @@ def test_word_tree_vanishing_digit_sums_are_slot_sums(type_label, rank):
         assert (v % digits, (v >> slot * slot) % digits) == (total, witnessed)
         assert tree[letters][:3] == (witnessed, total - all_skip, all_skip), letters
     assert nodes == len(tree)
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", sweeps.RANK_LE_3_TYPES + (("A", 4),)
+)
+def test_word_tree_to_e_drops_only_states_that_cannot_reach_e(type_label, rank):
+    # node by node, the walk word_tree_vanishing runs keeps exactly the
+    # states of the full walk no longer than the letters left below the
+    # node, so its state at e is the full walk's
+    rs = build_root_system(type_label, rank)
+    slot = len(rs.positive_roots) + 1
+    shifts = _vanishing_shifts(rs)
+    pruned = list(sweeps._word_tree(rs, shifts, only_e=True))
+    full = list(sweeps._word_tree(rs, shifts))
+    assert len(pruned) == len(full)
+    for (letters, states), (full_letters, full_states) in zip(pruned, full):
+        assert letters == full_letters
+        assert states[0] == full_states[0]
+        room = slot - 1 - len(letters)
+        kept = {x: v for x, v in full_states.items() if rs._lengths[x] <= room}
+        assert states == kept, letters
 
 
 def test_word_tree_corrupted_length_trips_j_check():

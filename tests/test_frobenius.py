@@ -484,6 +484,26 @@ def test_vanishing_rows_cross_check_trips_on_corruption(
     assert all(row["match"] for row in sweeps.vanishing_rows(max_rank=2))
 
 
+@pytest.mark.parametrize("type_label,rank", [("A", 2), ("B", 3)])
+def test_word_tree_vanishing_clean_follows_the_image_table_at_e(
+    monkeypatch, type_label, rank
+):
+    # w0(-alpha_s) is simple for every s, so clean is True on every word;
+    # with s's entry at e made not simple, clean must fail exactly on the
+    # words that contain s
+    rs = build_root_system(type_label, rank)
+    s = rank - 1
+    table = [list(row) for row in _w0_image_simple(rs)]
+    assert all(row[0] for row in table)
+    table[s][0] = False
+    corrupted = tuple(map(tuple, table))
+    monkeypatch.setattr(frobenius, "_w0_image_simple", lambda system: corrupted)
+    tree = sweeps.word_tree_vanishing(rs)
+    assert len(tree) == {"A": 7, "B": 209}[type_label]
+    for letters, (*_, clean) in tree.items():
+        assert clean is (s not in letters), letters
+
+
 @pytest.mark.parametrize("sweep", [sweeps.vanishing_rows, sweeps.witness_rows])
 def test_vanishing_sweeps_refuse_a_rank_they_do_not_reach(sweep):
     # no rank-4 system is swept, so rank 4 must not pass for the rank <= 3 rows
