@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from itertools import repeat
+from itertools import count, repeat
 from typing import Iterable, Optional
 
 from .errors import ConfigError, EmptyCellError, NotComparableError, Record
@@ -86,6 +86,10 @@ class Subexpression:
     Immutable like a ``Record``, with its own equality and hash, and copies
     as itself.  ``__init__`` stores each field through its slot's member
     descriptor (``_SET_FIELDS``), which the assignment guard does not reach.
+    It makes one pass over (position, letter, bit), which multiplies out the
+    partial products, fills I and beta~_i, and computes J twice: once from
+    the forced-letter table and once from the sign of beta~_i.  The two must
+    agree on every instance.
     """
 
     __slots__ = ("word", "bits", "partials", "end", "I", "J", "tilde_betas")
@@ -107,30 +111,32 @@ class Subexpression:
         set_word(self, word)
         set_bits(self, bits)
         sys = word.system
-        letters = word.letters
-        y = sys.identity()
-        parts, ys = [y], []  # gamma^0..gamma^r; the indices of gamma^1..gamma^r
-        for s, b in zip(letters, bits):
-            if b:
-                y = y * sys.simple_reflection(s)
-            parts.append(y)
-            ys.append(y.index)
-        set_partials(self, tuple(parts))
-        set_end(self, y)
-        set_I(self, frozenset([i for i, b in enumerate(bits, 1) if b]))
-        # beta~_i = gamma^i(-beta_i), a root index read off gamma^i's permutation
-        perms, neg = sys._perms, _negative_simple_roots(sys)
-        images = [perms[y][neg[s]] for y, s in zip(ys, letters)]
-        roots = sys.roots
-        set_tilde(self, tuple([roots[k] for k in images]))
-        forced = _forced_letters(sys)
-        J = frozenset(
-            [i for i, (s, y) in enumerate(zip(letters, ys), 1) if forced[s][y]]
-        )
-        set_J(self, J)
+        perms, roots = sys._perms, sys.roots
+        neg, forced = _negative_simple_roots(sys), _forced_letters(sys)
         # the negative roots come first, so a root index at or past n_neg is positive
         n_neg = len(roots) - len(sys.positive_roots)
-        if J != frozenset([i for i, k in enumerate(images, 1) if k >= n_neg]):
+        y = sys.identity()
+        parts, tilde = [y], []  # gamma^0..gamma^r; beta~_1..beta~_r
+        I, J, positive = [], [], []  # J by descent, and by the sign of beta~_i
+        for i, s, b in zip(count(1), word.letters, bits):
+            if b:
+                y = y * sys.simple_reflection(s)
+                I.append(i)
+            parts.append(y)
+            x = y.index
+            # beta~_i = gamma^i(-beta_i), a root index read off gamma^i's permutation
+            k = perms[x][neg[s]]
+            tilde.append(roots[k])
+            if forced[s][x]:
+                J.append(i)
+            if k >= n_neg:
+                positive.append(i)
+        set_partials(self, tuple(parts))
+        set_end(self, y)
+        set_I(self, frozenset(I))
+        set_J(self, frozenset(J))
+        set_tilde(self, tuple(tilde))
+        if J != positive:
             raise AssertionError(
                 f"descent and root-sign computations of J disagree on {self}"
             )
@@ -218,14 +224,15 @@ def _walk(
 ) -> list[Subexpression]:
     """Depth-first walk over the subexpressions of word, in lexicographic bit order.
 
-    With prune, a forced letter (one the running partial product has as a
-    right descent) must be taken, so only distinguished subexpressions are
-    reached.  When end is given, only the leaves whose product is end become
-    ``Subexpression``s, and a branch is cut before it is entered when its
-    partial product x, with k letters left, has |l(x) - l(end)| > k: each
-    letter moves the length by at most one, so no leaf below it ends at end.
-    The leaves kept, and their order, are those of the walk without end
-    that end there.
+    The walk runs on an explicit stack of (depth, partial product, bit)
+    nodes, filling one shared bit list.  With prune, a forced letter (one
+    the running partial product has as a right descent) must be taken, so
+    only distinguished subexpressions are reached.  When end is given, only
+    the leaves whose product is end become ``Subexpression``s, and a branch
+    is cut before it is entered when its partial product x, with k letters
+    left, has |l(x) - l(end)| > k: each letter moves the length by at most
+    one, so no leaf below it ends at end.  The leaves kept, and their order,
+    are those of the walk without end that end there.
     """
     sys = word.system
     r = word.r
@@ -235,24 +242,29 @@ def _walk(
     target = None if end is None else end.index
     goal = None if end is None else lengths[target]
     out: list[Subexpression] = []
-
-    def rec(i: int, bits: list[int], x: int) -> None:
+    bits = [0] * r
+    # (i, x, b): letters before i are chosen, with product x and bit b at i - 1;
+    # the 0-branch is pushed last, so it is walked first
+    stack = [(0, 0, 0)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        i, x, b = pop()
+        if i:
+            bits[i - 1] = b
         if i == r:
             if target is None or x == target:
                 out.append(Subexpression(word, bits))
-            return
+            continue
         s = letters[i]
         xs = rmul[s][x]
-        left = r - i - 1
-        for b in (1,) if prune and forced[s][x] else (0, 1):
-            y = xs if b else x
-            if goal is not None and abs(lengths[y] - goal) > left:
-                continue
-            bits.append(b)
-            rec(i + 1, bits, y)
-            bits.pop()
-
-    rec(0, [], 0)
+        i += 1
+        left = r - i
+        if goal is None or abs(lengths[xs] - goal) <= left:
+            push((i, xs, 1))
+        if not (prune and forced[s][x]) and (
+            goal is None or abs(lengths[x] - goal) <= left
+        ):
+            push((i, x, 0))
     return out
 
 

@@ -277,16 +277,16 @@ def cell_invariants(gamma: cells.Subexpression, od: OrbitData) -> CellInvariants
     w0-image is not a simple root.  The simple root w0(beta~_i), if any, is
     read from the per-system table ``_w0_simple_index``.
     """
-    if not gamma.is_distinguished:
+    I, J = gamma.I, gamma.J
+    if not J <= I:
         raise EmptyCellError(f"{gamma.display} is not distinguished")
     sys = gamma.word.system
     if od.system is not sys:
         raise ConfigError("orbit data belongs to a different root system")
     w0_simple = _w0_simple_index(sys)
-    reps, orbits = od.representatives, od.root_orbits
-    n = dict.fromkeys(reps, 0)
-    m = dict.fromkeys(reps, 0)
-    I, J = gamma.I, gamma.J
+    orbits = od.root_orbits
+    n = {orbit[0]: 0 for orbit in od.orbits}
+    m = n.copy()
     for pos, beta in enumerate(gamma.tilde_betas, 1):
         idx = w0_simple.get(beta)
         if idx is None:

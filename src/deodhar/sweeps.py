@@ -454,7 +454,10 @@ def vanishing_rows(max_rank: int) -> Iterator[dict]:
                         f"word tree and enumeration disagree on Gamma_e of "
                         f"{type_label}{rank} word {word.display} under twist {phi_str}"
                     )
-        plan = [(w, w.word_str, reduced_words(w)) for w in rs.weyl_elements()]
+        plan = [
+            (w, w.word_str, [(word, word_str(word)) for word in reduced_words(w)])
+            for w in rs.weyl_elements()
+        ]
         # (all_skip, clean, length) -> the one list of them.  clean is a bool
         # on both sides and the counts are ints, so equal keys print alike
         lists: dict[tuple, list] = {}
@@ -463,14 +466,14 @@ def vanishing_rows(max_rank: int) -> Iterator[dict]:
                 # the all-skip piece survives in degree r - |I| = l(w)
                 survivor = 1, True, w.length
                 rhs = lists.get(survivor) or lists.setdefault(survivor, list(survivor))
-                for letters in words:
+                for letters, display in words:
                     with_witness, nontrivial, all_skip, clean = tree[letters]
                     params = {
                         "type": type_label,
                         "rank": rank,
                         "phi": phi_str,
                         "w": w_str,
-                        "word": word_str(letters),
+                        "word": display,
                     }
                     yield _row("vanishing-nontrivial", params, with_witness, nontrivial)
                     found = all_skip, clean, len(letters)

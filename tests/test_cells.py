@@ -362,6 +362,27 @@ def test_end_pruned_walk_at_identity_on_rank_four(type_label, rank):
         )
 
 
+@pytest.mark.parametrize("type_label, rank", [("A", 4), ("D", 4)])
+def test_walks_of_the_longest_word_equal_brute_force_on_rank_four(type_label, rank):
+    # every bit vector of w0's canonical word (10 letters on A4, 12 on D4), in
+    # lexicographic order, filtered by the distinguished test and the end: the
+    # walk must keep the same vectors in the same order, with and without its
+    # forced-letter and end cuts
+    rs = build_root_system(type_label, rank)
+    w0 = rs.longest_element()
+    word = ReducedWord.from_letters(rs, w0.canonical_word)
+    every = [Subexpression(word, b) for b in itertools.product((0, 1), repeat=word.r)]
+    for prune in (True, False):
+        for end in (None, rs.identity(), w0):
+            expected = [
+                g.bits
+                for g in every
+                if (g.is_distinguished or not prune)
+                and (end is None or g.end == end)
+            ]
+            assert _bits(_walk(word, prune, end)) == expected
+
+
 @pytest.mark.parametrize("type_label, rank", RANK_LE_3_TYPES)
 def test_table_built_subexpression_equals_products_and_action(type_label, rank):
     rs = build_root_system(type_label, rank)
@@ -390,5 +411,17 @@ def test_flipped_forced_letter_trips_the_subexpression_j_check(monkeypatch):
     table[0][s] = not table[0][s]  # s is a right descent of s: forced, now not
     flipped = tuple(map(tuple, table))
     monkeypatch.setattr(cells, "_forced_letters", lambda system: flipped)
+    with pytest.raises(AssertionError, match="descent and root-sign"):
+        Subexpression(word, (1, 0, 0))
+
+
+def test_swapped_negative_roots_trip_the_subexpression_j_check(monkeypatch):
+    # the mirror of the test above: the descent table is intact and the root
+    # side reads -alpha_t where it should read -alpha_s, so the two
+    # computations of J, made in one pass, still come from different tables
+    rs, word = _a2_word()
+    neg = cells._negative_simple_roots(rs)
+    swapped = (neg[1], neg[0])
+    monkeypatch.setattr(cells, "_negative_simple_roots", lambda system: swapped)
     with pytest.raises(AssertionError, match="descent and root-sign"):
         Subexpression(word, (1, 0, 0))

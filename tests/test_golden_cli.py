@@ -21,10 +21,14 @@ and stopped reading its rows back from a temporary file.  That change moved
 one digest, and on purpose: the csv of the budget-cut ``flags --n 4 --q 16``
 run, which makes no row, now heads ``test,n,q,v,w,lhs,rhs,match`` (the
 suite's columns) where it printed ``test,lhs,rhs,match``, so a suite's csv
-header no longer depends on how far the run got.  Each case carries its
-expected exit code, and every subcommand and every ``verify`` suite must be
-pinned in every output format.  Any refactor of the library must keep every
-one of these outputs byte-identical.
+header no longer depends on how far the run got.  The last case, ``predict``
+on the longest word of D4 (``stsutsvtsutv``, 12 letters, where the longest
+word pinned before it had 6), was recorded before ``Subexpression`` was
+built in one pass over the word and the subexpression walk ran on an
+explicit stack.  Each case carries its expected exit code, and every
+subcommand and every ``verify`` suite must be pinned in every output format.
+Any refactor of the library must keep every one of these outputs
+byte-identical.
 
 ``BENCHMARK_JSON`` pins the json stdout of the benchmark's instances, read
 with their check counts from ``perfbench/workloads.json``.  These outputs are
@@ -193,6 +197,12 @@ GOLDEN = {
         "table": "82280cb748257151637aa7256402d50aed69f1b575ef1b69c2d45674b5897a80",
         "csv": "1284dadbecc3ce29fea1ec6ccd157cd9bc80b60fbd08195636d6145d2b5bbd30",
         "json": "b359f7af66fd285eb5d58c0271474672483e1922741c96470d1a095c6420b374",
+    },
+    ("predict", "D", "4", "--word", "stsutsvtsutv", "--q", "2"): {
+        "exit": 0,
+        "table": "f641d6c30ba8d80c2586da6451214e076e758f104fb1d18d916f4295969990c4",
+        "csv": "9367ecbc15de4b60f9647359b137bfab2edca93ef5269771b75c1fe91d205460",
+        "json": "36227f411a0f5063883844e3622ee11ceac8f99e689d5dff729cf231e8649117",
     },
 }
 
